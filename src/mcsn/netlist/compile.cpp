@@ -16,7 +16,6 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
   const std::vector<GateNode>& nodes = nl.nodes();
   const std::size_t n = nodes.size();
   CompiledProgram p;
-  p.slot_of_node_.assign(n, kNoSlot);
 
   // 1. Liveness: reverse reachability from the outputs (unless disabled).
   std::vector<char> live(n, 0);
@@ -44,6 +43,13 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
       }
     }
   }
+  const auto is_const = [&nodes](NodeId id) {
+    return nodes[id].kind == CellKind::const0 ||
+           nodes[id].kind == CellKind::const1;
+  };
+  const auto live_gate = [&](NodeId id) {
+    return live[id] && is_gate(nodes[id].kind);
+  };
 
   // 2. Logic levels. Nodes are stored in topological order, so one forward
   // pass suffices: inputs and constants sit at level 0, a gate one past its
@@ -51,99 +57,154 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
   std::vector<std::uint32_t> level(n, 0);
   std::uint32_t max_level = 0;
   for (NodeId id = 0; id < n; ++id) {
-    if (!live[id]) continue;
+    if (!live_gate(id)) continue;
     const GateNode& g = nodes[id];
     const int arity = cell_arity(g.kind);
-    if (arity == 0) continue;
     std::uint32_t lv = 0;
     for (int j = 0; j < arity; ++j) lv = std::max(lv, level[g.in[j]]);
     level[id] = lv + 1;
     max_level = std::max(max_level, level[id]);
   }
 
-  // 3. Slot assignment. retain_all_nodes keeps the identity mapping; the
-  // dense mode numbers live inputs first (in creation order), then live
-  // constants, then gates in (level, creation) order — exactly the order
-  // the executor writes them, which keeps the working set contiguous.
+  // 3. Schedule. Level order is a counting sort by level, stable in
+  // creation order; bucket l holds the gates of level l + 1.
   std::vector<NodeId> gate_order;
-  gate_order.reserve(n);
-  for (NodeId id = 0; id < n; ++id) {
-    if (live[id] && is_gate(nodes[id].kind)) gate_order.push_back(id);
-  }
   if (opt.levelize) {
-    std::stable_sort(
-        gate_order.begin(), gate_order.end(),
-        [&level](NodeId a, NodeId b) { return level[a] < level[b]; });
+    p.level_offsets_.assign(max_level + 1, 0);
+    for (NodeId id = 0; id < n; ++id) {
+      if (live_gate(id)) ++p.level_offsets_[level[id]];
+    }
+    for (std::size_t l = 1; l < p.level_offsets_.size(); ++l) {
+      p.level_offsets_[l] += p.level_offsets_[l - 1];
+    }
+    gate_order.resize(p.level_offsets_.back());
+    std::vector<std::size_t> cursor(p.level_offsets_.begin(),
+                                    p.level_offsets_.end() - 1);
+    for (NodeId id = 0; id < n; ++id) {
+      if (live_gate(id)) gate_order[cursor[level[id] - 1]++] = id;
+    }
+  } else {
+    for (NodeId id = 0; id < n; ++id) {
+      if (live_gate(id)) gate_order.push_back(id);
+    }
   }
 
+  // 4. Slot assignment. retain_all_nodes keeps the identity mapping. The
+  // dense mode gives live inputs, then live constants, the first slots and
+  // hands gates slots from a free list. Time runs in steps: inputs are
+  // written at step 0, and a gate at the step of its level (in creation
+  // order, each op is its own step). A value's slot returns to the list at
+  // the start of the step after its last reader, so no op ever writes a
+  // slot another op of its step reads. Constants and outputs stay pinned;
+  // input slots are reused like any other, since run() rewrites them.
+  std::vector<std::uint32_t> slot_of(n, kNoSlot);
   if (opt.retain_all_nodes) {
-    for (NodeId id = 0; id < n; ++id) p.slot_of_node_[id] = id;
+    for (NodeId id = 0; id < n; ++id) slot_of[id] = id;
     p.slot_count_ = n;
   } else {
+    const auto step_of = [&](std::size_t k) {
+      return opt.levelize ? level[gate_order[k]]
+                          : static_cast<std::uint32_t>(k + 1);
+    };
+    // The step after which each value's slot is released: its last
+    // reader's, or its own when nothing reads it. kKept: never released.
+    constexpr std::uint32_t kKept = 0xffffffffu;
+    std::vector<std::uint32_t> release_step(n, 0);
+    for (std::size_t k = 0; k < gate_order.size(); ++k) {
+      const std::uint32_t s = step_of(k);
+      const GateNode& g = nodes[gate_order[k]];
+      release_step[gate_order[k]] = s;
+      const int arity = cell_arity(g.kind);
+      for (int j = 0; j < arity; ++j) release_step[g.in[j]] = s;
+    }
+    for (const OutputPort& out : nl.outputs()) release_step[out.node] = kKept;
+
     std::uint32_t next = 0;
     for (const NodeId id : nl.inputs()) {
-      if (live[id]) p.slot_of_node_[id] = next++;
+      if (live[id]) slot_of[id] = next++;
     }
     for (NodeId id = 0; id < n; ++id) {
-      const CellKind k = nodes[id].kind;
-      if (live[id] && (k == CellKind::const0 || k == CellKind::const1)) {
-        p.slot_of_node_[id] = next++;
+      if (live[id] && is_const(id)) {
+        slot_of[id] = next++;
+        release_step[id] = kKept;
       }
     }
-    for (const NodeId id : gate_order) p.slot_of_node_[id] = next++;
+    std::vector<std::uint32_t> free_slots;
+    const auto release = [&](NodeId id, std::uint32_t s) {
+      if (release_step[id] == s) {
+        free_slots.push_back(slot_of[id]);
+        release_step[id] = kKept;
+      }
+    };
+    for (const NodeId id : nl.inputs()) {
+      if (live[id]) release(id, 0);
+    }
+    for (std::size_t k = 0; k < gate_order.size();) {
+      const std::uint32_t s = step_of(k);
+      std::size_t end = k;
+      for (; end < gate_order.size() && step_of(end) == s; ++end) {
+        if (free_slots.empty()) {
+          slot_of[gate_order[end]] = next++;
+        } else {
+          slot_of[gate_order[end]] = free_slots.back();
+          free_slots.pop_back();
+        }
+      }
+      for (; k < end; ++k) {
+        const GateNode& g = nodes[gate_order[k]];
+        const int arity = cell_arity(g.kind);
+        for (int j = 0; j < arity; ++j) release(g.in[j], s);
+        release(gate_order[k], s);
+      }
+    }
     p.slot_count_ = next;
   }
 
-  // 4. Constant initializers.
+  // 5. Constant initializers.
   for (NodeId id = 0; id < n; ++id) {
-    if (!live[id]) continue;
-    const CellKind k = nodes[id].kind;
-    if (k == CellKind::const0 || k == CellKind::const1) {
+    if (live[id] && is_const(id)) {
       p.const_inits_.push_back(
-          {p.slot_of_node_[id],
-           k == CellKind::const1 ? Trit::one : Trit::zero});
+          {slot_of[id],
+           nodes[id].kind == CellKind::const1 ? Trit::one : Trit::zero});
     }
   }
 
-  // 5. Instruction stream. Unused fanin pins point at slot 0; the cell
-  // evaluators ignore operands beyond the cell's arity. Per-level offsets
-  // only exist for levelized schedules (creation order interleaves levels).
+  // 6. Instruction stream. Unused fanin pins point at slot 0; the cell
+  // evaluators ignore operands beyond the cell's arity. A slot keeps its
+  // value from allocation until release, so slot_of is each operand's
+  // slot at the time its reader runs.
   p.ops_.reserve(gate_order.size());
-  if (opt.levelize) p.level_offsets_.assign(max_level + 1, 0);
   for (const NodeId id : gate_order) {
     const GateNode& g = nodes[id];
     const int arity = cell_arity(g.kind);
     CompiledOp op;
     op.kind = g.kind;
-    op.out = p.slot_of_node_[id];
+    op.out = slot_of[id];
     for (int j = 0; j < 3; ++j) {
-      op.in[static_cast<std::size_t>(j)] =
-          j < arity ? p.slot_of_node_[g.in[j]] : 0;
+      op.in[static_cast<std::size_t>(j)] = j < arity ? slot_of[g.in[j]] : 0;
     }
-    // Gate levels are 1-based; bucket l holds ops of level l+1.
-    if (opt.levelize) ++p.level_offsets_[level[id] - 1 + 1];
     p.ops_.push_back(op);
   }
-  for (std::size_t l = 1; l < p.level_offsets_.size(); ++l) {
-    p.level_offsets_[l] += p.level_offsets_[l - 1];
-  }
 
-  // 6. Outputs (always live by construction).
+  // 7. Outputs (always live by construction).
   p.output_slots_.reserve(nl.outputs().size());
   for (const OutputPort& out : nl.outputs()) {
-    p.output_slots_.push_back(p.slot_of_node_[out.node]);
+    p.output_slots_.push_back(slot_of[out.node]);
   }
   p.input_slots_.reserve(nl.inputs().size());
   for (const NodeId id : nl.inputs()) {
-    p.input_slots_.push_back(p.slot_of_node_[id]);
+    p.input_slots_.push_back(slot_of[id]);
   }
 
 #if !defined(NDEBUG) || defined(MCSN_VERIFY)
-  // Debug and sanitizer builds re-check every structural invariant of the
-  // freshly lowered program (see verify_ir.hpp). A failure here is a
-  // compiler bug, not a caller error — abort loudly instead of handing an
-  // unchecked instruction stream to the branch-free executors.
-  if (const Status s = verify_ir(p, verify_options_for(opt)); !s.ok()) {
+  // Debug and sanitizer builds re-check the freshly lowered program (see
+  // verify_ir.hpp): every structural invariant, then an exact replay
+  // against the netlist. A failure here is a compiler bug, not a caller
+  // error — abort loudly instead of handing an unchecked instruction
+  // stream to the branch-free executors.
+  Status s = verify_ir(p, verify_options_for(opt));
+  if (s.ok()) s = verify_netlist_replay(p, nl);
+  if (!s.ok()) {
     std::fprintf(stderr, "CompiledProgram::compile: %s\n",
                  s.to_string().c_str());
     std::abort();

@@ -8,12 +8,14 @@
 // CompiledProgram pays those costs once:
 //
 //   * dead-node elimination  — gates no output depends on are dropped;
-//   * dense operand slots    — live values are renumbered into a compact
-//                              buffer (inputs, then constants, then gates in
-//                              schedule order) so the working set is minimal;
 //   * levelization           — gates are scheduled by logic level; ops within
 //                              one level are mutually independent, which
 //                              level_ops() exposes for parallel execution;
+//   * liveness slot reuse    — a value's slot is recycled once its last
+//                              reader's level has run, so an executor holds
+//                              the widest set of simultaneously live values
+//                              (a few hundred slots for 10x8), not one slot
+//                              per gate;
 //   * constant folding into initialization — tie cells are materialized once
 //                              per executor, not re-evaluated per run.
 //
@@ -52,9 +54,9 @@ struct CompiledOp {
 struct CompileOptions {
   /// Drop gates that no output transitively depends on.
   bool eliminate_dead = true;
-  /// Keep slot == NodeId for every node (implies no dead-node elimination).
-  /// Used by the eval.hpp compatibility wrappers, whose API exposes values
-  /// for all nodes indexable by NodeId.
+  /// Keep slot == NodeId for every node (implies no dead-node elimination
+  /// and no slot reuse). Used by the eval.hpp compatibility wrappers, whose
+  /// API exposes values for all nodes indexable by NodeId.
   bool retain_all_nodes = false;
   /// Group the instruction stream by logic level (enables level_ops()
   /// parallel slicing). Creation order (false) can have better operand
@@ -76,7 +78,9 @@ class CompiledProgram {
   [[nodiscard]] static CompiledProgram compile(const Netlist& nl,
                                                const CompileOptions& opt = {});
 
-  /// Size of the value buffer an executor must provide.
+  /// Size of the value buffer an executor must provide: the node count
+  /// under retain_all_nodes, else the peak number of simultaneously live
+  /// values (pinned constants and outputs included).
   [[nodiscard]] std::size_t slot_count() const noexcept { return slot_count_; }
 
   [[nodiscard]] std::size_t input_count() const noexcept {
@@ -121,11 +125,6 @@ class CompiledProgram {
     return const_inits_;
   }
 
-  /// Slot holding the value of `id`, or kNoSlot if eliminated.
-  [[nodiscard]] std::uint32_t slot_of_node(NodeId id) const {
-    return slot_of_node_[id];
-  }
-
   /// Gates surviving dead-node elimination.
   [[nodiscard]] std::size_t live_gate_count() const noexcept {
     return ops_.size();
@@ -138,7 +137,6 @@ class CompiledProgram {
   std::vector<std::uint32_t> input_slots_;
   std::vector<std::uint32_t> output_slots_;
   std::vector<ConstInit> const_inits_;
-  std::vector<std::uint32_t> slot_of_node_;
 };
 
 // --- Lane backends ----------------------------------------------------------
@@ -218,7 +216,9 @@ class CompiledExecutor {
 
   /// `inputs` are assigned to primary inputs in creation order (one Value
   /// per input, each carrying Backend::kLanes independent vectors). Returns
-  /// the full slot buffer; valid until the next run().
+  /// the full slot buffer, valid until the next run(); it is indexable by
+  /// NodeId only for retain_all_nodes programs, since dense programs reuse
+  /// slots.
   std::span<const Value> run(std::span<const Value> inputs) {
     const std::span<const std::uint32_t> in_slots = prog_->input_slots();
     assert(inputs.size() == in_slots.size());
@@ -280,12 +280,13 @@ struct LevelParallelOptions {
 };
 
 /// Executes a CompiledProgram with intra-vector parallelism: every level's
-/// ops are mutually independent (they read only earlier levels and write
-/// disjoint slots), so wide levels are sliced into contiguous chunks that
-/// run concurrently on a ThreadPool, with a barrier between levels. This
-/// speeds up a single evaluation of one huge netlist (e.g. an elaborated
-/// 10-channel/16-bit network) even at batch size 1 — the axis
-/// BatchEvaluator's across-vector sharding cannot reach.
+/// ops are mutually independent (they read only earlier levels, write
+/// disjoint slots, and never write a slot their level reads), so wide
+/// levels are sliced into contiguous chunks that run concurrently on a
+/// ThreadPool, with a barrier between levels. This speeds up a single
+/// evaluation of one huge netlist (e.g. an elaborated 10-channel/16-bit
+/// network) even at batch size 1 — the axis BatchEvaluator's across-vector
+/// sharding cannot reach.
 ///
 /// Requires a levelized program; with a null pool, tasks <= 1, or a
 /// non-levelized schedule it degrades to the plain serial replay.

@@ -1,40 +1,57 @@
 #pragma once
-// Structural verifier for the compiled netlist IR.
+// Verifier for the compiled netlist IR.
 //
 // CompiledProgram is the trusted core of every execution path — the lane
 // backends replay its instruction stream with zero per-op checking, so a
 // malformed program (an out-of-range slot, an operand scheduled after its
-// reader, a double-written slot) is silent memory corruption or a wrong
-// sort, not an error message. verify_ir() makes those invariants checked
-// instead of assumed:
+// reader, a live value overwritten by slot reuse) is silent memory
+// corruption or a wrong sort, not an error message. Two passes make the
+// compiler's promises checked instead of assumed.
+//
+// verify_ir() checks structure. It replays the schedule in steps: const
+// inits and live inputs are written at step 0, level l (0-based) is step
+// l + 1, and in a creation-order program every op is its own step.
 //
 //   * bounds         — every slot index (inputs, outputs, const inits, op
 //                      operands and destinations) is < slot_count(), and
 //                      level_offsets is a monotone partition of the ops;
 //   * gate stream    — the instruction stream contains only real gates
 //                      (no input/const kinds) with in-arity operands;
-//   * single write   — each slot has exactly one writer (a live input, a
-//                      const init, or one op destination): no double
-//                      writes and no never-written slots;
-//   * schedule order — every operand an op actually reads (per
-//                      cell_arity) was written strictly earlier in the
-//                      stream, and — for levelized programs — in a
-//                      strictly earlier level;
-//   * reachability   — every declared output has a writer, and (when the
-//                      program was compiled with dead-node elimination)
-//                      every op is transitively reachable from an output,
-//                      i.e. elimination left no orphan ops.
+//   * read order     — every operand an op actually reads (per
+//                      cell_arity) holds a value written at an earlier
+//                      step;
+//   * independence   — no two ops of one step write the same slot, and no
+//                      op writes a slot its step reads, so level_ops()
+//                      slices may run concurrently;
+//   * pinned consts  — nothing overwrites a constant's slot (constants are
+//                      materialized once per executor, not per run);
+//   * no clobber     — with dead-node elimination, no value is overwritten
+//                      before it is read (an output counts as read at the
+//                      end);
+//   * coverage       — every declared output and every slot has a writer,
+//                      and (with dead-node elimination) every op is
+//                      transitively reachable from an output, i.e.
+//                      elimination left no orphan ops.
+//
+// Slots are reused (compile.hpp), so one slot carries many values over a
+// run and structure alone cannot say which value a read means.
+// verify_netlist_replay() checks that: it runs the program over
+// hash-consed (kind, operand) expressions, with primary inputs and
+// constants as leaves, and requires every output slot to end holding
+// exactly its netlist output's expression. A swapped pin, a wrong kind or
+// a value reused too early fails it even when the structure is sound.
 //
 // Each violated invariant produces a distinct, greppable diagnostic token
 // in the Status message ("slot-bounds", "level-structure", "bad-op",
-// "double-write", "unwritten-slot", "dangling-read", "operand-order",
-// "operand-level", "unwritten-output", "orphan-op") with the offending
-// indices — precise enough that a failed CI sweep names the broken op.
+// "const-overwrite", "write-conflict", "operand-level", "dangling-read",
+// "operand-order", "clobber", "unwritten-output", "unwritten-slot",
+// "orphan-op", "netlist-replay") with the offending indices — precise
+// enough that a failed CI sweep names the broken op.
 //
-// The pass runs automatically at the end of CompiledProgram::compile() in
-// debug builds and in sanitizer builds (MCSN_VERIFY, defined by CMake
-// whenever MCSN_SANITIZE is set); release builds pay nothing. It is also
-// exposed as `tool_mcsverify`, which sweeps the whole catalog plus
+// Both passes run automatically at the end of CompiledProgram::compile()
+// in debug builds and in sanitizer builds (MCSN_VERIFY, defined by CMake
+// whenever MCSN_SANITIZE is set); release builds pay nothing. They are
+// also exposed as `tool_mcsverify`, which sweeps the whole catalog plus
 // composed/PPC-elaborated networks under every compile-option combination.
 //
 // IrImage exists for negative testing: CompiledProgram's fields are
@@ -48,6 +65,7 @@
 
 #include "mcsn/api/status.hpp"
 #include "mcsn/netlist/compile.hpp"
+#include "mcsn/netlist/netlist.hpp"
 
 namespace mcsn {
 
@@ -89,13 +107,24 @@ struct VerifyIrOptions {
   };
 }
 
-/// Checks every invariant above; OK, or the first violation found with a
-/// precise diagnostic. Runs in O(slots + ops) time and memory.
+/// Checks every structural invariant above; OK, or the first violation
+/// found with a precise diagnostic. Runs in O(slots + ops) time and memory.
 [[nodiscard]] Status verify_ir(const IrImage& ir,
                                const VerifyIrOptions& opt = {});
 
 /// Convenience overload over a live program (snapshots internally).
 [[nodiscard]] Status verify_ir(const CompiledProgram& prog,
                                const VerifyIrOptions& opt = {});
+
+/// Exact replay against the netlist `ir` was compiled from: OK iff every
+/// output slot ends holding the hash-consed expression of its netlist
+/// output ("netlist-replay" otherwise; out-of-range slots fail as
+/// "slot-bounds"). Runs in expected O(nodes + ops) time.
+[[nodiscard]] Status verify_netlist_replay(const IrImage& ir,
+                                           const Netlist& nl);
+
+/// Convenience overload over a live program (snapshots internally).
+[[nodiscard]] Status verify_netlist_replay(const CompiledProgram& prog,
+                                           const Netlist& nl);
 
 }  // namespace mcsn

@@ -179,31 +179,63 @@ TEST(Compile, LevelizedScheduleIsTopologicalAndSliced) {
 
   ASSERT_GT(prog.level_count(), 0u);
   std::vector<char> written(prog.slot_count(), 0);
+  std::vector<char> pinned(prog.slot_count(), 0);
   for (const std::uint32_t s : prog.input_slots()) {
     if (s != CompiledProgram::kNoSlot) written[s] = 1;
   }
   for (const CompiledProgram::ConstInit& c : prog.const_inits()) {
     written[c.slot] = 1;
+    pinned[c.slot] = 1;
   }
   std::size_t seen = 0;
+  std::vector<std::size_t> written_in(prog.slot_count(), prog.level_count());
   for (std::size_t l = 0; l < prog.level_count(); ++l) {
     const std::span<const CompiledOp> level = prog.level_ops(l);
-    // Ops inside one level must be independent: no op reads a slot written
-    // by this level, so check reads against the pre-level state first.
+    // Slots are reused, but ops inside one level must stay independent:
+    // no two write the same slot, and none reads a slot the level writes.
+    for (const CompiledOp& op : level) {
+      EXPECT_NE(written_in[op.out], l)
+          << "level " << l << " writes slot " << op.out << " twice";
+      EXPECT_FALSE(pinned[op.out]) << "level " << l << " overwrites a constant";
+      written_in[op.out] = l;
+    }
     for (const CompiledOp& op : level) {
       const int arity = cell_arity(op.kind);
       for (int j = 0; j < arity; ++j) {
-        EXPECT_TRUE(written[op.in[static_cast<std::size_t>(j)]])
-            << "level " << l << " reads a slot not yet written";
+        const std::uint32_t s = op.in[static_cast<std::size_t>(j)];
+        EXPECT_TRUE(written[s]) << "level " << l << " reads a slot not yet "
+                                   "written";
+        EXPECT_NE(written_in[s], l)
+            << "level " << l << " reads slot " << s << ", which it writes";
       }
     }
-    for (const CompiledOp& op : level) {
-      EXPECT_FALSE(written[op.out]) << "slot written twice";
-      written[op.out] = 1;
-    }
+    for (const CompiledOp& op : level) written[op.out] = 1;
     seen += level.size();
   }
   EXPECT_EQ(seen, prog.ops().size()) << "level slices must partition the ops";
+}
+
+// Dense programs hold live width, not one slot per gate: a fall-back to
+// per-node numbering would give 10x8 over 5,000 slots and composed 64x16
+// over 220,000.
+TEST(Compile, DenseProgramsAreSizedByLiveWidth) {
+  const struct {
+    int channels;
+    std::size_t bits;
+    std::size_t max_slots;
+  } shapes[] = {{10, 8, 600}, {64, 16, 8000}};
+  for (const auto& shape : shapes) {
+    const McSorter sorter(shape.channels, shape.bits);
+    const CompiledProgram prog = CompiledProgram::compile(sorter.netlist());
+    SCOPED_TRACE(std::to_string(shape.channels) + "x" +
+                 std::to_string(shape.bits));
+    EXPECT_LE(prog.slot_count(), shape.max_slots);
+    EXPECT_LT(prog.slot_count(), prog.live_gate_count() / 10);
+    // Creation order reuses slots too.
+    const CompiledProgram creation =
+        CompiledProgram::compile(sorter.netlist(), {.levelize = false});
+    EXPECT_LT(creation.slot_count(), creation.live_gate_count() / 10);
+  }
 }
 
 TEST(Compile, RetainAllNodesKeepsNodeIdIndexing) {

@@ -8,8 +8,9 @@
 //   2. comparator-level differential vs std::sort for every n up to 32;
 //   3. gate-level differential vs the rank-sort reference on random valid
 //      and marginal (metastable) measurements for every n up to 32;
-//   4. every compiled program passes verify_ir, and the scalar / 64-lane /
-//      256-lane backends agree with the node-walking evaluator.
+//   4. every compiled program passes verify_ir and the netlist replay, and
+//      the scalar / 64-lane / 256-lane / batch backends agree with the
+//      node-walking evaluator, up to the served composed 64x16 shape.
 
 #include "mcsn/nets/compose/compose.hpp"
 
@@ -260,10 +261,92 @@ TEST(Compose, VerifyIrPassesOnEveryComposedProgram) {
   }
 }
 
+// The compile_test differential, pointed at composer-generated netlists:
+// node-walking reference vs scalar, 64-lane and 256-lane executors and
+// the batch engine behind sort_batch_flat, every output of every vector.
+void check_backends_against_node_walk(const Netlist& nl,
+                                      const std::vector<Word>& corpus) {
+  const std::size_t width = nl.inputs().size();
+  const std::size_t outs = nl.outputs().size();
+  const int vectors = static_cast<int>(corpus.size());
+
+  NodeWalkEvaluator legacy(nl);
+  std::vector<Word> want;
+  want.reserve(corpus.size());
+  std::vector<Trit> in;
+  Word out;
+  for (const Word& w : corpus) {
+    in.assign(w.begin(), w.end());
+    legacy.run_outputs(in, out);
+    want.push_back(out);
+  }
+
+  const CompiledProgram prog = CompiledProgram::compile(nl);
+  ASSERT_TRUE(verify_ir(prog).ok());
+  ASSERT_TRUE(verify_netlist_replay(prog, nl).ok());
+
+  CompiledExecutor<ScalarBackend> scalar(prog);
+  std::vector<Trit> sin(width);
+  for (int v = 0; v < vectors; ++v) {
+    for (std::size_t i = 0; i < width; ++i) sin[i] = corpus[v][i];
+    scalar.run(sin);
+    for (std::size_t o = 0; o < outs; ++o) {
+      ASSERT_EQ(scalar.output_lane(o, 0), want[v][o])
+          << "scalar v=" << v << " o=" << o;
+    }
+  }
+
+  auto check_packed = [&](auto backend_tag, const char* label) {
+    using Backend = decltype(backend_tag);
+    CompiledExecutor<Backend> exec(prog);
+    std::vector<typename Backend::Value> pin(width);
+    for (int base = 0; base < vectors; base += Backend::kLanes) {
+      const int active = std::min(Backend::kLanes, vectors - base);
+      for (std::size_t i = 0; i < width; ++i) {
+        for (int lane = 0; lane < active; ++lane) {
+          Backend::set_lane(pin[i], lane, corpus[base + lane][i]);
+        }
+      }
+      exec.run(pin);
+      for (int lane = 0; lane < active; ++lane) {
+        for (std::size_t o = 0; o < outs; ++o) {
+          ASSERT_EQ(exec.output_lane(o, lane), want[base + lane][o])
+              << label << " v=" << base + lane << " o=" << o;
+        }
+      }
+    }
+  };
+  check_packed(Packed64Backend{}, "packed64");
+  check_packed(Packed256Backend{}, "packed256");
+
+  BatchOptions serial;
+  serial.threads = 1;
+  const BatchEvaluator batch(nl, serial);
+  std::vector<Trit> flat_in;
+  flat_in.reserve(corpus.size() * width);
+  for (const Word& w : corpus) {
+    flat_in.insert(flat_in.end(), w.begin(), w.end());
+  }
+  std::vector<Trit> flat_out(corpus.size() * outs);
+  batch.run_flat(flat_in, flat_out);
+  for (int v = 0; v < vectors; ++v) {
+    for (std::size_t o = 0; o < outs; ++o) {
+      ASSERT_EQ(flat_out[static_cast<std::size_t>(v) * outs + o], want[v][o])
+          << "batch v=" << v << " o=" << o;
+    }
+  }
+}
+
+Word random_ternary(Xoshiro256& rng, std::size_t width) {
+  Word w(width);
+  for (std::size_t i = 0; i < width; ++i) {
+    w[i] = trit_from_index(static_cast<int>(rng.below(3)));
+  }
+  return w;
+}
+
 TEST(Compose, AllBackendsMatchLegacyOnComposedNetworks) {
-  // The compile_test differential, pointed at composer-generated netlists:
-  // node-walking reference vs scalar, 64-lane and 256-lane executors on
-  // random ternary inputs (arbitrary trits stress every gate path).
+  // Random ternary inputs (arbitrary trits stress every gate path).
   constexpr int kVectors = 80;
   const ComparatorNetwork nets[] = {
       composed_sort_network(12, true),
@@ -276,67 +359,39 @@ TEST(Compose, AllBackendsMatchLegacyOnComposedNetworks) {
   for (const ComparatorNetwork& net : nets) {
     SCOPED_TRACE(net.name());
     const Netlist nl = elaborate_network(net, 2, sort2_builder());
-    const std::size_t width = nl.inputs().size();
-    const std::size_t outs = nl.outputs().size();
-
     std::vector<Word> corpus;
     corpus.reserve(kVectors);
     for (int v = 0; v < kVectors; ++v) {
-      Word w(width);
-      for (std::size_t i = 0; i < width; ++i) {
-        w[i] = trit_from_index(static_cast<int>(rng.below(3)));
-      }
-      corpus.push_back(std::move(w));
+      corpus.push_back(random_ternary(rng, nl.inputs().size()));
     }
-
-    NodeWalkEvaluator legacy(nl);
-    std::vector<Word> want;
-    want.reserve(kVectors);
-    std::vector<Trit> in;
-    Word out;
-    for (const Word& w : corpus) {
-      in.assign(w.begin(), w.end());
-      legacy.run_outputs(in, out);
-      want.push_back(out);
-    }
-
-    const CompiledProgram prog = CompiledProgram::compile(nl);
-    ASSERT_TRUE(verify_ir(prog).ok());
-
-    CompiledExecutor<ScalarBackend> scalar(prog);
-    std::vector<Trit> sin(width);
-    for (int v = 0; v < kVectors; ++v) {
-      for (std::size_t i = 0; i < width; ++i) sin[i] = corpus[v][i];
-      scalar.run(sin);
-      for (std::size_t o = 0; o < outs; ++o) {
-        ASSERT_EQ(scalar.output_lane(o, 0), want[v][o])
-            << "scalar v=" << v << " o=" << o;
-      }
-    }
-
-    auto check_packed = [&](auto backend_tag, const char* label) {
-      using Backend = decltype(backend_tag);
-      CompiledExecutor<Backend> exec(prog);
-      std::vector<typename Backend::Value> pin(width);
-      for (int base = 0; base < kVectors; base += Backend::kLanes) {
-        const int active = std::min(Backend::kLanes, kVectors - base);
-        for (std::size_t i = 0; i < width; ++i) {
-          for (int lane = 0; lane < active; ++lane) {
-            Backend::set_lane(pin[i], lane, corpus[base + lane][i]);
-          }
-        }
-        exec.run(pin);
-        for (int lane = 0; lane < active; ++lane) {
-          for (std::size_t o = 0; o < outs; ++o) {
-            ASSERT_EQ(exec.output_lane(o, lane), want[base + lane][o])
-                << label << " v=" << base + lane << " o=" << o;
-          }
-        }
-      }
-    };
-    check_packed(Packed64Backend{}, "packed64");
-    check_packed(Packed256Backend{}, "packed256");
+    check_backends_against_node_walk(nl, corpus);
   }
+}
+
+TEST(Compose, AllBackendsMatchLegacyOnComposed64x16) {
+  // The served 64-channel, 16-bit shape (221k live gates, 150 levels),
+  // where slot reuse packs the most values per slot: random ternary
+  // vectors plus measurement rounds from the valid strings, about half of
+  // them metastable. The rank-order check then pins the sorted result.
+  McSorter sorter(64, 16);
+  ASSERT_NE(sorter.network().name().find("compos"), std::string::npos)
+      << sorter.network().name();
+  const Netlist& nl = sorter.netlist();
+  Xoshiro256 rng(6416);
+  std::vector<Word> corpus;
+  for (int v = 0; v < 40; ++v) {
+    corpus.push_back(random_ternary(rng, nl.inputs().size()));
+  }
+  for (int v = 0; v < 40; ++v) {
+    Word round(nl.inputs().size());
+    for (std::size_t c = 0; c < 64; ++c) {
+      const Word w = valid_from_rank(rng.below(valid_count(16)), 16);
+      for (std::size_t b = 0; b < 16; ++b) round[c * 16 + b] = w[b];
+    }
+    corpus.push_back(std::move(round));
+  }
+  check_backends_against_node_walk(nl, corpus);
+  check_sorter_differential(sorter, 9300u, 4);
 }
 
 // --- NetworkBuilder policy / status surface ---------------------------------

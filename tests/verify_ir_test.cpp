@@ -1,13 +1,14 @@
 // Tests for the CompiledProgram IR verifier (netlist/verify_ir.hpp).
 //
 // Positive direction: every catalog network, elaborated under several
-// builders and compiled under every CompileOptions combination, must
-// verify — including the programs actually held by each lane backend's
-// executor and by BatchEvaluator. Negative direction: a seeded mutation
-// suite perturbs a known-good IrImage one invariant at a time and
-// demands the verifier reject each mutant with that invariant's own
-// diagnostic token, proving the checks are independent (a verifier that
-// catches everything as "level-structure" would pass a weaker test).
+// builders and compiled under every CompileOptions combination, must pass
+// both the structural checks and the netlist replay — including the
+// programs actually held by each lane backend's executor and by
+// BatchEvaluator. Negative direction: a seeded mutation suite perturbs a
+// known-good IrImage one invariant at a time and demands the verifier
+// reject each mutant with that invariant's own diagnostic token, proving
+// the checks are independent (a verifier that catches everything as
+// "level-structure" would pass a weaker test).
 
 #include "mcsn/netlist/verify_ir.hpp"
 
@@ -15,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mcsn/ckt/sort2.hpp"
@@ -42,6 +44,9 @@ TEST(VerifyIr, AllCatalogNetworksVerifyUnderEveryCompileMode) {
         const Status s = verify_ir(prog, verify_options_for(opt));
         EXPECT_TRUE(s.ok()) << net.name() << " bits=" << bits << ": "
                             << s.to_string();
+        const Status r = verify_netlist_replay(prog, nl);
+        EXPECT_TRUE(r.ok()) << net.name() << " bits=" << bits << ": "
+                            << r.to_string();
       }
     }
   }
@@ -66,6 +71,8 @@ TEST(VerifyIr, GeneratorFamiliesAndAllBuildersVerify) {
       const Status s = verify_ir(prog);
       EXPECT_TRUE(s.ok()) << b.name << "/" << net.name() << ": "
                           << s.to_string();
+      EXPECT_TRUE(verify_netlist_replay(prog, nl).ok())
+          << b.name << "/" << net.name();
     }
   }
 }
@@ -112,25 +119,48 @@ TEST(VerifyIr, OptionsMapping) {
 class VerifyIrMutation : public ::testing::Test {
  protected:
   void SetUp() override {
-    const Netlist nl =
-        elaborate_network(optimal_4(), 4, sort2_builder(), "mutation_seed");
-    clean_ = ir_image_of(CompiledProgram::compile(nl));
+    nl_ = elaborate_network(optimal_4(), 4, sort2_builder(), "mutation_seed");
+    clean_ = ir_image_of(CompiledProgram::compile(nl_));
+    creation_ = ir_image_of(CompiledProgram::compile(nl_, kCreationOrder));
     ASSERT_TRUE(verify_ir(clean_).ok());
+    ASSERT_TRUE(verify_ir(creation_, kCreationChecks).ok());
     ASSERT_GE(clean_.ops.size(), 2u);
     ASSERT_GE(clean_.level_offsets.size(), 3u);
+    ASSERT_GE(clean_.level_offsets[1], 2u);  // level 0 holds >= 2 ops
   }
 
   /// Asserts the mutated image fails verification and the diagnostic
   /// carries `token` — the class-specific tag, not just any error.
-  void expect_rejected(const IrImage& mutated, const std::string& token) {
-    const Status s = verify_ir(mutated);
+  static void expect_rejected(const IrImage& mutated, const std::string& token,
+                              const VerifyIrOptions& opt = {}) {
+    const Status s = verify_ir(mutated, opt);
     ASSERT_FALSE(s.ok()) << "mutation not caught (want token '" << token
                          << "')";
     EXPECT_NE(s.message().find(token), std::string::npos)
         << "wrong diagnostic for token '" << token << "': " << s.to_string();
   }
 
+  /// The first op of a creation-order program writes over a primary input
+  /// it does not read itself; a later op still reads that input.
+  [[nodiscard]] IrImage clobber_mutant() const {
+    IrImage m = creation_;
+    const CompiledOp& first = m.ops[0];
+    for (const std::uint32_t s : m.input_slots) {
+      if (s != first.in[0] && s != first.in[1] && s != first.in[2]) {
+        m.ops[0].out = s;
+        break;
+      }
+    }
+    return m;
+  }
+
+  static constexpr CompileOptions kCreationOrder{.levelize = false};
+  static constexpr VerifyIrOptions kCreationChecks =
+      verify_options_for(kCreationOrder);
+
+  Netlist nl_;
   IrImage clean_;
+  IrImage creation_;
 };
 
 TEST_F(VerifyIrMutation, OperandFromSameLevelIsCaught) {
@@ -143,11 +173,33 @@ TEST_F(VerifyIrMutation, OperandFromSameLevelIsCaught) {
   expect_rejected(m, "operand-level");
 }
 
-TEST_F(VerifyIrMutation, DoubleWriteIsCaught) {
-  // Class: slot written twice.
+TEST_F(VerifyIrMutation, SameLevelWriteConflictIsCaught) {
+  // Class: two ops of one level share a destination slot.
   IrImage m = clean_;
   m.ops[1].out = m.ops[0].out;
-  expect_rejected(m, "double-write");
+  expect_rejected(m, "write-conflict");
+}
+
+TEST_F(VerifyIrMutation, ClobberIsCaught) {
+  // Class: slot reuse too early — a value overwritten before its reader
+  // runs. Structure proves it without the netlist.
+  const IrImage m = clobber_mutant();
+  ASSERT_NE(m.ops[0].out, creation_.ops[0].out);
+  expect_rejected(m, "clobber", kCreationChecks);
+  // The replay sees the same bug as a wrong output function.
+  const Status r = verify_netlist_replay(m, nl_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.message().find("netlist-replay"), std::string::npos)
+      << r.to_string();
+}
+
+TEST_F(VerifyIrMutation, ConstantOverwriteIsCaught) {
+  // Class: a constant materialized into a slot an op later rewrites —
+  // constants are set once per executor, so after the first run every
+  // reader of the constant would see the op's value instead.
+  IrImage m = clean_;
+  m.const_inits.push_back({m.ops.back().out, Trit::one});
+  expect_rejected(m, "const-overwrite");
 }
 
 TEST_F(VerifyIrMutation, DanglingReadIsCaught) {
@@ -159,10 +211,11 @@ TEST_F(VerifyIrMutation, DanglingReadIsCaught) {
 }
 
 TEST_F(VerifyIrMutation, ReadBeforeWriteIsCaught) {
-  // Class: operand order — the slot IS written, but later in the stream
-  // than the reader.
+  // Class: operand order — the slot IS written, but later than the
+  // reader. The highest slot is first handed out to a gate, so no input
+  // or constant ever fills it before op 0 runs.
   IrImage m = clean_;
-  m.ops[0].in[0] = m.ops.back().out;
+  m.ops[0].in[0] = static_cast<std::uint32_t>(m.slot_count - 1);
   expect_rejected(m, "");  // any rejection...
   const Status s = verify_ir(m);
   // ...but specifically as an ordering/level violation, not a dangling read.
@@ -208,8 +261,8 @@ TEST_F(VerifyIrMutation, UnwrittenOutputIsCaught) {
 }
 
 TEST_F(VerifyIrMutation, DistinctDiagnosticsPerClass) {
-  // The acceptance bar: at least four invariant classes caught with four
-  // DIFFERENT diagnostics. Collect the tokens the suite above relies on.
+  // The acceptance bar: every invariant class caught with a DIFFERENT
+  // diagnostic. Collect the messages the suite above relies on.
   std::vector<std::string> tokens;
 
   IrImage wrong_level = clean_;
@@ -217,9 +270,15 @@ TEST_F(VerifyIrMutation, DistinctDiagnosticsPerClass) {
   wrong_level.ops[last].in[0] = wrong_level.ops[last - 1].out;
   tokens.push_back(verify_ir(wrong_level).message());
 
-  IrImage double_write = clean_;
-  double_write.ops[1].out = double_write.ops[0].out;
-  tokens.push_back(verify_ir(double_write).message());
+  IrImage conflict = clean_;
+  conflict.ops[1].out = conflict.ops[0].out;
+  tokens.push_back(verify_ir(conflict).message());
+
+  tokens.push_back(verify_ir(clobber_mutant(), kCreationChecks).message());
+
+  IrImage constant = clean_;
+  constant.const_inits.push_back({constant.ops.back().out, Trit::one});
+  tokens.push_back(verify_ir(constant).message());
 
   IrImage dangling = clean_;
   dangling.slot_count += 1;
@@ -243,6 +302,35 @@ TEST_F(VerifyIrMutation, DistinctDiagnosticsPerClass) {
           << "classes " << i << " and " << j << " share a diagnostic";
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Netlist replay: what structure cannot see.
+
+TEST(VerifyIrReplay, SwappedMuxDataPinsFailOnlyTheReplay) {
+  // bincomp's max/min selection is built from mux2 cells. Swapping one
+  // mux's two data pins keeps every read, write and level intact — the
+  // program is structurally perfect and computes the wrong function.
+  const Netlist nl =
+      elaborate_network(optimal_4(), 4, bincomp_builder(), "replay_seed");
+  const CompiledProgram prog = CompiledProgram::compile(nl);
+  ASSERT_TRUE(verify_netlist_replay(prog, nl).ok());
+
+  IrImage m = ir_image_of(prog);
+  bool swapped = false;
+  for (CompiledOp& op : m.ops) {
+    if (op.kind == CellKind::mux2 && op.in[0] != op.in[1]) {
+      std::swap(op.in[0], op.in[1]);
+      swapped = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(swapped) << "seed has no mux2 with distinct data pins";
+  EXPECT_TRUE(verify_ir(m).ok()) << verify_ir(m).to_string();
+  const Status r = verify_netlist_replay(m, nl);
+  ASSERT_FALSE(r.ok()) << "swapped mux2 pins not caught by the replay";
+  EXPECT_NE(r.message().find("netlist-replay"), std::string::npos)
+      << r.to_string();
 }
 
 }  // namespace

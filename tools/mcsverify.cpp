@@ -2,6 +2,8 @@
 // every network the repo can build: the paper catalog, the generator
 // families, and composed/PPC elaborations under every 2-sort builder and
 // PPC topology, each compiled under every CompileOptions combination.
+// Every program gets both passes: the structural checks and the exact
+// replay against the netlist it was compiled from.
 //
 //   tool_mcsverify                 full sweep (CI default)
 //   tool_mcsverify --quick         catalog networks at 4 bits only
@@ -112,35 +114,78 @@ constexpr NamedCompile kCompileModes[] = {
 /// Mirrors the gtest suite (tests/verify_ir_test.cpp) so the CI sweep
 /// binary is self-negative-testing too.
 int run_mutation_selftest() {
+  constexpr CompileOptions kCreationOrder{.levelize = false};
   const Netlist nl =
       elaborate_network(optimal_4(), 4, sort2_builder(), "mutate_seed");
-  const CompiledProgram prog = CompiledProgram::compile(nl);
-  const IrImage clean = ir_image_of(prog);
-  if (Status s = verify_ir(clean); !s.ok()) {
-    std::fprintf(stderr, "mutation self-test seed failed verification: %s\n",
-                 s.to_string().c_str());
-    return 1;
+  // bincomp selects with mux2 cells, whose data pins the replay test swaps.
+  const Netlist mux_nl =
+      elaborate_network(optimal_4(), 4, bincomp_builder(), "mutate_mux_seed");
+
+  enum class Seed { levelized, creation_order, mux };
+  const auto netlist_of = [&](Seed seed) -> const Netlist& {
+    return seed == Seed::mux ? mux_nl : nl;
+  };
+  const auto options_of = [&](Seed seed) {
+    return seed == Seed::creation_order ? kCreationOrder : CompileOptions{};
+  };
+  const auto seed_image = [&](Seed seed) {
+    return ir_image_of(
+        CompiledProgram::compile(netlist_of(seed), options_of(seed)));
+  };
+  // The check a mutant must fail: the structural pass with the seed's
+  // options, or (replay classes) the netlist replay.
+  const auto check = [&](Seed seed, bool replay, const IrImage& ir) {
+    if (replay) return verify_netlist_replay(ir, netlist_of(seed));
+    return verify_ir(ir, verify_options_for(options_of(seed)));
+  };
+  for (const Seed seed : {Seed::levelized, Seed::creation_order, Seed::mux}) {
+    for (const bool replay : {false, true}) {
+      if (Status s = check(seed, replay, seed_image(seed)); !s.ok()) {
+        std::fprintf(stderr,
+                     "mutation self-test seed failed verification: %s\n",
+                     s.to_string().c_str());
+        return 1;
+      }
+    }
   }
 
   struct Mutation {
     const char* name;
     const char* want_token;
+    Seed seed;
+    bool replay;  // must pass the structural checks and fail the replay
     void (*apply)(IrImage&);
   };
   const Mutation mutations[] = {
-      {"out-of-bounds slot", "slot-bounds",
+      {"out-of-bounds slot", "slot-bounds", Seed::levelized, false,
        [](IrImage& ir) { ir.ops.back().out = static_cast<std::uint32_t>(
                              ir.slot_count + 7); }},
-      {"corrupt level offsets", "level-structure",
+      {"corrupt level offsets", "level-structure", Seed::levelized, false,
        [](IrImage& ir) { ir.level_offsets.back() += 1; }},
-      {"double-written slot", "double-write",
+      {"two writes in one level", "write-conflict", Seed::levelized, false,
        [](IrImage& ir) { ir.ops[1].out = ir.ops[0].out; }},
-      {"dangling operand read", "dangling-read",
+      {"clobbered live value", "clobber", Seed::creation_order, false,
+       [](IrImage& ir) {
+         // The first op writes over a primary input it does not read
+         // itself; a later op still reads that input.
+         const CompiledOp& first = ir.ops[0];
+         for (const std::uint32_t s : ir.input_slots) {
+           if (s != first.in[0] && s != first.in[1] && s != first.in[2]) {
+             ir.ops[0].out = s;
+             return;
+           }
+         }
+       }},
+      {"overwritten constant", "const-overwrite", Seed::levelized, false,
+       [](IrImage& ir) {
+         ir.const_inits.push_back({ir.ops.back().out, Trit::one});
+       }},
+      {"dangling operand read", "dangling-read", Seed::levelized, false,
        [](IrImage& ir) {
          ir.slot_count += 1;  // a slot nobody writes
          ir.ops[0].in[0] = static_cast<std::uint32_t>(ir.slot_count - 1);
        }},
-      {"operand from a later level", "operand-level",
+      {"operand from the same level", "operand-level", Seed::levelized, false,
        [](IrImage& ir) {
          // Make the last op of level 0 read its neighbor's output: same
          // level, earlier in the stream — passes stream order, breaks
@@ -148,7 +193,7 @@ int run_mutation_selftest() {
          const std::size_t last = ir.level_offsets[1] - 1;
          ir.ops[last].in[0] = ir.ops[last - 1].out;
        }},
-      {"orphan op", "orphan-op",
+      {"orphan op", "orphan-op", Seed::levelized, false,
        [](IrImage& ir) {
          CompiledOp op;
          op.kind = CellKind::inv;
@@ -158,13 +203,31 @@ int run_mutation_selftest() {
          ir.ops.push_back(op);
          ir.level_offsets.back() += 1;
        }},
+      {"swapped mux2 data pins", "netlist-replay", Seed::mux, true,
+       [](IrImage& ir) {
+         for (CompiledOp& op : ir.ops) {
+           if (op.kind == CellKind::mux2 && op.in[0] != op.in[1]) {
+             std::swap(op.in[0], op.in[1]);
+             return;
+           }
+         }
+       }},
   };
 
   int failures = 0;
   for (const Mutation& m : mutations) {
-    IrImage mutated = clean;
+    IrImage mutated = seed_image(m.seed);
     m.apply(mutated);
-    const Status s = verify_ir(mutated);
+    if (m.replay) {
+      if (Status s = check(m.seed, false, mutated); !s.ok()) {
+        std::fprintf(stderr,
+                     "mutation '%s' should be structurally valid: %s\n",
+                     m.name, s.to_string().c_str());
+        ++failures;
+        continue;
+      }
+    }
+    const Status s = check(m.seed, m.replay, mutated);
     if (s.ok()) {
       std::fprintf(stderr, "MUTATION NOT CAUGHT: %s\n", m.name);
       ++failures;
@@ -243,7 +306,8 @@ int main(int argc, char** argv) {
         const Netlist nl = elaborate_network(net.net, b, builder.builder);
         for (const NamedCompile& mode : kCompileModes) {
           const CompiledProgram prog = CompiledProgram::compile(nl, mode.opt);
-          const Status s = verify_ir(prog, verify_options_for(mode.opt));
+          Status s = verify_ir(prog, verify_options_for(mode.opt));
+          if (s.ok()) s = verify_netlist_replay(prog, nl);
           ++checked;
           if (!s.ok()) {
             ++failures;
