@@ -100,7 +100,8 @@ std::vector<double> parse_list(const std::string& csv) {
 }
 
 /// Naive baseline: `threads` threads, each with its own McSorter, calling
-/// sort() per round — every request pays a full scalar netlist evaluation.
+/// sort() per round — every request pays a whole 256-lane program pass
+/// for one lane.
 /// `digest` is the XOR of per-round result hashes (order-independent).
 double naive_vps(int threads, int channels, std::size_t bits,
                  const std::vector<std::vector<Word>>& rounds,

@@ -8,14 +8,11 @@
 // be tracked across PRs:
 //
 //   bench_sim_throughput [--vectors N] [--bits B] [--channels C]
-//                        [--threads T]   (batch_compiled_mt / level_mt
-//                                         parallelism; 0 = hardware
-//                                         concurrency)
+//                        [--threads T]   (batch_compiled_mt parallelism;
+//                                         0 = hardware concurrency)
 //
-// batch_compiled_mt shards lane groups across the persistent pool
-// (across-vector); level_mt runs groups sequentially but slices each
-// evaluation's wide levels across the same pool (intra-vector) — the mode
-// that speeds up one huge netlist even at batch size 1.
+// batch_compiled_mt shards 256-lane groups across the persistent pool, the
+// way the serving path does when sorter.batch.threads > 1.
 //
 // Every engine runs the same input corpus and must produce the same output
 // checksum ("engines_agree": true) — a built-in differential smoke test.
@@ -75,7 +72,9 @@ int main(int argc, char** argv) {
   int mt_threads = 0;  // 0 = auto (hardware concurrency)
   const auto usage = [&] {
     std::cerr << "usage: bench_sim_throughput [--vectors N>=1] [--bits 1..16]"
-                 " [--channels C>=2] [--threads T>=0]\n";
+                 " [--channels C>=2] [--threads T>=0]\n"
+                 "  --threads: batch_compiled_mt shard count"
+                 " (0 = hardware concurrency)\n";
     return 2;
   };
   for (int i = 1; i < argc; i += 2) {
@@ -186,22 +185,6 @@ int main(int argc, char** argv) {
   results.push_back(run_engine("batch_compiled_mt", n_vectors, [&] {
     BatchOptions o;
     o.threads = mt_threads;
-    const BatchEvaluator be(nl, o);
-    const std::vector<Word> outs = be.run(corpus);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const Word& w : outs) h = fnv1a_word(h, w);
-    return h;
-  }));
-
-  results.push_back(run_engine("level_mt", n_vectors, [&] {
-    // Intra-vector level slicing: groups run one at a time, each sliced
-    // across the pool per level. The low min_level_ops makes the slicing
-    // engage on this workload's levels so the parallel path is exercised
-    // (and checksum-checked) even on modest netlists.
-    BatchOptions o;
-    o.threads = mt_threads;
-    o.level_parallel = true;
-    o.level_min_ops = 64;
     const BatchEvaluator be(nl, o);
     const std::vector<Word> outs = be.run(corpus);
     std::uint64_t h = 0xcbf29ce484222325ULL;

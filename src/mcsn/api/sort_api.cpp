@@ -148,18 +148,7 @@ Status SortRequest::validate() const {
 }
 
 std::vector<Word> SortResponse::words() const {
-  const std::size_t n =
-      rounds * static_cast<std::size_t>(shape.channels);
-  std::vector<Word> out;
-  out.reserve(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    Word w(shape.bits);
-    for (std::size_t b = 0; b < shape.bits; ++b) {
-      w[b] = payload[c * shape.bits + b];
-    }
-    out.push_back(std::move(w));
-  }
-  return out;
+  return split_words(payload, shape.bits);
 }
 
 StatusOr<std::vector<std::uint64_t>> SortResponse::values() const {

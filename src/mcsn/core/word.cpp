@@ -139,4 +139,13 @@ Word operator+(const Word& a, const Word& b) {
   return w;
 }
 
+std::vector<Word> split_words(std::span<const Trit> flat, std::size_t width) {
+  assert(width > 0 && flat.size() % width == 0);
+  std::vector<Word> words(flat.size() / width, Word(width));
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::size_t i = 0; i < width; ++i) words[w][i] = flat[w * width + i];
+  }
+  return words;
+}
+
 }  // namespace mcsn

@@ -11,6 +11,7 @@
 #include <initializer_list>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -101,5 +102,11 @@ std::ostream& operator<<(std::ostream& os, const Word& w);
 
 /// Concatenation.
 [[nodiscard]] Word operator+(const Word& a, const Word& b);
+
+/// Splits a flat trit buffer into consecutive words of `width` trits — the
+/// inverse of concatenating them. Precondition: width > 0 and
+/// flat.size() divisible by it.
+[[nodiscard]] std::vector<Word> split_words(std::span<const Trit> flat,
+                                            std::size_t width);
 
 }  // namespace mcsn

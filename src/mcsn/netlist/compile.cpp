@@ -214,8 +214,7 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
 }
 
 BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchOptions& opt)
-    : prog_(CompiledProgram::compile(nl, opt.compile)),
-      opt_(opt),
+    : prog_(CompiledProgram::compile(nl)),
       parallel_(opt.threads > 0
                     ? opt.threads
                     : (opt.pool
@@ -225,9 +224,7 @@ BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchOptions& opt)
       pool_(opt.pool) {}
 
 BatchEvaluator::BatchEvaluator(BatchEvaluator&& other) noexcept
-    : prog_(std::move(other.prog_)),
-      opt_(std::move(other.opt_)),
-      parallel_(other.parallel_) {
+    : prog_(std::move(other.prog_)), parallel_(other.parallel_) {
   std::lock_guard lock(other.pool_mu_);
   pool_ = std::move(other.pool_);
 }
@@ -235,7 +232,6 @@ BatchEvaluator::BatchEvaluator(BatchEvaluator&& other) noexcept
 BatchEvaluator& BatchEvaluator::operator=(BatchEvaluator&& other) noexcept {
   if (this != &other) {
     prog_ = std::move(other.prog_);
-    opt_ = std::move(other.opt_);
     parallel_ = other.parallel_;
     std::scoped_lock lock(pool_mu_, other.pool_mu_);
     pool_ = std::move(other.pool_);
@@ -255,41 +251,42 @@ ThreadPool* BatchEvaluator::acquire_pool() const {
   return pool_.get();
 }
 
-template <class Pack, class Unpack>
-void BatchEvaluator::run_grouped(std::size_t n, Pack&& pack,
-                                 Unpack&& unpack) const {
+void BatchEvaluator::run_flat(std::span<const Trit> inputs,
+                              std::span<Trit> outputs) const {
   using Backend = Packed256Backend;
   constexpr std::size_t kLanes = Backend::kLanes;
   const std::size_t width = prog_.input_count();
+  const std::size_t outs = prog_.output_count();
+  assert(width > 0 && inputs.size() % width == 0);
+  const std::size_t n = width == 0 ? 0 : inputs.size() / width;
+  assert(outputs.size() == n * outs);
   if (n == 0) return;
   const std::size_t groups = (n + kLanes - 1) / kLanes;
 
-  if (opt_.level_parallel) {
-    // Intra-vector mode: lane groups run sequentially; each evaluation is
-    // sliced across wide levels on the pool. Effective even at one group.
-    LevelParallelExecutor<Backend> exec(
-        prog_, parallel_ > 1 ? acquire_pool() : nullptr,
-        LevelParallelOptions{parallel_, opt_.level_min_ops});
-    std::vector<typename Backend::Value> packed(width);
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t base = g * kLanes;
-      const int active = static_cast<int>(std::min(kLanes, n - base));
-      pack(std::span<typename Backend::Value>(packed), base, active);
-      exec.run(packed);
-      unpack(exec, base, active);
-    }
-    return;
-  }
-
+  // One shard runs every stride-th lane group through its own executor.
+  // Shards may run concurrently on pool threads; they write disjoint rows.
   const auto shard = [&](std::size_t first_group, std::size_t stride) {
     CompiledExecutor<Backend> exec(prog_);
-    std::vector<typename Backend::Value> packed(width);
+    std::vector<Backend::Value> packed(width);
     for (std::size_t g = first_group; g < groups; g += stride) {
       const std::size_t base = g * kLanes;
       const int active = static_cast<int>(std::min(kLanes, n - base));
-      pack(std::span<typename Backend::Value>(packed), base, active);
+      for (std::size_t i = 0; i < width; ++i) {
+        Backend::Value& v = packed[i];
+        for (int lane = 0; lane < active; ++lane) {
+          v.set_lane(
+              lane,
+              inputs[(base + static_cast<std::size_t>(lane)) * width + i]);
+        }
+      }
       exec.run(packed);
-      unpack(exec, base, active);
+      for (int lane = 0; lane < active; ++lane) {
+        Trit* const row =
+            outputs.data() + (base + static_cast<std::size_t>(lane)) * outs;
+        for (std::size_t o = 0; o < outs; ++o) {
+          row[o] = exec.output_lane(o, lane);
+        }
+      }
     }
   };
 
@@ -304,63 +301,15 @@ void BatchEvaluator::run_grouped(std::size_t n, Pack&& pack,
 }
 
 std::vector<Word> BatchEvaluator::run(std::span<const Word> inputs) const {
-  using Backend = Packed256Backend;
-  const std::size_t width = prog_.input_count();
-  const std::size_t outs = prog_.output_count();
-  std::vector<Word> results(inputs.size());
-  run_grouped(
-      inputs.size(),
-      [&](std::span<Backend::Value> packed, std::size_t base, int active) {
-        for (std::size_t i = 0; i < width; ++i) {
-          Backend::Value& v = packed[i];
-          for (int lane = 0; lane < active; ++lane) {
-            assert(inputs[base + static_cast<std::size_t>(lane)].size() ==
-                   width);
-            v.set_lane(lane, inputs[base + static_cast<std::size_t>(lane)][i]);
-          }
-        }
-      },
-      [&](const auto& exec, std::size_t base, int active) {
-        for (int lane = 0; lane < active; ++lane) {
-          Word w(outs);
-          for (std::size_t o = 0; o < outs; ++o) {
-            w[o] = exec.output_lane(o, lane);
-          }
-          results[base + static_cast<std::size_t>(lane)] = std::move(w);
-        }
-      });
-  return results;
-}
-
-void BatchEvaluator::run_flat(std::span<const Trit> inputs,
-                              std::span<Trit> outputs) const {
-  using Backend = Packed256Backend;
-  const std::size_t width = prog_.input_count();
-  const std::size_t outs = prog_.output_count();
-  assert(width > 0 && inputs.size() % width == 0);
-  const std::size_t n = width == 0 ? 0 : inputs.size() / width;
-  assert(outputs.size() == n * outs);
-  run_grouped(
-      n,
-      [&](std::span<Backend::Value> packed, std::size_t base, int active) {
-        for (std::size_t i = 0; i < width; ++i) {
-          Backend::Value& v = packed[i];
-          for (int lane = 0; lane < active; ++lane) {
-            v.set_lane(
-                lane,
-                inputs[(base + static_cast<std::size_t>(lane)) * width + i]);
-          }
-        }
-      },
-      [&](const auto& exec, std::size_t base, int active) {
-        for (int lane = 0; lane < active; ++lane) {
-          Trit* const row =
-              outputs.data() + (base + static_cast<std::size_t>(lane)) * outs;
-          for (std::size_t o = 0; o < outs; ++o) {
-            row[o] = exec.output_lane(o, lane);
-          }
-        }
-      });
+  std::vector<Trit> flat;
+  flat.reserve(inputs.size() * prog_.input_count());
+  for (const Word& w : inputs) {
+    assert(w.size() == prog_.input_count());
+    flat.insert(flat.end(), w.begin(), w.end());
+  }
+  std::vector<Trit> flat_out(inputs.size() * prog_.output_count());
+  run_flat(flat, flat_out);
+  return split_words(flat_out, prog_.output_count());
 }
 
 }  // namespace mcsn

@@ -9,8 +9,8 @@
 //
 //   * dead-node elimination  — gates no output depends on are dropped;
 //   * levelization           — gates are scheduled by logic level; ops within
-//                              one level are mutually independent, which
-//                              level_ops() exposes for parallel execution;
+//                              one level are mutually independent (level_ops()
+//                              exposes the slices);
 //   * liveness slot reuse    — a value's slot is recycled once its last
 //                              reader's level has run, so an executor holds
 //                              the widest set of simultaneously live values
@@ -21,12 +21,9 @@
 //
 // One CompiledProgram serves every backend width: the scalar Trit backend,
 // the 64-lane PackedTrit backend, and the 256-lane PackedTrit256 backend.
-// BatchEvaluator packs arbitrary numbers of input vectors into wide lane
-// groups and optionally shards groups across a persistent ThreadPool
-// (injected or lazily owned — never a std::thread spawn per run()).
-// LevelParallelExecutor exploits the other axis: all ops within one level
-// of the schedule are independent, so a single evaluation of a huge
-// netlist can be sliced level-by-level across the same pool.
+// BatchEvaluator packs any number of input vectors into 256-lane groups
+// and shards the groups across a persistent ThreadPool (injected or lazily
+// owned — never a std::thread spawn per run()).
 
 #include <array>
 #include <cassert>
@@ -253,119 +250,8 @@ class CompiledExecutor {
     return *prog_;
   }
 
-  /// Re-points the executor at `prog` — for owners that hold the program and
-  /// an executor by value and need to fix the pointer up after a move. The
-  /// new program must have the same shape (slot layout) as the one the
-  /// executor was constructed with; slot contents carry over, so constants
-  /// stay materialized.
-  void rebind(const CompiledProgram& prog) noexcept {
-    assert(prog.slot_count() == slots_.size());
-    prog_ = &prog;
-  }
-
  private:
   const CompiledProgram* prog_;
-  std::vector<Value> slots_;
-};
-
-// --- Level-parallel execution -----------------------------------------------
-
-struct LevelParallelOptions {
-  /// Slices one level is split into: 0 = the pool's parallelism
-  /// (workers + caller), 1 = serial.
-  int tasks = 0;
-  /// Levels with fewer ops than this run serially on the calling thread —
-  /// the pool handoff costs more than it buys on narrow levels.
-  std::size_t min_level_ops = 512;
-};
-
-/// Executes a CompiledProgram with intra-vector parallelism: every level's
-/// ops are mutually independent (they read only earlier levels, write
-/// disjoint slots, and never write a slot their level reads), so wide
-/// levels are sliced into contiguous chunks that run concurrently on a
-/// ThreadPool, with a barrier between levels. This speeds up a single
-/// evaluation of one huge netlist (e.g. an elaborated 10-channel/16-bit
-/// network) even at batch size 1 — the axis BatchEvaluator's across-vector
-/// sharding cannot reach.
-///
-/// Requires a levelized program; with a null pool, tasks <= 1, or a
-/// non-levelized schedule it degrades to the plain serial replay.
-template <class Backend>
-class LevelParallelExecutor {
- public:
-  using Value = typename Backend::Value;
-
-  LevelParallelExecutor(const CompiledProgram& prog, ThreadPool* pool,
-                        const LevelParallelOptions& opt = {})
-      : prog_(&prog),
-        pool_(pool),
-        opt_(opt),
-        tasks_(pool == nullptr
-                   ? 1
-                   : (opt.tasks > 0 ? static_cast<std::size_t>(opt.tasks)
-                                    : pool->parallelism())),
-        slots_(prog.slot_count()) {
-    for (const CompiledProgram::ConstInit& c : prog_->const_inits()) {
-      slots_[c.slot] = Backend::splat(c.value);
-    }
-  }
-
-  /// Same contract as CompiledExecutor::run. Safe to call from one thread
-  /// at a time per executor; distinct executors over the same program can
-  /// share one pool concurrently.
-  std::span<const Value> run(std::span<const Value> inputs) {
-    const std::span<const std::uint32_t> in_slots = prog_->input_slots();
-    assert(inputs.size() == in_slots.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      if (in_slots[i] != CompiledProgram::kNoSlot) {
-        slots_[in_slots[i]] = inputs[i];
-      }
-    }
-    Value* const s = slots_.data();
-    const auto eval_range = [s](std::span<const CompiledOp> ops) {
-      for (const CompiledOp& op : ops) {
-        s[op.out] =
-            Backend::eval(op.kind, s[op.in[0]], s[op.in[1]], s[op.in[2]]);
-      }
-    };
-    const std::size_t levels = prog_->level_count();
-    if (pool_ == nullptr || tasks_ <= 1 || levels == 0) {
-      eval_range(prog_->ops());
-      return slots_;
-    }
-    for (std::size_t l = 0; l < levels; ++l) {
-      const std::span<const CompiledOp> ops = prog_->level_ops(l);
-      if (ops.size() < opt_.min_level_ops) {
-        eval_range(ops);
-        continue;
-      }
-      const std::size_t n = std::min(tasks_, ops.size());
-      pool_->run_and_wait(n, [&](std::size_t t) {
-        eval_range(ops.subspan(ops.size() * t / n,
-                               ops.size() * (t + 1) / n - ops.size() * t / n));
-      });
-    }
-    return slots_;
-  }
-
-  [[nodiscard]] std::span<const Value> values() const noexcept {
-    return slots_;
-  }
-  [[nodiscard]] const Value& output(std::size_t o) const {
-    return slots_[prog_->output_slots()[o]];
-  }
-  [[nodiscard]] Trit output_lane(std::size_t o, int lane) const {
-    return Backend::get_lane(output(o), lane);
-  }
-  [[nodiscard]] const CompiledProgram& program() const noexcept {
-    return *prog_;
-  }
-
- private:
-  const CompiledProgram* prog_;
-  ThreadPool* pool_;
-  LevelParallelOptions opt_;
-  std::size_t tasks_;
   std::vector<Value> slots_;
 };
 
@@ -373,29 +259,20 @@ class LevelParallelExecutor {
 
 struct BatchOptions {
   /// Parallelism target: 0 = auto (hardware concurrency), 1 = serial.
-  /// Across-vector mode shards 256-lane groups (capped by group count);
-  /// level_parallel mode slices each group's levels this many ways.
+  /// run_flat() shards 256-lane groups over this many threads, capped by
+  /// the group count.
   int threads = 0;
   /// Executor pool shared with other owners (e.g. one pool for a whole
   /// SortService). When null and the effective parallelism exceeds 1, the
   /// evaluator lazily creates a private pool on first parallel run() and
   /// keeps it — run() never constructs threads per call either way.
   std::shared_ptr<ThreadPool> pool;
-  /// Intra-vector mode: instead of sharding lane groups across threads,
-  /// run groups sequentially and parallelize *inside* each evaluation by
-  /// slicing wide levels (LevelParallelExecutor). Wins on huge netlists at
-  /// small batch sizes, where across-vector sharding has nothing to shard.
-  bool level_parallel = false;
-  /// Levels narrower than this stay serial in level_parallel mode.
-  std::size_t level_min_ops = 512;
-  CompileOptions compile;
 };
 
 /// High-throughput evaluation of many input vectors: packs them into
 /// 256-lane groups, runs the compiled program per group, and unpacks the
-/// outputs, distributing work over a persistent ThreadPool when profitable
-/// (across lane groups by default, across level slices in level_parallel
-/// mode). Thread-safe: concurrent run() calls share the pool.
+/// outputs, sharding the groups across a persistent ThreadPool when there
+/// is more than one. Thread-safe: concurrent run() calls share the pool.
 class BatchEvaluator {
  public:
   explicit BatchEvaluator(const Netlist& nl, const BatchOptions& opt = {});
@@ -413,9 +290,6 @@ class BatchEvaluator {
     return prog_;
   }
 
-  /// Effective parallelism target (threads knob resolved against hardware).
-  [[nodiscard]] int parallelism() const noexcept { return parallel_; }
-
   /// The pool run() distributes onto, or nullptr while still serial (no
   /// parallel run() happened yet and none was injected).
   [[nodiscard]] const ThreadPool* pool() const noexcept {
@@ -423,38 +297,27 @@ class BatchEvaluator {
     return pool_.get();
   }
 
-  /// Each element of `inputs` is one input vector of width input_width().
-  /// Returns one output Word (width output_width()) per input vector, in
-  /// order. A trailing partial lane group is handled transparently.
-  [[nodiscard]] std::vector<Word> run(std::span<const Word> inputs) const;
-
-  /// Zero-copy variant: `inputs` holds N input vectors back to back
-  /// (N x input_width() trits, vector-major) and results are written into
-  /// `outputs` (N x output_width() trits) — no Word construction anywhere
-  /// on the path. Packing reads and unpacking writes go straight between
-  /// the flat buffers and the wide lanes. Preconditions (asserted):
-  /// inputs.size() divisible by input_width(), outputs sized to match.
-  /// Thread-safe like run(); parallel sharding and level_parallel mode
-  /// apply identically.
+  /// `inputs` holds N input vectors back to back (N x input_width()
+  /// trits, vector-major) and results are written into `outputs`
+  /// (N x output_width() trits). Packing reads and unpacking writes go
+  /// straight between the flat buffers and the wide lanes; a trailing
+  /// partial lane group is handled transparently. Preconditions
+  /// (asserted): inputs.size() divisible by input_width(), outputs sized
+  /// to match.
   void run_flat(std::span<const Trit> inputs, std::span<Trit> outputs) const;
+
+  /// Word-level wrapper over run_flat(): each element of `inputs` is one
+  /// input vector of width input_width(). Flattens once and returns one
+  /// output Word (width output_width()) per input vector, in order.
+  [[nodiscard]] std::vector<Word> run(std::span<const Word> inputs) const;
 
  private:
   /// The shared pool, creating the lazily-owned one on first need.
   [[nodiscard]] ThreadPool* acquire_pool() const;
 
-  /// Shared orchestration behind run()/run_flat(): walks `n` input vectors
-  /// in 256-lane groups, calling `pack(packed, base, active)` to fill a
-  /// group and `unpack(executor, base, active)` to read it back — serially,
-  /// sharded across the pool, or per-level in level_parallel mode, per the
-  /// options. pack/unpack may run concurrently from pool threads and must
-  /// write disjoint rows.
-  template <class Pack, class Unpack>
-  void run_grouped(std::size_t n, Pack&& pack, Unpack&& unpack) const;
-
   CompiledProgram prog_;
-  BatchOptions opt_;
   int parallel_ = 1;
-  // Lazily-created owned pool (when opt_.pool is null): guarded so that
+  // Injected pool, or the lazily-created owned one: guarded so that
   // concurrent const run() calls race safely on first use.
   mutable std::mutex pool_mu_;
   mutable std::shared_ptr<ThreadPool> pool_;

@@ -78,8 +78,6 @@ struct ServeOptions {
   ///   * sorter.batch.threads == 0  — engine stays serial inside a worker
   ///     (the workers knob is the service's parallelism unit by default).
   /// Total thread count is workers + pool size — never workers x threads.
-  /// sorter.batch.level_parallel rides the same pool for intra-vector
-  /// slicing of huge netlists.
   McSorterOptions sorter;
 
   /// Bound on compiled shapes kept resident in the sorter pool (0 =

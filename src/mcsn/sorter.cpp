@@ -1,9 +1,6 @@
 #include "mcsn/sorter.hpp"
 
-#include <cassert>
 #include <stdexcept>
-
-#include "mcsn/core/gray.hpp"
 
 namespace mcsn {
 
@@ -36,6 +33,80 @@ Sort2Options effective_sort2(const McSorterOptions& opt,
   return sort2;
 }
 
+std::string shape_str(SortShape s) {
+  return std::to_string(s.channels) + "x" + std::to_string(s.bits);
+}
+
+Status shape_mismatch(SortShape got, SortShape sorter) {
+  return Status::invalid_argument("request shape " + shape_str(got) +
+                                  " does not match sorter " +
+                                  shape_str(sorter));
+}
+
+// The legacy wrappers' documented failure: a non-OK Status becomes
+// std::invalid_argument naming the entry point.
+void throw_if_error(const Status& s, const char* where) {
+  if (!s.ok()) {
+    throw std::invalid_argument(std::string("McSorter::") + where + ": " +
+                                s.to_string());
+  }
+}
+
+// Validates each legacy round with `factory` (a SortRequest factory, so
+// the wrappers share the checks SortService's make), flattens them and
+// sorts them in one sort_batch_flat. Returns the flat sorted payload.
+template <class Round, class Factory>
+std::vector<Trit> sort_rounds(const McSorter& sorter,
+                              std::span<const Round> rounds, Factory factory,
+                              const char* where) {
+  const SortShape shape = sorter.shape();
+  std::vector<Trit> flat;
+  flat.reserve(rounds.size() * shape.trits());
+  for (const Round& round : rounds) {
+    const StatusOr<SortRequest> request = factory(round);
+    throw_if_error(request.status(), where);
+    if (request->shape != shape) {
+      throw_if_error(shape_mismatch(request->shape, shape), where);
+    }
+    flat.insert(flat.end(), request->payload.begin(), request->payload.end());
+  }
+  std::vector<Trit> sorted(flat.size());
+  throw_if_error(sorter.sort_batch_flat(flat, sorted), where);
+  return sorted;
+}
+
+std::vector<std::uint64_t> to_values(SortShape shape,
+                                     std::span<const Trit> flat,
+                                     const char* where) {
+  if (flat.empty()) return {};
+  StatusOr<std::vector<std::uint64_t>> values = decode_flat_values(shape, flat);
+  throw_if_error(values.status(), where);
+  return std::move(values).value();
+}
+
+// Splits `items` into consecutive rounds of `per_round` elements.
+template <class T>
+std::vector<std::vector<T>> to_rounds(const std::vector<T>& items,
+                                      std::size_t per_round) {
+  std::vector<std::vector<T>> rounds(items.size() / per_round);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const auto first =
+        items.begin() + static_cast<std::ptrdiff_t>(r * per_round);
+    rounds[r].assign(first, first + static_cast<std::ptrdiff_t>(per_round));
+  }
+  return rounds;
+}
+
+const auto words_request = [](const std::vector<Word>& round) {
+  return SortRequest::from_words(round);
+};
+
+auto values_request(SortShape shape) {
+  return [shape](const std::vector<std::uint64_t>& round) {
+    return SortRequest::from_values(shape, round);
+  };
+}
+
 }  // namespace
 
 NetworkBuilderOptions builder_options(const McSorterOptions& opt) noexcept {
@@ -53,55 +124,9 @@ McSorter::McSorter(BuiltNetwork built, std::size_t bits,
       netlist_(elaborate_network(
           network_, bits,
           sort2_builder(effective_sort2(opt, built.sort2_topology)))),
-      batch_(netlist_, opt.batch),
-      exec_(batch_.program()) {}
-
-McSorter::McSorter(McSorter&& other) noexcept
-    : channels_(other.channels_),
-      bits_(other.bits_),
-      network_(std::move(other.network_)),
-      netlist_(std::move(other.netlist_)),
-      batch_(std::move(other.batch_)),
-      exec_(std::move(other.exec_)) {
-  // batch_ owns the compiled program; the moved executor still points at the
-  // old object's storage.
-  exec_.rebind(batch_.program());
-}
-
-McSorter& McSorter::operator=(McSorter&& other) noexcept {
-  if (this != &other) {
-    channels_ = other.channels_;
-    bits_ = other.bits_;
-    network_ = std::move(other.network_);
-    netlist_ = std::move(other.netlist_);
-    batch_ = std::move(other.batch_);
-    exec_ = std::move(other.exec_);
-    exec_.rebind(batch_.program());
-  }
-  return *this;
-}
+      batch_(netlist_, opt.batch) {}
 
 CircuitStats McSorter::stats() const { return compute_stats(netlist_); }
-
-std::vector<Word> McSorter::sort(const std::vector<Word>& values) {
-  assert(static_cast<int>(values.size()) == channels_);
-  std::vector<Trit> in;
-  in.reserve(static_cast<std::size_t>(channels_) * bits_);
-  for (const Word& w : values) {
-    assert(w.size() == bits_);
-    in.insert(in.end(), w.begin(), w.end());
-  }
-  exec_.run(in);
-  std::vector<Word> sorted(static_cast<std::size_t>(channels_));
-  for (std::size_t c = 0; c < sorted.size(); ++c) {
-    Word w(bits_);
-    for (std::size_t b = 0; b < bits_; ++b) {
-      w[b] = exec_.output_lane(c * bits_ + b, 0);
-    }
-    sorted[c] = std::move(w);
-  }
-  return sorted;
-}
 
 Status McSorter::sort_batch_flat(std::span<const Trit> in,
                                  std::span<Trit> out) const {
@@ -109,8 +134,7 @@ Status McSorter::sort_batch_flat(std::span<const Trit> in,
   if (round_trits == 0 || in.size() % round_trits != 0) {
     return Status::invalid_argument(
         "flat payload of " + std::to_string(in.size()) +
-        " trits is not a whole number of " + std::to_string(channels_) + "x" +
-        std::to_string(bits_) + " rounds");
+        " trits is not a whole number of " + shape_str(shape()) + " rounds");
   }
   if (out.size() != in.size()) {
     return Status::invalid_argument(
@@ -130,10 +154,7 @@ SortResponse McSorter::sort_request(const SortRequest& request) const {
     return response;
   }
   if (request.shape != shape()) {
-    response.status = Status::invalid_argument(
-        "request shape " + std::to_string(request.shape.channels) + "x" +
-        std::to_string(request.shape.bits) + " does not match sorter " +
-        std::to_string(channels_) + "x" + std::to_string(bits_));
+    response.status = shape_mismatch(request.shape, shape());
     return response;
   }
   response.payload.resize(request.payload.size());
@@ -142,73 +163,34 @@ SortResponse McSorter::sort_request(const SortRequest& request) const {
   return response;
 }
 
+std::vector<Word> McSorter::sort(const std::vector<Word>& values) const {
+  const std::vector<Trit> sorted =
+      sort_rounds(*this, std::span(&values, 1), words_request, "sort");
+  return split_words(sorted, bits_);
+}
+
 std::vector<std::uint64_t> McSorter::sort_values(
-    const std::vector<std::uint64_t>& values) {
-  if (bits_ > 64) {
-    throw std::invalid_argument(
-        "McSorter::sort_values: integer entry points require bits <= 64 "
-        "(values are uint64_t); sort raw trit words instead");
-  }
-  std::vector<Word> words;
-  words.reserve(values.size());
-  for (const std::uint64_t v : values) {
-    words.push_back(gray_encode(v, bits_));
-  }
-  const std::vector<Word> sorted = sort(words);
-  std::vector<std::uint64_t> out;
-  out.reserve(sorted.size());
-  for (const Word& w : sorted) out.push_back(gray_decode(w));
-  return out;
+    const std::vector<std::uint64_t>& values) const {
+  const std::vector<Trit> sorted = sort_rounds(
+      *this, std::span(&values, 1), values_request(shape()), "sort_values");
+  return to_values(shape(), sorted, "sort_values");
 }
 
 std::vector<std::vector<Word>> McSorter::sort_batch(
     const std::vector<std::vector<Word>>& rounds) const {
-  const std::size_t round_trits = static_cast<std::size_t>(channels_) * bits_;
-  std::vector<Trit> flat(rounds.size() * round_trits);
-  std::size_t k = 0;
-  for (const std::vector<Word>& round : rounds) {
-    assert(static_cast<int>(round.size()) == channels_);
-    for (const Word& w : round) {
-      assert(w.size() == bits_);
-      for (const Trit t : w) flat[k++] = t;
-    }
-  }
-  std::vector<Trit> outs(flat.size());
-  batch_.run_flat(flat, outs);
-  std::vector<std::vector<Word>> sorted(rounds.size());
-  for (std::size_t r = 0; r < rounds.size(); ++r) {
-    const Trit* const row = outs.data() + r * round_trits;
-    sorted[r].reserve(static_cast<std::size_t>(channels_));
-    for (std::size_t c = 0; c < static_cast<std::size_t>(channels_); ++c) {
-      Word w(bits_);
-      for (std::size_t b = 0; b < bits_; ++b) w[b] = row[c * bits_ + b];
-      sorted[r].push_back(std::move(w));
-    }
-  }
-  return sorted;
+  const std::vector<Trit> sorted =
+      sort_rounds(*this, std::span(rounds), words_request, "sort_batch");
+  return to_rounds(split_words(sorted, bits_),
+                   static_cast<std::size_t>(channels_));
 }
 
 std::vector<std::vector<std::uint64_t>> McSorter::sort_values_batch(
     const std::vector<std::vector<std::uint64_t>>& rounds) const {
-  if (bits_ > 64) {
-    throw std::invalid_argument(
-        "McSorter::sort_values_batch: integer entry points require bits <= "
-        "64 (values are uint64_t); sort raw trit words instead");
-  }
-  std::vector<std::vector<Word>> words(rounds.size());
-  for (std::size_t r = 0; r < rounds.size(); ++r) {
-    words[r].reserve(rounds[r].size());
-    for (const std::uint64_t v : rounds[r]) {
-      words[r].push_back(gray_encode(v, bits_));
-    }
-  }
-  const std::vector<std::vector<Word>> sorted = sort_batch(words);
-  std::vector<std::vector<std::uint64_t>> out(sorted.size());
-  for (std::size_t r = 0; r < sorted.size(); ++r) {
-    out[r].reserve(sorted[r].size());
-    for (const Word& w : sorted[r]) out[r].push_back(gray_decode(w));
-  }
-  return out;
+  const std::vector<Trit> sorted =
+      sort_rounds(*this, std::span(rounds), values_request(shape()),
+                  "sort_values_batch");
+  return to_rounds(to_values(shape(), sorted, "sort_values_batch"),
+                   static_cast<std::size_t>(channels_));
 }
 
 }  // namespace mcsn

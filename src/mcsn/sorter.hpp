@@ -37,7 +37,7 @@ struct McSorterOptions {
   /// programs on demand.
   int max_channels = 4096;
   Sort2Options sort2;
-  /// Batch engine knobs (thread sharding) used by sort_batch.
+  /// Batch engine knobs (thread sharding) used by every sort path.
   BatchOptions batch;
 };
 
@@ -57,13 +57,10 @@ class McSorter {
   McSorter(BuiltNetwork built, std::size_t bits,
            const McSorterOptions& opt = {});
 
-  // The executor holds a pointer into the owned compiled program, so copies
-  // are deleted; moves re-pin that pointer, letting pools and containers
-  // hold sorters by value.
-  McSorter(const McSorter&) = delete;
-  McSorter& operator=(const McSorter&) = delete;
-  McSorter(McSorter&& other) noexcept;
-  McSorter& operator=(McSorter&& other) noexcept;
+  // Movable, so pools and containers can hold sorters by value; not
+  // copyable, since the batch evaluator is not.
+  McSorter(McSorter&&) noexcept = default;
+  McSorter& operator=(McSorter&&) noexcept = default;
 
   [[nodiscard]] int channels() const noexcept { return channels_; }
   [[nodiscard]] std::size_t bits() const noexcept { return bits_; }
@@ -98,33 +95,33 @@ class McSorter {
   [[nodiscard]] SortResponse sort_request(const SortRequest& request) const;
 
   // --- legacy wrappers (thin shims over the flat path) ----------------------
+  //
+  // Each validates its rounds with the SortRequest factories (from_words /
+  // from_values) and throws std::invalid_argument on a malformed round: a
+  // wrong word count, a word of the wrong width, or a value that does not
+  // fit in bits(). All are const and safe to call concurrently.
 
-  /// Sorts `values` (each a B-bit valid string) through the gate-level
-  /// netlist with worst-case metastability semantics.
-  /// Precondition: values.size() == channels().
-  [[nodiscard]] std::vector<Word> sort(const std::vector<Word>& values);
+  /// Sorts one round of channels() B-bit words (valid strings, possibly
+  /// metastable) with worst-case metastability semantics — a one-round
+  /// sort_batch_flat.
+  [[nodiscard]] std::vector<Word> sort(const std::vector<Word>& values) const;
 
-  /// Convenience: encodes integers as Gray codewords and sorts. Throws
-  /// std::invalid_argument when bits() > 64 (values are uint64_t; use the
-  /// trit-based API for wider words).
+  /// Convenience: encodes integers as Gray codewords and sorts. Also
+  /// throws std::invalid_argument when bits() > 64 (values are uint64_t;
+  /// use the trit-based API for wider words).
   [[nodiscard]] std::vector<std::uint64_t> sort_values(
-      const std::vector<std::uint64_t>& values);
+      const std::vector<std::uint64_t>& values) const;
 
   /// Sorts many measurement rounds in one pass through the compiled batch
   /// engine (256-lane packing, optional thread sharding). Each round is a
   /// vector of channels() B-bit words; results come back round-aligned.
-  /// Wrapper over sort_batch_flat: flattens once into a contiguous buffer,
-  /// then splits the flat results back into Words.
-  ///
-  /// Const and safe to call concurrently from multiple threads (each call
-  /// runs its own executor over the shared program); sort()/sort_values()
-  /// mutate the scalar executor and are not.
+  /// Flattens once into a contiguous buffer for sort_batch_flat, then
+  /// splits the flat results back into Words.
   [[nodiscard]] std::vector<std::vector<Word>> sort_batch(
       const std::vector<std::vector<Word>>& rounds) const;
 
   /// Batch variant of sort_values: each round is a vector of channels()
-  /// integers, Gray-encoded/decoded transparently. Throws
-  /// std::invalid_argument when bits() > 64.
+  /// integers, Gray-encoded/decoded transparently.
   [[nodiscard]] std::vector<std::vector<std::uint64_t>> sort_values_batch(
       const std::vector<std::vector<std::uint64_t>>& rounds) const;
 
@@ -133,11 +130,7 @@ class McSorter {
   std::size_t bits_;
   ComparatorNetwork network_;
   Netlist netlist_;
-  // One dense, dead-node-eliminated program serves both the per-round
-  // scalar path (exec_) and sort_batch (batch_ shares the same program
-  // object; order matters — exec_ points into batch_'s program).
   BatchEvaluator batch_;
-  CompiledExecutor<ScalarBackend> exec_;
 };
 
 }  // namespace mcsn

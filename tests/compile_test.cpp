@@ -297,65 +297,6 @@ TEST(Compile, ThreadShardedBatchMatchesSerial) {
   EXPECT_EQ(serial.run(corpus), sharded.run(corpus));
 }
 
-// Intra-vector mode: slicing every level across a pool (min_level_ops = 1
-// forces a parallel slice on even the narrowest level) must be bit-identical
-// to the plain serial executor, packed lanes included.
-TEST(Compile, LevelParallelExecutorMatchesSerialOnCatalogNetworks) {
-  ThreadPool pool(3);
-  for (const Netlist& nl : catalog_netlists(4)) {
-    const std::size_t width = nl.inputs().size();
-    const std::size_t outs = nl.outputs().size();
-    const CompiledProgram prog = CompiledProgram::compile(nl);
-    ASSERT_GT(prog.level_count(), 0u);
-
-    Xoshiro256 rng(nl.node_count());
-    CompiledExecutor<Packed256Backend> serial(prog);
-    LevelParallelOptions opt;
-    opt.min_level_ops = 1;
-    LevelParallelExecutor<Packed256Backend> sliced(prog, &pool, opt);
-
-    std::vector<PackedTrit256> in(width);
-    for (int trial = 0; trial < 8; ++trial) {
-      for (std::size_t i = 0; i < width; ++i) {
-        for (int lane = 0; lane < PackedTrit256::kLanes; ++lane) {
-          in[i].set_lane(lane,
-                         trit_from_index(static_cast<int>(rng.below(3))));
-        }
-      }
-      serial.run(in);
-      sliced.run(in);
-      for (std::size_t o = 0; o < outs; ++o) {
-        for (int lane = 0; lane < PackedTrit256::kLanes; ++lane) {
-          ASSERT_EQ(sliced.output_lane(o, lane), serial.output_lane(o, lane))
-              << nl.name() << " trial=" << trial << " o=" << o
-              << " lane=" << lane;
-        }
-      }
-    }
-  }
-}
-
-// The intra-vector BatchEvaluator mode must agree with the serial engine on
-// a corpus spanning several lane groups plus a partial tail.
-TEST(Compile, LevelParallelBatchMatchesSerial) {
-  const Netlist nl =
-      elaborate_network(depth_optimal_10(), 6, sort2_builder(), "level_mt");
-  Xoshiro256 rng(77);
-  std::vector<Word> corpus;
-  for (int v = 0; v < 300; ++v) {
-    corpus.push_back(random_ternary(rng, nl.inputs().size()));
-  }
-  BatchOptions serial_opt;
-  serial_opt.threads = 1;
-  BatchOptions level_opt;
-  level_opt.threads = 3;
-  level_opt.level_parallel = true;
-  level_opt.level_min_ops = 1;  // slice every level, however narrow
-  const BatchEvaluator serial(nl, serial_opt);
-  const BatchEvaluator sliced(nl, level_opt);
-  EXPECT_EQ(serial.run(corpus), sliced.run(corpus));
-}
-
 // The acceptance property of the pool rewire: run() never constructs a
 // thread. The pool is built at most once (lazily or injected); repeated and
 // concurrent runs reuse it, observed through the process-wide spawn counter.

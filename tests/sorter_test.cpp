@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 
 #include "mcsn/core/gray.hpp"
 #include "mcsn/core/valid.hpp"
@@ -70,13 +71,13 @@ TEST(McSorter, StatsReflectUnderlyingNetlist) {
   EXPECT_GT(s.area, 0.0);
 }
 
-TEST(McSorter, MovableWithRepinnedExecutor) {
+TEST(McSorter, Movable) {
   McSorter a(4, 4);
   const std::vector<std::uint64_t> in{9, 3, 14, 0};
   const std::vector<std::uint64_t> expect{0, 3, 9, 14};
   ASSERT_EQ(a.sort_values(in), expect);
 
-  McSorter b(std::move(a));  // move ctor must re-pin the executor
+  McSorter b(std::move(a));
   EXPECT_EQ(b.sort_values(in), expect);
   EXPECT_EQ(b.sort_batch({{gray_encode(2, 4), gray_encode(1, 4),
                            gray_encode(3, 4), gray_encode(0, 4)}})
@@ -100,6 +101,92 @@ TEST(McSorter, MovableWithRepinnedExecutor) {
 TEST(McSorter, RejectsDegenerateShapes) {
   EXPECT_THROW(McSorter(0, 4), std::invalid_argument);
   EXPECT_THROW(McSorter(4, 0), std::invalid_argument);
+}
+
+// The legacy wrappers validate their rounds and throw std::invalid_argument
+// instead of reading or writing past the engine's buffers.
+TEST(McSorter, SortBatchRejectsWrongWordCount) {
+  const McSorter sorter(4, 4);
+  const std::vector<Word> five(5, gray_encode(3, 4));
+  EXPECT_THROW((void)sorter.sort_batch({five}), std::invalid_argument);
+}
+
+TEST(McSorter, SortBatchRejectsWrongWordWidth) {
+  const McSorter sorter(4, 4);
+  const std::vector<Word> wide(4, gray_encode(3, 6));
+  EXPECT_THROW((void)sorter.sort_batch({wide}), std::invalid_argument);
+}
+
+TEST(McSorter, SortRejectsWrongWordCount) {
+  const McSorter sorter(4, 4);
+  const std::vector<Word> five(5, gray_encode(3, 4));
+  EXPECT_THROW((void)sorter.sort(five), std::invalid_argument);
+}
+
+TEST(McSorter, SortValuesRejectsValuesWiderThanBits) {
+  const McSorter sorter(4, 4);
+  EXPECT_THROW((void)sorter.sort_values({20, 1, 2, 3}), std::invalid_argument);
+  EXPECT_EQ(sorter.sort_values({15, 1, 2, 3}),
+            (std::vector<std::uint64_t>{1, 2, 3, 15}));
+}
+
+// sort() and sort_values() are const: one shared sorter serves concurrent
+// callers, each getting what sort_batch returns for the same rounds.
+TEST(McSorter, SortIsConstAndThreadSafe) {
+  const McSorter flagship(10, 8);
+  const McSorter composed(24, 8);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 24;
+  std::vector<std::thread> threads;
+  std::vector<int> failures(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(100 + static_cast<std::uint64_t>(t));
+      for (const McSorter* sorter : {&flagship, &composed}) {
+        const std::size_t bits = sorter->bits();
+        const auto channels = static_cast<std::size_t>(sorter->channels());
+        std::vector<std::vector<Word>> rounds;
+        std::vector<std::vector<Word>> sorted;
+        std::vector<std::vector<Word>> value_rounds;
+        std::vector<std::vector<std::uint64_t>> sorted_values;
+        for (int r = 0; r < kRounds; ++r) {
+          // Stable codewords (even ranks); about half the rounds carry one
+          // metastable word (an odd rank).
+          std::vector<Word> round;
+          for (std::size_t c = 0; c < channels; ++c) {
+            round.push_back(valid_from_rank(2 * rng.below(1u << bits), bits));
+          }
+          if (rng.below(2) == 1) {
+            round[rng.below(channels)] =
+                valid_from_rank(2 * rng.below((1u << bits) - 1) + 1, bits);
+          }
+          sorted.push_back(sorter->sort(round));
+          rounds.push_back(std::move(round));
+
+          std::vector<std::uint64_t> values;
+          std::vector<Word> encoded;
+          for (std::size_t c = 0; c < channels; ++c) {
+            values.push_back(rng.below(1u << bits));
+            encoded.push_back(gray_encode(values.back(), bits));
+          }
+          sorted_values.push_back(sorter->sort_values(values));
+          value_rounds.push_back(std::move(encoded));
+        }
+        if (sorter->sort_batch(rounds) != sorted) ++failures[t];
+        const std::vector<std::vector<Word>> batch =
+            sorter->sort_batch(value_rounds);
+        for (int r = 0; r < kRounds; ++r) {
+          std::vector<std::uint64_t> decoded;
+          for (const Word& w : batch[r]) decoded.push_back(gray_decode(w));
+          if (decoded != sorted_values[r]) ++failures[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+  }
 }
 
 // Satellite regression: the integer entry points used to silently
