@@ -3,9 +3,9 @@
 // over random valid measurement rounds.
 //
 // Compares the legacy scalar node-walking evaluator against the compiled,
-// levelized engine at every backend width (scalar, 64-lane, 256-lane batch,
-// threaded batch) and emits machine-readable JSON so the perf trajectory can
-// be tracked across PRs:
+// levelized engine at every backend width (one vector at a time through
+// Evaluator, 64-lane, 256-lane batch, threaded batch) and emits
+// machine-readable JSON so the perf trajectory can be tracked across PRs:
 //
 //   bench_sim_throughput [--vectors N] [--bits B] [--channels C]
 //                        [--threads T]   (batch_compiled_mt parallelism;

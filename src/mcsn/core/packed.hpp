@@ -1,14 +1,21 @@
 #pragma once
-// Packed dual-rail representation of 64 independent ternary values.
+// Packed dual-rail representation of many independent ternary values.
 //
-// Each lane (bit position) of a PackedTrit carries one ternary value encoded
-// on two rails:
+// Each lane (bit position) carries one ternary value encoded on two rails:
 //   can0 bit set  -> the value can resolve to 0
 //   can1 bit set  -> the value can resolve to 1
 // 0 = (1,0), 1 = (0,1), M = (1,1). (0,0) is invalid and never produced.
 //
-// Kleene gate semantics become plain bitwise ops, giving 64-way parallel
-// netlist evaluation for property sweeps and throughput benchmarks.
+// Kleene gate semantics become plain bitwise ops on the rails, giving
+// lane-parallel netlist evaluation: an inverter swaps the rails, and OR is
+// AND with both rails swapped on every pin and on the result.
+//
+// Layout is planar: a value is its can0 rail followed by its can1 rail, and
+// each rail is one contiguous machine vector (one 64-bit word for
+// PackedTrit, a 32-byte Rail256 for PackedTrit256). The compiled engine
+// (netlist/compile.hpp) stores a program's values as one flat rail array in
+// exactly this order, so rail 2*slot is a slot's can0 and rail 2*slot + 1
+// its can1; flipping the low bit of a rail index reads the complement.
 
 #include <array>
 #include <cstdint>
@@ -16,6 +23,17 @@
 #include "mcsn/core/trit.hpp"
 
 namespace mcsn {
+
+/// The ternary value a lane's two rail bits encode.
+[[nodiscard]] constexpr Trit trit_from_rails(bool can0, bool can1) noexcept {
+  if (can0 && can1) return Trit::meta;
+  return can1 ? Trit::one : Trit::zero;
+}
+
+/// Bit `lane` of a 64-lane rail.
+[[nodiscard]] constexpr bool rail_bit(std::uint64_t rail, int lane) noexcept {
+  return ((rail >> lane) & 1u) != 0;
+}
 
 struct PackedTrit {
   std::uint64_t can0 = ~std::uint64_t{0};  // default: all lanes 0
@@ -34,10 +52,7 @@ struct PackedTrit {
 
   /// Reads one lane back as a Trit.
   [[nodiscard]] constexpr Trit lane(int i) const noexcept {
-    const bool c0 = ((can0 >> i) & 1u) != 0;
-    const bool c1 = ((can1 >> i) & 1u) != 0;
-    if (c0 && c1) return Trit::meta;
-    return c1 ? Trit::one : Trit::zero;
+    return trit_from_rails(rail_bit(can0, i), rail_bit(can1, i));
   }
 
   /// Writes one lane.
@@ -52,7 +67,9 @@ struct PackedTrit {
 
 // An AND output can be 1 only if both inputs can be 1; it can be 0 if either
 // input can be 0. OR dually; NOT swaps rails. These are exactly the closure
-// (Kleene) semantics of Table 3, lane-parallel.
+// (Kleene) semantics of Table 3, lane-parallel. They are each cell's
+// dual-rail formula: the IR verifier's netlist replay (verify_ir.hpp)
+// rebuilds every netlist cell from them.
 
 [[nodiscard]] constexpr PackedTrit packed_and(PackedTrit a,
                                               PackedTrit b) noexcept {
@@ -82,85 +99,67 @@ struct PackedTrit {
           (s.can0 & d0.can1) | (s.can1 & d1.can1)};
 }
 
-// --- Multi-word wide packing ------------------------------------------------
-//
-// WidePackedTrit<W> glues W 64-lane words into one 64*W-lane value. The
-// per-word rail ops are independent, so the loops below auto-vectorize; with
-// W = 4 (256 lanes) one gate evaluation becomes two 256-bit bitwise ops per
-// rail on AVX2-class hardware.
+// --- 256-lane planar packing ------------------------------------------------
 
-template <int W>
-struct WidePackedTrit {
-  static_assert(W >= 1, "WidePackedTrit needs at least one word");
-  static constexpr int kLanes = 64 * W;
+/// One rail of 256 lanes: four 64-bit words in one contiguous, aligned
+/// 32-byte vector. The word loops compile to one AVX2 op (two SSE2 ops).
+struct alignas(32) Rail256 {
+  std::array<std::uint64_t, 4> word{};
 
-  std::array<PackedTrit, W> word{};  // default: all lanes 0
+  friend bool operator==(const Rail256&, const Rail256&) = default;
 
-  friend bool operator==(const WidePackedTrit&,
-                         const WidePackedTrit&) = default;
+  [[nodiscard]] static constexpr Rail256 fill(std::uint64_t w) noexcept {
+    return {{w, w, w, w}};
+  }
+
+  friend constexpr Rail256 operator&(const Rail256& a,
+                                     const Rail256& b) noexcept {
+    Rail256 r;
+    for (std::size_t i = 0; i < 4; ++i) r.word[i] = a.word[i] & b.word[i];
+    return r;
+  }
+  friend constexpr Rail256 operator|(const Rail256& a,
+                                     const Rail256& b) noexcept {
+    Rail256 r;
+    for (std::size_t i = 0; i < 4; ++i) r.word[i] = a.word[i] | b.word[i];
+    return r;
+  }
+};
+
+/// Bit `lane` of a 256-lane rail.
+[[nodiscard]] constexpr bool rail_bit(const Rail256& rail, int lane) noexcept {
+  return rail_bit(rail.word[static_cast<std::size_t>(lane / 64)], lane % 64);
+}
+
+/// 256 lanes in the planar layout: the can0 rail, then the can1 rail.
+struct PackedTrit256 {
+  static constexpr int kLanes = 256;
+
+  Rail256 can0 = Rail256::fill(~std::uint64_t{0});  // default: all lanes 0
+  Rail256 can1{};
+
+  friend bool operator==(const PackedTrit256&, const PackedTrit256&) = default;
 
   /// All kLanes lanes set to the same value.
-  [[nodiscard]] static constexpr WidePackedTrit splat(Trit t) noexcept {
-    WidePackedTrit r;
-    for (auto& w : r.word) w = PackedTrit::splat(t);
-    return r;
+  [[nodiscard]] static constexpr PackedTrit256 splat(Trit t) noexcept {
+    const PackedTrit p = PackedTrit::splat(t);
+    return {Rail256::fill(p.can0), Rail256::fill(p.can1)};
   }
 
   /// Reads lane i in [0, kLanes).
   [[nodiscard]] constexpr Trit lane(int i) const noexcept {
-    return word[static_cast<std::size_t>(i / 64)].lane(i % 64);
+    return trit_from_rails(rail_bit(can0, i), rail_bit(can1, i));
   }
 
   /// Writes lane i in [0, kLanes).
   constexpr void set_lane(int i, Trit t) noexcept {
-    word[static_cast<std::size_t>(i / 64)].set_lane(i % 64, t);
+    const auto w = static_cast<std::size_t>(i / 64);
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    can0.word[w] &= ~bit;
+    can1.word[w] &= ~bit;
+    if (t != Trit::one) can0.word[w] |= bit;
+    if (t != Trit::zero) can1.word[w] |= bit;
   }
 };
-
-/// 256-lane packed value — the widest backend shipped by default.
-using PackedTrit256 = WidePackedTrit<4>;
-
-template <int W>
-[[nodiscard]] constexpr WidePackedTrit<W> wide_and(
-    const WidePackedTrit<W>& a, const WidePackedTrit<W>& b) noexcept {
-  WidePackedTrit<W> r;
-  for (int w = 0; w < W; ++w) r.word[w] = packed_and(a.word[w], b.word[w]);
-  return r;
-}
-
-template <int W>
-[[nodiscard]] constexpr WidePackedTrit<W> wide_or(
-    const WidePackedTrit<W>& a, const WidePackedTrit<W>& b) noexcept {
-  WidePackedTrit<W> r;
-  for (int w = 0; w < W; ++w) r.word[w] = packed_or(a.word[w], b.word[w]);
-  return r;
-}
-
-template <int W>
-[[nodiscard]] constexpr WidePackedTrit<W> wide_not(
-    const WidePackedTrit<W>& a) noexcept {
-  WidePackedTrit<W> r;
-  for (int w = 0; w < W; ++w) r.word[w] = packed_not(a.word[w]);
-  return r;
-}
-
-template <int W>
-[[nodiscard]] constexpr WidePackedTrit<W> wide_xor(
-    const WidePackedTrit<W>& a, const WidePackedTrit<W>& b) noexcept {
-  WidePackedTrit<W> r;
-  for (int w = 0; w < W; ++w) r.word[w] = packed_xor(a.word[w], b.word[w]);
-  return r;
-}
-
-template <int W>
-[[nodiscard]] constexpr WidePackedTrit<W> wide_mux(
-    const WidePackedTrit<W>& d0, const WidePackedTrit<W>& d1,
-    const WidePackedTrit<W>& s) noexcept {
-  WidePackedTrit<W> r;
-  for (int w = 0; w < W; ++w) {
-    r.word[w] = packed_mux(d0.word[w], d1.word[w], s.word[w]);
-  }
-  return r;
-}
 
 }  // namespace mcsn

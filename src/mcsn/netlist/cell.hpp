@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "mcsn/core/packed.hpp"
 #include "mcsn/core/trit.hpp"
 
 namespace mcsn {
@@ -108,56 +107,6 @@ inline constexpr int kCellKindCount = 15;
                                             bool c) noexcept {
   return to_bool(
       cell_eval(k, to_trit(a), to_trit(b), to_trit(c)));
-}
-
-/// 64-lane packed evaluation; semantics identical to cell_eval per lane.
-[[nodiscard]] constexpr PackedTrit cell_eval_packed(CellKind k, PackedTrit a,
-                                                    PackedTrit b,
-                                                    PackedTrit c) noexcept {
-  switch (k) {
-    case CellKind::const0: return PackedTrit::splat(Trit::zero);
-    case CellKind::const1: return PackedTrit::splat(Trit::one);
-    case CellKind::input: return PackedTrit::splat(Trit::meta);
-    case CellKind::inv: return packed_not(a);
-    case CellKind::and2: return packed_and(a, b);
-    case CellKind::or2: return packed_or(a, b);
-    case CellKind::nand2: return packed_not(packed_and(a, b));
-    case CellKind::nor2: return packed_not(packed_or(a, b));
-    case CellKind::xor2: return packed_xor(a, b);
-    case CellKind::xnor2: return packed_not(packed_xor(a, b));
-    case CellKind::mux2: return packed_mux(a, b, c);
-    case CellKind::aoi21: return packed_not(packed_or(packed_and(a, b), c));
-    case CellKind::oai21: return packed_not(packed_and(packed_or(a, b), c));
-    case CellKind::ao21: return packed_or(packed_and(a, b), c);
-    case CellKind::oa21: return packed_and(packed_or(a, b), c);
-  }
-  return PackedTrit::splat(Trit::meta);
-}
-
-/// 64*W-lane wide evaluation; semantics identical to cell_eval per lane.
-/// The switch happens once per gate; the per-word rail loops vectorize.
-template <int W>
-[[nodiscard]] constexpr WidePackedTrit<W> cell_eval_wide(
-    CellKind k, const WidePackedTrit<W>& a, const WidePackedTrit<W>& b,
-    const WidePackedTrit<W>& c) noexcept {
-  switch (k) {
-    case CellKind::const0: return WidePackedTrit<W>::splat(Trit::zero);
-    case CellKind::const1: return WidePackedTrit<W>::splat(Trit::one);
-    case CellKind::input: return WidePackedTrit<W>::splat(Trit::meta);
-    case CellKind::inv: return wide_not(a);
-    case CellKind::and2: return wide_and(a, b);
-    case CellKind::or2: return wide_or(a, b);
-    case CellKind::nand2: return wide_not(wide_and(a, b));
-    case CellKind::nor2: return wide_not(wide_or(a, b));
-    case CellKind::xor2: return wide_xor(a, b);
-    case CellKind::xnor2: return wide_not(wide_xor(a, b));
-    case CellKind::mux2: return wide_mux(a, b, c);
-    case CellKind::aoi21: return wide_not(wide_or(wide_and(a, b), c));
-    case CellKind::oai21: return wide_not(wide_and(wide_or(a, b), c));
-    case CellKind::ao21: return wide_or(wide_and(a, b), c);
-    case CellKind::oa21: return wide_and(wide_or(a, b), c);
-  }
-  return WidePackedTrit<W>::splat(Trit::meta);
 }
 
 }  // namespace mcsn

@@ -1,6 +1,8 @@
 #include "mcsn/netlist/compile.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #if !defined(NDEBUG) || defined(MCSN_VERIFY)
 #include <cstdio>
@@ -10,6 +12,52 @@
 #endif
 
 namespace mcsn {
+namespace {
+
+/// Lowers gate `kind` over operand rails `in` (per cell_arity) into its
+/// rail form, destination slot `slot` (the lowering table in compile.hpp).
+/// The slot ends up holding the gate's own value in positive polarity.
+constexpr CompiledOp lower(CellKind kind, std::array<std::uint32_t, 3> in,
+                           std::uint32_t slot) noexcept {
+  const std::uint32_t pos = 2 * slot;
+  const std::uint32_t neg = pos + 1;
+  const std::uint32_t a = in[0];
+  const std::uint32_t b = in[1];
+  const std::uint32_t c = in[2];
+  switch (kind) {
+    case CellKind::inv: return {RailForm::and2, pos, {a ^ 1u, a ^ 1u, 0}};
+    case CellKind::and2: return {RailForm::and2, pos, {a, b, 0}};
+    case CellKind::nand2: return {RailForm::and2, neg, {a, b, 0}};
+    case CellKind::or2: return {RailForm::and2, neg, {a ^ 1u, b ^ 1u, 0}};
+    case CellKind::nor2: return {RailForm::and2, pos, {a ^ 1u, b ^ 1u, 0}};
+    case CellKind::ao21: return {RailForm::ao21, pos, {a, b, c}};
+    case CellKind::aoi21: return {RailForm::ao21, neg, {a, b, c}};
+    case CellKind::oa21:
+      return {RailForm::ao21, neg, {a ^ 1u, b ^ 1u, c ^ 1u}};
+    case CellKind::oai21:
+      return {RailForm::ao21, pos, {a ^ 1u, b ^ 1u, c ^ 1u}};
+    case CellKind::mux2: return {RailForm::mux2, pos, {a, b, c}};
+    case CellKind::xor2: return {RailForm::mux2, pos, {b, b ^ 1u, a}};
+    case CellKind::xnor2: return {RailForm::mux2, neg, {b, b ^ 1u, a}};
+    default: return {};  // input/const: not gates, never lowered
+  }
+}
+
+/// The form each CellKind lowers to, read off lower() itself.
+constexpr std::array<RailForm, kCellKindCount> kFormOf = [] {
+  std::array<RailForm, kCellKindCount> forms{};
+  for (int k = 0; k < kCellKindCount; ++k) {
+    forms[static_cast<std::size_t>(k)] =
+        lower(static_cast<CellKind>(k), {}, 0).form;
+  }
+  return forms;
+}();
+
+constexpr RailForm rail_form_of(CellKind kind) noexcept {
+  return kFormOf[static_cast<std::size_t>(kind)];
+}
+
+}  // namespace
 
 CompiledProgram CompiledProgram::compile(const Netlist& nl,
                                          const CompileOptions& opt) {
@@ -47,77 +95,134 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
     return nodes[id].kind == CellKind::const0 ||
            nodes[id].kind == CellKind::const1;
   };
-  const auto live_gate = [&](NodeId id) {
-    return live[id] && is_gate(nodes[id].kind);
-  };
 
-  // 2. Logic levels. Nodes are stored in topological order, so one forward
-  // pass suffices: inputs and constants sit at level 0, a gate one past its
-  // deepest live fanin.
+  // 2. Roots, polarities and logic levels, in one forward pass (nodes are
+  // stored in topological order). ref[id] = 2 * root + polarity, where the
+  // root is the nearest non-inverter node id reads through a chain of
+  // inverters and the polarity is that chain's length mod 2. Inputs and
+  // constants sit at level 0, a gate one past its deepest operand root; an
+  // inverter shares its root's level. Nodes that become ops are the live
+  // gates, inverters only under retain_all_nodes (one level after their
+  // root); the pass counts them per schedule bucket 3 * (level - 1) +
+  // form, so each level's ops run in at most three form runs.
+  constexpr std::size_t kForms = kRailFormCount;
+  std::vector<std::uint32_t> ref(n, 0);
   std::vector<std::uint32_t> level(n, 0);
-  std::uint32_t max_level = 0;
+  std::vector<std::size_t> bucket_start(1, 0);
+  std::size_t op_count = 0;
+  std::uint32_t levels = 0;
+  const auto count_op = [&](std::uint32_t op_level, CellKind kind) {
+    ++op_count;
+    if (!opt.levelize) return;
+    levels = std::max(levels, op_level);
+    const std::size_t b = kForms * (op_level - 1) +
+                          static_cast<std::size_t>(rail_form_of(kind)) + 1;
+    if (bucket_start.size() <= b) bucket_start.resize(b + 1, 0);
+    ++bucket_start[b];
+  };
   for (NodeId id = 0; id < n; ++id) {
-    if (!live_gate(id)) continue;
+    if (!live[id]) continue;
     const GateNode& g = nodes[id];
+    if (g.kind == CellKind::inv) {
+      ref[id] = ref[g.in[0]] ^ 1u;
+      level[id] = level[g.in[0]];
+      if (opt.retain_all_nodes) count_op(level[id] + 1, g.kind);
+      continue;
+    }
+    ref[id] = 2 * id;
     const int arity = cell_arity(g.kind);
+    if (arity == 0) continue;
     std::uint32_t lv = 0;
     for (int j = 0; j < arity; ++j) lv = std::max(lv, level[g.in[j]]);
     level[id] = lv + 1;
-    max_level = std::max(max_level, level[id]);
+    count_op(level[id], g.kind);
   }
 
-  // 3. Schedule. Level order is a counting sort by level, stable in
-  // creation order; bucket l holds the gates of level l + 1.
-  std::vector<NodeId> gate_order;
+  // 3. Schedule. Level order is a counting sort by (level, form), stable
+  // in creation order; creation order keeps node order. Until step 6
+  // lowers it in place, ops_ holds the schedule itself: op k's `out` is
+  // its node id, `in` its operands' refs (so later passes read them in
+  // stream order instead of chasing fanins through the node array), and
+  // kinds[k] its cell kind.
+  p.ops_.resize(op_count);
+  std::vector<CellKind> kinds(op_count);
   if (opt.levelize) {
-    p.level_offsets_.assign(max_level + 1, 0);
-    for (NodeId id = 0; id < n; ++id) {
-      if (live_gate(id)) ++p.level_offsets_[level[id]];
+    bucket_start.resize(kForms * levels + 1, 0);
+    for (std::size_t b = 1; b < bucket_start.size(); ++b) {
+      bucket_start[b] += bucket_start[b - 1];
     }
-    for (std::size_t l = 1; l < p.level_offsets_.size(); ++l) {
-      p.level_offsets_[l] += p.level_offsets_[l - 1];
-    }
-    gate_order.resize(p.level_offsets_.back());
-    std::vector<std::size_t> cursor(p.level_offsets_.begin(),
-                                    p.level_offsets_.end() - 1);
-    for (NodeId id = 0; id < n; ++id) {
-      if (live_gate(id)) gate_order[cursor[level[id] - 1]++] = id;
-    }
-  } else {
-    for (NodeId id = 0; id < n; ++id) {
-      if (live_gate(id)) gate_order.push_back(id);
+    p.level_offsets_.resize(levels + 1);
+    for (std::size_t l = 0; l <= levels; ++l) {
+      p.level_offsets_[l] = bucket_start[kForms * l];
     }
   }
+  for (NodeId id = 0, next = 0; id < n; ++id) {
+    const GateNode& g = nodes[id];
+    if (!live[id] || !is_gate(g.kind) ||
+        (g.kind == CellKind::inv && !opt.retain_all_nodes)) {
+      continue;
+    }
+    std::size_t pos = next++;
+    if (opt.levelize) {
+      const std::uint32_t op_level =
+          level[id] + (g.kind == CellKind::inv ? 1u : 0u);
+      pos = bucket_start[kForms * (op_level - 1) +
+                         static_cast<std::size_t>(rail_form_of(g.kind))]++;
+    }
+    CompiledOp& op = p.ops_[pos];
+    op.out = id;
+    const int arity = cell_arity(g.kind);
+    for (int j = 0; j < arity; ++j) {
+      op.in[static_cast<std::size_t>(j)] = ref[g.in[j]];
+    }
+    kinds[pos] = g.kind;
+  }
+  std::vector<std::uint32_t> output_refs;
+  output_refs.reserve(nl.outputs().size());
+  for (const OutputPort& out : nl.outputs()) {
+    output_refs.push_back(ref[out.node]);
+  }
+  // Step s's ops are [step_begin(s - 1), step_begin(s)): a level each, or
+  // one op each in creation order.
+  const std::size_t steps =
+      opt.levelize ? p.level_offsets_.size() - 1 : op_count;
+  const auto step_begin = [&](std::size_t s) {
+    return opt.levelize ? p.level_offsets_[s] : s;
+  };
 
-  // 4. Slot assignment. retain_all_nodes keeps the identity mapping. The
-  // dense mode gives live inputs, then live constants, the first slots and
-  // hands gates slots from a free list. Time runs in steps: inputs are
-  // written at step 0, and a gate at the step of its level (in creation
-  // order, each op is its own step). A value's slot returns to the list at
-  // the start of the step after its last reader, so no op ever writes a
-  // slot another op of its step reads. Constants and outputs stay pinned;
-  // input slots are reused like any other, since run() rewrites them.
-  std::vector<std::uint32_t> slot_of(n, kNoSlot);
+  // 4. Slot assignment, over roots only: inverters read their root's slot.
+  // retain_all_nodes keeps the identity mapping. The dense mode gives live
+  // inputs, then live constants, the first slots and hands gates slots
+  // from a free list. Time runs in steps: inputs are written at step 0, and
+  // a gate at the step of its level (in creation order, each op is its own
+  // step). A value's slot returns to the list at the start of the step
+  // after its last reader, so no op ever writes a slot another op of its
+  // step reads. Constants and outputs stay pinned; input slots are reused
+  // like any other, since run() rewrites them. slot_of and release_step
+  // take over the buffers of level and ref, which are dead by now.
+  std::vector<std::uint32_t> slot_of = std::move(level);
   if (opt.retain_all_nodes) {
     for (NodeId id = 0; id < n; ++id) slot_of[id] = id;
     p.slot_count_ = n;
   } else {
-    const auto step_of = [&](std::size_t k) {
-      return opt.levelize ? level[gate_order[k]]
-                          : static_cast<std::uint32_t>(k + 1);
-    };
+    std::fill(slot_of.begin(), slot_of.end(), kNoSlot);
     // The step after which each value's slot is released: its last
     // reader's, or its own when nothing reads it. kKept: never released.
     constexpr std::uint32_t kKept = 0xffffffffu;
-    std::vector<std::uint32_t> release_step(n, 0);
-    for (std::size_t k = 0; k < gate_order.size(); ++k) {
-      const std::uint32_t s = step_of(k);
-      const GateNode& g = nodes[gate_order[k]];
-      release_step[gate_order[k]] = s;
-      const int arity = cell_arity(g.kind);
-      for (int j = 0; j < arity; ++j) release_step[g.in[j]] = s;
+    std::vector<std::uint32_t> release_step = std::move(ref);
+    std::fill(release_step.begin(), release_step.end(), 0);
+    for (std::size_t s = 1; s <= steps; ++s) {
+      const auto step = static_cast<std::uint32_t>(s);
+      for (std::size_t k = step_begin(s - 1); k < step_begin(s); ++k) {
+        const CompiledOp& op = p.ops_[k];
+        release_step[op.out] = step;
+        const int arity = cell_arity(kinds[k]);
+        for (int j = 0; j < arity; ++j) {
+          release_step[op.in[static_cast<std::size_t>(j)] >> 1] = step;
+        }
+      }
     }
-    for (const OutputPort& out : nl.outputs()) release_step[out.node] = kKept;
+    for (const std::uint32_t r : output_refs) release_step[r >> 1] = kKept;
 
     std::uint32_t next = 0;
     for (const NodeId id : nl.inputs()) {
@@ -139,26 +244,33 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
     for (const NodeId id : nl.inputs()) {
       if (live[id]) release(id, 0);
     }
-    for (std::size_t k = 0; k < gate_order.size();) {
-      const std::uint32_t s = step_of(k);
-      std::size_t end = k;
-      for (; end < gate_order.size() && step_of(end) == s; ++end) {
+    for (std::size_t s = 1; s <= steps; ++s) {
+      const auto step = static_cast<std::uint32_t>(s);
+      const std::size_t begin = step_begin(s - 1);
+      const std::size_t end = step_begin(s);
+      for (std::size_t k = begin; k < end; ++k) {
         if (free_slots.empty()) {
-          slot_of[gate_order[end]] = next++;
+          slot_of[p.ops_[k].out] = next++;
         } else {
-          slot_of[gate_order[end]] = free_slots.back();
+          slot_of[p.ops_[k].out] = free_slots.back();
           free_slots.pop_back();
         }
       }
-      for (; k < end; ++k) {
-        const GateNode& g = nodes[gate_order[k]];
-        const int arity = cell_arity(g.kind);
-        for (int j = 0; j < arity; ++j) release(g.in[j], s);
-        release(gate_order[k], s);
+      for (std::size_t k = begin; k < end; ++k) {
+        const CompiledOp& op = p.ops_[k];
+        const int arity = cell_arity(kinds[k]);
+        for (int j = 0; j < arity; ++j) {
+          release(op.in[static_cast<std::size_t>(j)] >> 1, step);
+        }
+        release(op.out, step);
       }
     }
     p.slot_count_ = next;
   }
+  // The rail of a node ref: its root's slot, in the ref's polarity.
+  const auto rail_of = [&slot_of](std::uint32_t r) {
+    return 2 * slot_of[r >> 1] + (r & 1u);
+  };
 
   // 5. Constant initializers.
   for (NodeId id = 0; id < n; ++id) {
@@ -169,27 +281,29 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
     }
   }
 
-  // 6. Instruction stream. Unused fanin pins point at slot 0; the cell
-  // evaluators ignore operands beyond the cell's arity. A slot keeps its
-  // value from allocation until release, so slot_of is each operand's
-  // slot at the time its reader runs.
-  p.ops_.reserve(gate_order.size());
-  for (const NodeId id : gate_order) {
-    const GateNode& g = nodes[id];
-    const int arity = cell_arity(g.kind);
-    CompiledOp op;
-    op.kind = g.kind;
-    op.out = slot_of[id];
-    for (int j = 0; j < 3; ++j) {
-      op.in[static_cast<std::size_t>(j)] = j < arity ? slot_of[g.in[j]] : 0;
+  // 6. Lower the schedule in place into the instruction stream, and cut
+  // it into form runs. A slot keeps its value from allocation until
+  // release, so slot_of is each operand's slot at the time its reader
+  // runs.
+  for (std::size_t k = 0; k < op_count; ++k) {
+    CompiledOp& op = p.ops_[k];
+    const int arity = cell_arity(kinds[k]);
+    std::array<std::uint32_t, 3> in{0, 0, 0};
+    for (int j = 0; j < arity; ++j) {
+      const auto pin = static_cast<std::size_t>(j);
+      in[pin] = rail_of(op.in[pin]);
     }
-    p.ops_.push_back(op);
+    op = lower(kinds[k], in, slot_of[op.out]);
+    if (p.form_runs_.empty() || p.form_runs_.back().form != op.form) {
+      p.form_runs_.push_back({op.form, 0});
+    }
+    p.form_runs_.back().end = static_cast<std::uint32_t>(k + 1);
   }
 
   // 7. Outputs (always live by construction).
-  p.output_slots_.reserve(nl.outputs().size());
-  for (const OutputPort& out : nl.outputs()) {
-    p.output_slots_.push_back(slot_of[out.node]);
+  p.output_rails_.reserve(output_refs.size());
+  for (const std::uint32_t r : output_refs) {
+    p.output_rails_.push_back(rail_of(r));
   }
   p.input_slots_.reserve(nl.inputs().size());
   for (const NodeId id : nl.inputs()) {
@@ -257,9 +371,20 @@ void BatchEvaluator::run_flat(std::span<const Trit> inputs,
   constexpr std::size_t kLanes = Backend::kLanes;
   const std::size_t width = prog_.input_count();
   const std::size_t outs = prog_.output_count();
-  assert(width > 0 && inputs.size() % width == 0);
-  const std::size_t n = width == 0 ? 0 : inputs.size() / width;
-  assert(outputs.size() == n * outs);
+  if (width == 0 || inputs.size() % width != 0) {
+    throw std::invalid_argument(
+        "BatchEvaluator::run_flat: " + std::to_string(inputs.size()) +
+        " input trits are not a whole number of " + std::to_string(width) +
+        "-trit input vectors");
+  }
+  const std::size_t n = inputs.size() / width;
+  if (outputs.size() != n * outs) {
+    throw std::invalid_argument(
+        "BatchEvaluator::run_flat: output buffer of " +
+        std::to_string(outputs.size()) + " trits, want " +
+        std::to_string(n * outs) + " for " + std::to_string(n) +
+        " vectors");
+  }
   if (n == 0) return;
   const std::size_t groups = (n + kLanes - 1) / kLanes;
 
@@ -304,7 +429,11 @@ std::vector<Word> BatchEvaluator::run(std::span<const Word> inputs) const {
   std::vector<Trit> flat;
   flat.reserve(inputs.size() * prog_.input_count());
   for (const Word& w : inputs) {
-    assert(w.size() == prog_.input_count());
+    if (w.size() != prog_.input_count()) {
+      throw std::invalid_argument(
+          "BatchEvaluator::run: input vector of " + std::to_string(w.size()) +
+          " trits, want " + std::to_string(prog_.input_count()));
+    }
     flat.insert(flat.end(), w.begin(), w.end());
   }
   std::vector<Trit> flat_out(inputs.size() * prog_.output_count());

@@ -32,7 +32,7 @@ constexpr CompileOptions retain_all() {
   CompileOptions opt;
   opt.retain_all_nodes = true;
   // Creation order matches the NodeId-indexed slot layout, keeping operand
-  // locality for the narrow scalar/64-lane replay these wrappers serve.
+  // locality for the narrow 64-lane replay these wrappers serve.
   opt.levelize = false;
   return opt;
 }
@@ -84,32 +84,38 @@ Evaluator::Evaluator(const Netlist& nl)
           CompiledProgram::compile(nl, retain_all()))),
       exec_(*prog_) {}
 
+void Evaluator::execute(std::span<const Trit> inputs) {
+  packed_.resize(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    packed_[i] = PackedTrit::splat(inputs[i]);
+  }
+  exec_.run(packed_);
+}
+
 std::span<const Trit> Evaluator::run(std::span<const Trit> inputs) {
-  return exec_.run(inputs);
+  execute(inputs);
+  // retain_all_nodes: slot == NodeId, each holding its node's own value.
+  values_.resize(nl_->node_count());
+  for (std::size_t id = 0; id < values_.size(); ++id) {
+    values_[id] = exec_.value(static_cast<std::uint32_t>(2 * id)).lane(0);
+  }
+  return values_;
 }
 
 void Evaluator::run_outputs(std::span<const Trit> inputs, Word& out) {
-  const std::span<const Trit> values = exec_.run(inputs);
-  const auto& outs = nl_->outputs();
-  if (out.size() != outs.size()) out = Word(outs.size());
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    out[i] = values[outs[i].node];
-  }
+  execute(inputs);
+  const std::size_t outs = prog_->output_count();
+  if (out.size() != outs) out = Word(outs);
+  for (std::size_t i = 0; i < outs; ++i) out[i] = exec_.output_lane(i, 0);
 }
 
 PackedEvaluator::PackedEvaluator(const Netlist& nl)
-    : nl_(&nl),
-      prog_(std::make_shared<const CompiledProgram>(
+    : prog_(std::make_shared<const CompiledProgram>(
           CompiledProgram::compile(nl, retain_all()))),
       exec_(*prog_) {}
 
-std::span<const PackedTrit> PackedEvaluator::run(
-    std::span<const PackedTrit> inputs) {
-  return exec_.run(inputs);
-}
-
-Trit PackedEvaluator::output_lane(std::size_t o, int lane) const {
-  return exec_.values()[nl_->outputs()[o].node].lane(lane);
+void PackedEvaluator::run(std::span<const PackedTrit> inputs) {
+  exec_.run(inputs);
 }
 
 }  // namespace mcsn

@@ -2,9 +2,9 @@
 // Netlist evaluation under the ternary (metastable closure) semantics of the
 // paper's computational model.
 //
-// Evaluator and PackedEvaluator are thin instantiations of the compiled,
-// levelized engine in compile.hpp (one templated executor, different lane
-// backends); their node-value API is unchanged from the original
+// Evaluator and PackedEvaluator are thin wrappers over the compiled rail
+// engine in compile.hpp (both run its 64-lane executor; Evaluator reads
+// lane 0); Evaluator's node-value API is unchanged from the original
 // pointer-chasing implementation, which survives as NodeWalkEvaluator — the
 // differential-testing baseline and benchmark comparator.
 
@@ -51,8 +51,8 @@ class NodeWalkEvaluator {
 
 /// Reusable evaluator that amortizes compilation and allocation across
 /// calls — preferred in exhaustive test sweeps and benchmarks. Backed by the
-/// compiled engine (scalar backend, all nodes retained so run() stays
-/// NodeId-indexable).
+/// compiled engine: the 64-lane executor run on lane 0, with all nodes
+/// retained so run() stays NodeId-indexable.
 class Evaluator {
  public:
   explicit Evaluator(const Netlist& nl);
@@ -64,11 +64,15 @@ class Evaluator {
   void run_outputs(std::span<const Trit> inputs, Word& out);
 
  private:
+  void execute(std::span<const Trit> inputs);
+
   const Netlist* nl_;
   // shared_ptr keeps the program address stable across moves (the executor
   // holds a pointer into it); vector<Evaluator> must stay movable.
   std::shared_ptr<const CompiledProgram> prog_;
-  CompiledExecutor<ScalarBackend> exec_;
+  CompiledExecutor<Packed64Backend> exec_;
+  std::vector<PackedTrit> packed_;
+  std::vector<Trit> values_;
 };
 
 /// 64-lane packed evaluator: lane k of every input PackedTrit forms one
@@ -78,17 +82,14 @@ class PackedEvaluator {
  public:
   explicit PackedEvaluator(const Netlist& nl);
 
-  std::span<const PackedTrit> run(std::span<const PackedTrit> inputs);
-
-  [[nodiscard]] std::span<const PackedTrit> last_values() const {
-    return exec_.values();
-  }
+  void run(std::span<const PackedTrit> inputs);
 
   /// Extracts output `o`, lane `lane` from the last run.
-  [[nodiscard]] Trit output_lane(std::size_t o, int lane) const;
+  [[nodiscard]] Trit output_lane(std::size_t o, int lane) const {
+    return exec_.output_lane(o, lane);
+  }
 
  private:
-  const Netlist* nl_;
   std::shared_ptr<const CompiledProgram> prog_;
   CompiledExecutor<Packed64Backend> exec_;
 };

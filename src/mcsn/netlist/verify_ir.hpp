@@ -10,16 +10,21 @@
 //
 // verify_ir() checks structure. It replays the schedule in steps: const
 // inits and live inputs are written at step 0, level l (0-based) is step
-// l + 1, and in a creation-order program every op is its own step.
+// l + 1, and in a creation-order program every op is its own step. Ops
+// address rails (2 * slot + polarity, compile.hpp); the step checks work
+// on the slot a rail belongs to.
 //
-//   * bounds         — every slot index (inputs, outputs, const inits, op
-//                      operands and destinations) is < slot_count(), and
-//                      level_offsets is a monotone partition of the ops;
-//   * gate stream    — the instruction stream contains only real gates
-//                      (no input/const kinds) with in-arity operands;
-//   * read order     — every operand an op actually reads (per
-//                      cell_arity) holds a value written at an earlier
-//                      step;
+//   * bounds         — every slot index (inputs, const inits) is
+//                      < slot_count() and every rail index (outputs, op
+//                      operands and destinations) is < 2 * slot_count(),
+//                      and level_offsets is a monotone partition of the
+//                      ops;
+//   * rail forms     — every op is one of the three forms and2, ao21,
+//                      mux2, and the form runs the executor dispatches on
+//                      partition the stream, each holding ops of its own
+//                      form only;
+//   * read order     — every operand an op actually reads (its form's
+//                      arity) holds a value written at an earlier step;
 //   * independence   — no two ops of one step write the same slot, and no
 //                      op writes a slot its step reads, so level_ops()
 //                      slices may run concurrently;
@@ -34,12 +39,17 @@
 //                      elimination left no orphan ops.
 //
 // Slots are reused (compile.hpp), so one slot carries many values over a
-// run and structure alone cannot say which value a read means.
-// verify_netlist_replay() checks that: it runs the program over
-// hash-consed (kind, operand) expressions, with primary inputs and
-// constants as leaves, and requires every output slot to end holding
-// exactly its netlist output's expression. A swapped pin, a wrong kind or
-// a value reused too early fails it even when the structure is sound.
+// run, and structure alone cannot say which value a read means or whether
+// a rail is read in the right polarity. verify_netlist_replay() checks
+// that over hash-consed rail expressions: AND and OR over leaves, where
+// each primary input contributes its can0 and can1 rails and constants
+// are all-zero or all-one rails. The netlist side builds every cell from
+// its dual-rail formula (the packed_* rules of core/packed.hpp), the
+// program side runs the three forms' kernels, and every output rail pair
+// must end holding exactly its netlist output's pair. AND and OR are
+// matched up to commutativity and idempotence (x & x = x), nothing more.
+// A wrong lowering, a swapped pin, a flipped operand polarity or a value
+// reused too early fails it even when the structure is sound.
 //
 // Each violated invariant produces a distinct, greppable diagnostic token
 // in the Status message ("slot-bounds", "level-structure", "bad-op",
@@ -74,11 +84,12 @@ namespace mcsn {
 struct IrImage {
   std::size_t slot_count = 0;
   std::vector<CompiledOp> ops;
+  std::vector<FormRun> form_runs;
   /// Level l's ops are [level_offsets[l], level_offsets[l + 1]); empty
   /// means the program is not levelized (creation-order schedule).
   std::vector<std::size_t> level_offsets;
   std::vector<std::uint32_t> input_slots;   // kNoSlot = dead input
-  std::vector<std::uint32_t> output_slots;
+  std::vector<std::uint32_t> output_rails;
   std::vector<CompiledProgram::ConstInit> const_inits;
 };
 
@@ -91,10 +102,10 @@ struct VerifyIrOptions {
   /// compiled with eliminate_dead = false or retain_all_nodes = true,
   /// which intentionally keep dead gates.
   bool require_reachable = true;
-  /// Require a levelized schedule (non-empty, consistent level_offsets
-  /// with every operand in a strictly earlier level). Turn off for
-  /// programs compiled with levelize = false; the strict
-  /// written-before-read stream order is checked either way.
+  /// Require a levelized schedule (consistent level_offsets, non-empty
+  /// unless there are no ops, with every operand in a strictly earlier
+  /// level). Turn off for programs compiled with levelize = false; the
+  /// strict written-before-read stream order is checked either way.
   bool require_levelized = true;
 };
 
@@ -117,9 +128,10 @@ struct VerifyIrOptions {
                                const VerifyIrOptions& opt = {});
 
 /// Exact replay against the netlist `ir` was compiled from: OK iff every
-/// output slot ends holding the hash-consed expression of its netlist
-/// output ("netlist-replay" otherwise; out-of-range slots fail as
-/// "slot-bounds"). Runs in expected O(nodes + ops) time.
+/// output rail pair ends holding the hash-consed rail expressions of its
+/// netlist output ("netlist-replay" otherwise; out-of-range indices fail
+/// as "slot-bounds", unknown forms as "bad-op"). Runs in expected
+/// O(nodes + ops) time.
 [[nodiscard]] Status verify_netlist_replay(const IrImage& ir,
                                            const Netlist& nl);
 

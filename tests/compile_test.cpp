@@ -1,13 +1,16 @@
-// Differential tests for the compiled, levelized batch engine: every backend
-// width (scalar, 64-lane, 256-lane, BatchEvaluator) must be bit-identical to
-// the legacy node-walking evaluator on all catalog networks and widths,
-// including partial final lane groups and thread-sharded batches.
+// Differential tests for the compiled, levelized dual-rail engine: every
+// backend width (64-lane, 256-lane, BatchEvaluator, and Evaluator's lane-0
+// replay) must be bit-identical to the legacy node-walking evaluator on all
+// catalog networks and widths, including partial final lane groups and
+// thread-sharded batches, and every cell kind's rail lowering must match
+// the node walker on the full ternary input space.
 
 #include "mcsn/netlist/compile.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,17 @@ Word random_ternary(Xoshiro256& rng, std::size_t width) {
   return w;
 }
 
+// One input vector through a 64-lane executor, read back on lane 0.
+Word run_lane0(CompiledExecutor<Packed64Backend>& exec,
+               std::span<const Trit> in) {
+  std::vector<PackedTrit> packed;
+  for (const Trit t : in) packed.push_back(PackedTrit::splat(t));
+  exec.run(packed);
+  Word out(exec.program().output_count());
+  for (std::size_t o = 0; o < out.size(); ++o) out[o] = exec.output_lane(o, 0);
+  return out;
+}
+
 std::vector<Netlist> catalog_netlists(std::size_t bits) {
   std::vector<Netlist> nls;
   for (const ComparatorNetwork& net :
@@ -42,8 +56,9 @@ std::vector<Netlist> catalog_netlists(std::size_t bits) {
   return nls;
 }
 
-// The heart of the differential suite: legacy node-walk vs compiled scalar,
-// 64-lane, and 256-lane backends on the same corpus, every output lane.
+// The heart of the differential suite: legacy node-walk vs the compiled
+// 64-lane and 256-lane backends and Evaluator on the same corpus, every
+// output lane.
 TEST(Compile, AllBackendsMatchLegacyOnCatalogNetworks) {
   constexpr int kVectors = 300;  // > 256: exercises a partial wide group
   for (const std::size_t bits : {1u, 3u, 8u}) {
@@ -69,18 +84,14 @@ TEST(Compile, AllBackendsMatchLegacyOnCatalogNetworks) {
         want.push_back(out);
       }
 
-      // Compiled scalar.
-      const CompiledProgram prog = CompiledProgram::compile(nl);
-      CompiledExecutor<ScalarBackend> scalar(prog);
-      std::vector<Trit> sin(width);
+      // Evaluator: one vector at a time on lane 0 of a retain-all program.
+      Evaluator single(nl);
       for (int v = 0; v < kVectors; ++v) {
-        for (std::size_t i = 0; i < width; ++i) sin[i] = corpus[v][i];
-        scalar.run(sin);
-        for (std::size_t o = 0; o < outs; ++o) {
-          ASSERT_EQ(scalar.output_lane(o, 0), want[v][o])
-              << nl.name() << " scalar v=" << v << " o=" << o;
-        }
+        in.assign(corpus[v].begin(), corpus[v].end());
+        single.run_outputs(in, out);
+        ASSERT_EQ(out, want[v]) << nl.name() << " evaluator v=" << v;
       }
+      const CompiledProgram prog = CompiledProgram::compile(nl);
 
       // Compiled 64-lane and 256-lane, with partial final groups.
       auto check_packed = [&](auto backend_tag, const char* label) {
@@ -135,18 +146,19 @@ TEST(Compile, DeadNodeEliminationDropsUnobservableGates) {
   EXPECT_EQ(dense.live_gate_count(), 1u);
   EXPECT_EQ(nl.gate_count(), 4u);
 
+  // Without elimination every gate stays, except that the inverter
+  // lowers to no op: its reader would take the other rail of d2.
   const CompiledProgram full =
       CompiledProgram::compile(nl, {.eliminate_dead = false});
-  EXPECT_EQ(full.live_gate_count(), 4u);
+  EXPECT_EQ(full.live_gate_count(), 3u);
 
   // Outputs agree with legacy on the full ternary input space.
-  CompiledExecutor<ScalarBackend> exec(dense);
+  CompiledExecutor<Packed64Backend> exec(dense);
   for (const Trit ta : kAllTrits) {
     for (const Trit tb : kAllTrits) {
       const Trit want = evaluate(nl, Word{ta, tb})[0];
       const Trit in[2] = {ta, tb};
-      exec.run(std::span<const Trit>(in, 2));
-      EXPECT_EQ(exec.output_lane(0, 0), want);
+      EXPECT_EQ(run_lane0(exec, in)[0], want);
     }
   }
 }
@@ -166,10 +178,9 @@ TEST(Compile, DeadInputsGetNoSlotButStayAddressable) {
   EXPECT_EQ(prog.const_inits()[0].value, Trit::one);
 
   // The executor still takes both inputs and ignores the dead one.
-  CompiledExecutor<ScalarBackend> exec(prog);
+  CompiledExecutor<Packed64Backend> exec(prog);
   const Trit in[2] = {Trit::meta, Trit::one};
-  exec.run(std::span<const Trit>(in, 2));
-  EXPECT_EQ(exec.output_lane(0, 0), Trit::meta);
+  EXPECT_EQ(run_lane0(exec, in)[0], Trit::meta);
 }
 
 TEST(Compile, LevelizedScheduleIsTopologicalAndSliced) {
@@ -193,23 +204,25 @@ TEST(Compile, LevelizedScheduleIsTopologicalAndSliced) {
     const std::span<const CompiledOp> level = prog.level_ops(l);
     // Slots are reused, but ops inside one level must stay independent:
     // no two write the same slot, and none reads a slot the level writes.
+    // Ops address rails; a rail's slot is rail / 2.
     for (const CompiledOp& op : level) {
-      EXPECT_NE(written_in[op.out], l)
-          << "level " << l << " writes slot " << op.out << " twice";
-      EXPECT_FALSE(pinned[op.out]) << "level " << l << " overwrites a constant";
-      written_in[op.out] = l;
+      const std::uint32_t out = op.out >> 1;
+      EXPECT_NE(written_in[out], l)
+          << "level " << l << " writes slot " << out << " twice";
+      EXPECT_FALSE(pinned[out]) << "level " << l << " overwrites a constant";
+      written_in[out] = l;
     }
     for (const CompiledOp& op : level) {
-      const int arity = cell_arity(op.kind);
+      const int arity = rail_form_arity(op.form);
       for (int j = 0; j < arity; ++j) {
-        const std::uint32_t s = op.in[static_cast<std::size_t>(j)];
+        const std::uint32_t s = op.in[static_cast<std::size_t>(j)] >> 1;
         EXPECT_TRUE(written[s]) << "level " << l << " reads a slot not yet "
                                    "written";
         EXPECT_NE(written_in[s], l)
             << "level " << l << " reads slot " << s << ", which it writes";
       }
     }
-    for (const CompiledOp& op : level) written[op.out] = 1;
+    for (const CompiledOp& op : level) written[op.out >> 1] = 1;
     seen += level.size();
   }
   EXPECT_EQ(seen, prog.ops().size()) << "level slices must partition the ops";
@@ -217,7 +230,8 @@ TEST(Compile, LevelizedScheduleIsTopologicalAndSliced) {
 
 // Dense programs hold live width, not one slot per gate: a fall-back to
 // per-node numbering would give 10x8 over 5,000 slots and composed 64x16
-// over 220,000.
+// over 220,000. The ratio is taken against the netlist's gates:
+// inverters are gates but lower to no op.
 TEST(Compile, DenseProgramsAreSizedByLiveWidth) {
   const struct {
     int channels;
@@ -229,13 +243,174 @@ TEST(Compile, DenseProgramsAreSizedByLiveWidth) {
     const CompiledProgram prog = CompiledProgram::compile(sorter.netlist());
     SCOPED_TRACE(std::to_string(shape.channels) + "x" +
                  std::to_string(shape.bits));
+    const std::size_t gates = sorter.netlist().gate_count();
     EXPECT_LE(prog.slot_count(), shape.max_slots);
-    EXPECT_LT(prog.slot_count(), prog.live_gate_count() / 10);
+    EXPECT_LT(prog.slot_count(), gates / 10);
     // Creation order reuses slots too.
     const CompiledProgram creation =
         CompiledProgram::compile(sorter.netlist(), {.levelize = false});
-    EXPECT_LT(creation.slot_count(), creation.live_gate_count() / 10);
+    EXPECT_LT(creation.slot_count(), gates / 10);
   }
+}
+
+// Every cell kind's rail lowering against the node walker, over the whole
+// ternary input space. Each pin is driven from a primary input, a constant,
+// or an inverter chain of length 1 or 2 over an input; the gate, an
+// inverter over it and every pin source are outputs. Every compile mode
+// (the four tool_mcsverify sweeps) and both lane widths must agree. This
+// is what proves the lowering table's identities; the netlist replay only
+// proves that a program follows them.
+TEST(Compile, EveryCellKindLoweringMatchesNodeWalkOnAllTernaryInputs) {
+  constexpr CompileOptions kModes[] = {
+      CompileOptions{},
+      CompileOptions{.levelize = false},
+      CompileOptions{.eliminate_dead = false},
+      CompileOptions{.retain_all_nodes = true},
+  };
+  enum class Pin { input, const0, const1, inv1, inv2 };
+  constexpr Pin kPins[] = {Pin::input, Pin::const0, Pin::const1, Pin::inv1,
+                           Pin::inv2};
+  int kinds = 0;
+  for (int k = 0; k < kCellKindCount; ++k) {
+    const auto kind = static_cast<CellKind>(k);
+    if (!is_gate(kind)) continue;
+    ++kinds;
+    const int arity = cell_arity(kind);
+    int combos = 1;
+    for (int j = 0; j < arity; ++j) combos *= 5;
+    for (int combo = 0; combo < combos; ++combo) {
+      Netlist nl(std::string(cell_name(kind)));
+      std::array<NodeId, 3> pins{};
+      for (int j = 0, c = combo; j < arity; ++j, c /= 5) {
+        constexpr const char* kInputNames[] = {"a", "b", "c"};
+        const NodeId x = nl.add_input(kInputNames[j]);
+        switch (kPins[c % 5]) {
+          case Pin::input: pins[j] = x; break;
+          case Pin::const0: pins[j] = nl.constant(false); break;
+          case Pin::const1: pins[j] = nl.constant(true); break;
+          case Pin::inv1: pins[j] = nl.inv(x); break;
+          case Pin::inv2: pins[j] = nl.inv(nl.inv(x)); break;
+        }
+      }
+      const NodeId g = nl.add_gate(kind, pins[0], pins[1], pins[2]);
+      nl.mark_output(g, "g");
+      nl.mark_output(nl.inv(g), "not_g");
+      for (int j = 0; j < arity; ++j) {
+        nl.mark_output(pins[j], "pin" + std::to_string(j));
+      }
+      SCOPED_TRACE(std::string(cell_name(kind)) + " pins " +
+                   std::to_string(combo));
+
+      const std::size_t width = nl.inputs().size();
+      std::size_t vectors = 1;
+      for (std::size_t i = 0; i < width; ++i) vectors *= 3;
+      NodeWalkEvaluator legacy(nl);
+      std::vector<Word> corpus;
+      std::vector<Word> want;
+      std::vector<Trit> in(width);
+      Word out;
+      for (std::size_t v = 0; v < vectors; ++v) {
+        Word w(width);
+        for (std::size_t i = 0, r = v; i < width; ++i, r /= 3) {
+          w[i] = trit_from_index(static_cast<int>(r % 3));
+        }
+        in.assign(w.begin(), w.end());
+        legacy.run_outputs(in, out);
+        corpus.push_back(w);
+        want.push_back(out);
+      }
+      for (const CompileOptions& opt : kModes) {
+        const CompiledProgram prog = CompiledProgram::compile(nl, opt);
+        const auto check = [&](auto backend_tag, const char* label) {
+          using Backend = decltype(backend_tag);
+          CompiledExecutor<Backend> exec(prog);
+          std::vector<typename Backend::Value> packed(width);
+          for (std::size_t v = 0; v < vectors; ++v) {
+            for (std::size_t i = 0; i < width; ++i) {
+              Backend::set_lane(packed[i], static_cast<int>(v), corpus[v][i]);
+            }
+          }
+          exec.run(packed);
+          for (std::size_t v = 0; v < vectors; ++v) {
+            for (std::size_t o = 0; o < want[v].size(); ++o) {
+              ASSERT_EQ(exec.output_lane(o, static_cast<int>(v)), want[v][o])
+                  << label << " levelize=" << opt.levelize
+                  << " eliminate_dead=" << opt.eliminate_dead
+                  << " retain_all=" << opt.retain_all_nodes << " v=" << v
+                  << " o=" << o;
+            }
+          }
+        };
+        check(Packed64Backend{}, "packed64");
+        check(Packed256Backend{}, "packed256");
+      }
+    }
+  }
+  EXPECT_EQ(kinds, kCellKindCount - 3);  // every kind but input/const0/const1
+}
+
+// The paper's MC circuits use INV, AND2 and OR2 only, so a sorter's
+// program is all and2 ops in one form run, with no op left for any
+// inverter. The 10x8 counts pin the lowering to the table: the inverters
+// vanish and nothing else is merged.
+TEST(Compile, McSorterProgramsAreOneAnd2Run) {
+  const McSorter sorter(10, 8);
+  const CompiledProgram prog = CompiledProgram::compile(sorter.netlist());
+  ASSERT_EQ(prog.form_runs().size(), 1u);
+  EXPECT_EQ(prog.form_runs()[0].form, RailForm::and2);
+  EXPECT_EQ(prog.form_runs()[0].end, prog.live_gate_count());
+  std::size_t inverters = 0;
+  std::size_t gates = 0;
+  for (const GateNode& g : sorter.netlist().nodes()) {
+    if (g.kind == CellKind::inv) ++inverters;
+    if (is_gate(g.kind)) ++gates;
+  }
+  EXPECT_EQ(prog.live_gate_count(), gates - inverters);
+  EXPECT_EQ(prog.live_gate_count(), 4030u);
+  EXPECT_EQ(prog.level_count(), 48u);
+}
+
+// Wrong-sized input is rejected with std::invalid_argument, never turned
+// into wrong output or an out-of-bounds access.
+TEST(Compile, BatchRunRejectsWordsOfTheWrongWidth) {
+  const McSorter sorter(4, 3);
+  const BatchEvaluator batch(sorter.netlist());
+  ASSERT_EQ(batch.input_width(), 12u);
+  const std::vector<Word> words = {Word(11), Word(12)};
+  EXPECT_THROW((void)batch.run(words), std::invalid_argument);
+  const std::vector<Word> longer = {Word(12), Word(13)};
+  EXPECT_THROW((void)batch.run(longer), std::invalid_argument);
+}
+
+TEST(Compile, RunFlatRejectsPartialVectorsAndShortOutputs) {
+  const McSorter sorter(4, 3);
+  const BatchEvaluator batch(sorter.netlist());
+  const std::size_t width = batch.input_width();
+  const std::size_t outs = batch.output_width();
+  // One and a half input vectors: rejected, not rounded down to one.
+  const std::vector<Trit> partial(width + width / 2, Trit::zero);
+  std::vector<Trit> one_row(outs);
+  EXPECT_THROW(batch.run_flat(partial, one_row), std::invalid_argument);
+  // Two vectors into a one-row span (its buffer has room for two, so a
+  // missing check shows as a wrong result, not as memory corruption).
+  const std::vector<Trit> two(2 * width, Trit::zero);
+  std::vector<Trit> buffer(2 * outs);
+  EXPECT_THROW(batch.run_flat(two, std::span<Trit>(buffer).first(outs)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(batch.run_flat(two, buffer));
+}
+
+TEST(Compile, ExecutorRejectsInputCountMismatch) {
+  const McSorter sorter(4, 3);
+  const CompiledProgram prog = CompiledProgram::compile(sorter.netlist());
+  CompiledExecutor<Packed64Backend> exec(prog);
+  const std::size_t width = prog.input_slots().size();
+  const std::vector<PackedTrit> fewer(width - 1);
+  EXPECT_THROW(exec.run(fewer), std::invalid_argument);
+  const std::vector<PackedTrit> more(width + 1);
+  EXPECT_THROW(exec.run(more), std::invalid_argument);
+  const std::vector<PackedTrit> exact(width);
+  EXPECT_NO_THROW(exec.run(exact));
 }
 
 TEST(Compile, RetainAllNodesKeepsNodeIdIndexing) {

@@ -262,8 +262,9 @@ TEST(Compose, VerifyIrPassesOnEveryComposedProgram) {
 }
 
 // The compile_test differential, pointed at composer-generated netlists:
-// node-walking reference vs scalar, 64-lane and 256-lane executors and
-// the batch engine behind sort_batch_flat, every output of every vector.
+// node-walking reference vs Evaluator (lane 0), 64-lane and 256-lane
+// executors and the batch engine behind sort_batch_flat, every output of
+// every vector.
 void check_backends_against_node_walk(const Netlist& nl,
                                       const std::vector<Word>& corpus) {
   const std::size_t width = nl.inputs().size();
@@ -285,15 +286,12 @@ void check_backends_against_node_walk(const Netlist& nl,
   ASSERT_TRUE(verify_ir(prog).ok());
   ASSERT_TRUE(verify_netlist_replay(prog, nl).ok());
 
-  CompiledExecutor<ScalarBackend> scalar(prog);
-  std::vector<Trit> sin(width);
+  // One vector at a time: Evaluator runs a retain-all program on lane 0.
+  Evaluator single(nl);
   for (int v = 0; v < vectors; ++v) {
-    for (std::size_t i = 0; i < width; ++i) sin[i] = corpus[v][i];
-    scalar.run(sin);
-    for (std::size_t o = 0; o < outs; ++o) {
-      ASSERT_EQ(scalar.output_lane(o, 0), want[v][o])
-          << "scalar v=" << v << " o=" << o;
-    }
+    in.assign(corpus[v].begin(), corpus[v].end());
+    single.run_outputs(in, out);
+    ASSERT_EQ(out, want[v]) << "evaluator v=" << v;
   }
 
   auto check_packed = [&](auto backend_tag, const char* label) {

@@ -80,14 +80,11 @@ TEST(VerifyIr, GeneratorFamiliesAndAllBuildersVerify) {
 // The program each lane backend actually executes is the program the
 // verifier blesses: construct every executor flavor and verify the IR it
 // holds. The backends share CompiledProgram, so this pins the claim that
-// "verified at compile()" covers scalar, 64-lane, 256-lane, and batch
-// execution alike.
+// "verified at compile()" covers 64-lane, 256-lane, and batch execution
+// alike.
 TEST(VerifyIr, EveryLaneBackendExecutesAVerifiedProgram) {
   const Netlist nl = elaborate_network(optimal_9(), 8, sort2_builder());
   const CompiledProgram prog = CompiledProgram::compile(nl);
-
-  const CompiledExecutor<ScalarBackend> scalar(prog);
-  EXPECT_TRUE(verify_ir(scalar.program()).ok());
 
   const CompiledExecutor<Packed64Backend> packed64(prog);
   EXPECT_TRUE(verify_ir(packed64.program()).ok());
@@ -97,6 +94,27 @@ TEST(VerifyIr, EveryLaneBackendExecutesAVerifiedProgram) {
 
   const BatchEvaluator batch(nl);
   EXPECT_TRUE(verify_ir(batch.program()).ok());
+}
+
+// A program can hold no ops at all: outputs wired straight to inputs or
+// constants, or through inverters, which lower to rail swaps. Its empty
+// stream is a levelized schedule of zero levels.
+TEST(VerifyIr, ProgramsWithoutOpsVerify) {
+  Netlist nl("no_ops");
+  const NodeId a = nl.add_input("a");
+  nl.mark_output(a, "a");
+  nl.mark_output(nl.inv(nl.inv(nl.inv(a))), "not_a");
+  nl.mark_output(nl.inv(nl.constant(true)), "zero");
+  for (const CompileOptions& opt : kModes) {
+    const CompiledProgram prog = CompiledProgram::compile(nl, opt);
+    if (!opt.retain_all_nodes) {
+      EXPECT_EQ(prog.live_gate_count(), 0u);
+    }
+    const Status s = verify_ir(prog, verify_options_for(opt));
+    EXPECT_TRUE(s.ok()) << s.to_string();
+    const Status r = verify_netlist_replay(prog, nl);
+    EXPECT_TRUE(r.ok()) << r.to_string();
+  }
 }
 
 TEST(VerifyIr, OptionsMapping) {
@@ -114,7 +132,25 @@ TEST(VerifyIr, OptionsMapping) {
 
 // ---------------------------------------------------------------------------
 // Mutation suite: one mutator per invariant class, each caught with its
-// own diagnostic token.
+// own diagnostic token. Ops address rails, so a slot s is written as the
+// rail 2 * s.
+
+constexpr std::uint32_t rail_of_slot(std::size_t slot) {
+  return static_cast<std::uint32_t>(2 * slot);
+}
+
+/// Appends an and2 op on a fresh slot that reads output 0 and feeds
+/// nothing, at the end of the last level and the last form run.
+void append_orphan_op(IrImage& m) {
+  CompiledOp op;
+  op.form = RailForm::and2;
+  op.out = rail_of_slot(m.slot_count);
+  op.in = {m.output_rails[0], m.output_rails[0], 0};
+  m.slot_count += 1;
+  m.ops.push_back(op);
+  m.level_offsets.back() += 1;
+  m.form_runs.back().end += 1;
+}
 
 class VerifyIrMutation : public ::testing::Test {
  protected:
@@ -127,6 +163,8 @@ class VerifyIrMutation : public ::testing::Test {
     ASSERT_GE(clean_.ops.size(), 2u);
     ASSERT_GE(clean_.level_offsets.size(), 3u);
     ASSERT_GE(clean_.level_offsets[1], 2u);  // level 0 holds >= 2 ops
+    // The MC seed lowers to and2 ops only: one form run.
+    ASSERT_EQ(clean_.form_runs.size(), 1u);
   }
 
   /// Asserts the mutated image fails verification and the diagnostic
@@ -146,8 +184,8 @@ class VerifyIrMutation : public ::testing::Test {
     IrImage m = creation_;
     const CompiledOp& first = m.ops[0];
     for (const std::uint32_t s : m.input_slots) {
-      if (s != first.in[0] && s != first.in[1] && s != first.in[2]) {
-        m.ops[0].out = s;
+      if (s != first.in[0] >> 1 && s != first.in[1] >> 1) {
+        m.ops[0].out = rail_of_slot(s);
         break;
       }
     }
@@ -198,7 +236,7 @@ TEST_F(VerifyIrMutation, ConstantOverwriteIsCaught) {
   // constants are set once per executor, so after the first run every
   // reader of the constant would see the op's value instead.
   IrImage m = clean_;
-  m.const_inits.push_back({m.ops.back().out, Trit::one});
+  m.const_inits.push_back({m.ops.back().out >> 1, Trit::one});
   expect_rejected(m, "const-overwrite");
 }
 
@@ -206,7 +244,7 @@ TEST_F(VerifyIrMutation, DanglingReadIsCaught) {
   // Class: read of a slot nothing ever writes.
   IrImage m = clean_;
   m.slot_count += 1;
-  m.ops[0].in[0] = static_cast<std::uint32_t>(m.slot_count - 1);
+  m.ops[0].in[0] = rail_of_slot(m.slot_count - 1);
   expect_rejected(m, "dangling-read");
 }
 
@@ -215,7 +253,7 @@ TEST_F(VerifyIrMutation, ReadBeforeWriteIsCaught) {
   // reader. The highest slot is first handed out to a gate, so no input
   // or constant ever fills it before op 0 runs.
   IrImage m = clean_;
-  m.ops[0].in[0] = static_cast<std::uint32_t>(m.slot_count - 1);
+  m.ops[0].in[0] = rail_of_slot(m.slot_count - 1);
   expect_rejected(m, "");  // any rejection...
   const Status s = verify_ir(m);
   // ...but specifically as an ordering/level violation, not a dangling read.
@@ -227,13 +265,7 @@ TEST_F(VerifyIrMutation, OrphanOpIsCaught) {
   // Class: op no output transitively depends on (dead-node elimination
   // promised none survive).
   IrImage m = clean_;
-  CompiledOp op;
-  op.kind = CellKind::inv;
-  op.out = static_cast<std::uint32_t>(m.slot_count);
-  op.in = {m.output_slots[0], 0, 0};
-  m.slot_count += 1;
-  m.ops.push_back(op);
-  m.level_offsets.back() += 1;
+  append_orphan_op(m);
   expect_rejected(m, "orphan-op");
 
   // The same mutant is LEGAL when the program was compiled without
@@ -243,8 +275,22 @@ TEST_F(VerifyIrMutation, OrphanOpIsCaught) {
 
 TEST_F(VerifyIrMutation, OutOfBoundsSlotIsCaught) {
   IrImage m = clean_;
-  m.ops.back().out = static_cast<std::uint32_t>(m.slot_count + 7);
+  m.ops.back().out = rail_of_slot(m.slot_count + 7);
   expect_rejected(m, "slot-bounds");
+}
+
+TEST_F(VerifyIrMutation, BadFormIsCaught) {
+  // Class: an op outside the three rail forms, or a form run that
+  // dispatches an op to another form's kernel.
+  IrImage unknown = clean_;
+  unknown.ops[0].form = static_cast<RailForm>(kRailFormCount);
+  expect_rejected(unknown, "bad-op");
+  IrImage misrouted = clean_;
+  misrouted.form_runs[0].form = RailForm::mux2;
+  expect_rejected(misrouted, "bad-op");
+  IrImage short_runs = clean_;
+  short_runs.form_runs[0].end -= 1;
+  expect_rejected(short_runs, "bad-op");
 }
 
 TEST_F(VerifyIrMutation, CorruptLevelOffsetsAreCaught) {
@@ -256,7 +302,7 @@ TEST_F(VerifyIrMutation, CorruptLevelOffsetsAreCaught) {
 TEST_F(VerifyIrMutation, UnwrittenOutputIsCaught) {
   IrImage m = clean_;
   m.slot_count += 1;
-  m.output_slots[0] = static_cast<std::uint32_t>(m.slot_count - 1);
+  m.output_rails[0] = rail_of_slot(m.slot_count - 1);
   expect_rejected(m, "unwritten-output");
 }
 
@@ -277,23 +323,21 @@ TEST_F(VerifyIrMutation, DistinctDiagnosticsPerClass) {
   tokens.push_back(verify_ir(clobber_mutant(), kCreationChecks).message());
 
   IrImage constant = clean_;
-  constant.const_inits.push_back({constant.ops.back().out, Trit::one});
+  constant.const_inits.push_back({constant.ops.back().out >> 1, Trit::one});
   tokens.push_back(verify_ir(constant).message());
 
   IrImage dangling = clean_;
   dangling.slot_count += 1;
-  dangling.ops[0].in[0] = static_cast<std::uint32_t>(dangling.slot_count - 1);
+  dangling.ops[0].in[0] = rail_of_slot(dangling.slot_count - 1);
   tokens.push_back(verify_ir(dangling).message());
 
   IrImage orphan = clean_;
-  CompiledOp op;
-  op.kind = CellKind::inv;
-  op.out = static_cast<std::uint32_t>(orphan.slot_count);
-  op.in = {orphan.output_slots[0], 0, 0};
-  orphan.slot_count += 1;
-  orphan.ops.push_back(op);
-  orphan.level_offsets.back() += 1;
+  append_orphan_op(orphan);
   tokens.push_back(verify_ir(orphan).message());
+
+  IrImage bad_form = clean_;
+  bad_form.ops[0].form = static_cast<RailForm>(kRailFormCount);
+  tokens.push_back(verify_ir(bad_form).message());
 
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     ASSERT_FALSE(tokens[i].empty());
@@ -319,7 +363,7 @@ TEST(VerifyIrReplay, SwappedMuxDataPinsFailOnlyTheReplay) {
   IrImage m = ir_image_of(prog);
   bool swapped = false;
   for (CompiledOp& op : m.ops) {
-    if (op.kind == CellKind::mux2 && op.in[0] != op.in[1]) {
+    if (op.form == RailForm::mux2 && op.in[0] != op.in[1]) {
       std::swap(op.in[0], op.in[1]);
       swapped = true;
       break;
@@ -331,6 +375,38 @@ TEST(VerifyIrReplay, SwappedMuxDataPinsFailOnlyTheReplay) {
   ASSERT_FALSE(r.ok()) << "swapped mux2 pins not caught by the replay";
   EXPECT_NE(r.message().find("netlist-replay"), std::string::npos)
       << r.to_string();
+}
+
+/// Flips the polarity of operand 0 of the op that last writes output 0's
+/// slot, so the flip reaches an output.
+void flip_output_op_polarity(IrImage& m) {
+  const std::uint32_t slot = m.output_rails[0] >> 1;
+  for (std::size_t k = m.ops.size(); k-- > 0;) {
+    if (m.ops[k].out >> 1 == slot) {
+      m.ops[k].in[0] ^= 1u;
+      return;
+    }
+  }
+  FAIL() << "no op writes output 0";
+}
+
+TEST(VerifyIrReplay, FlippedOperandPolarityFailsOnlyTheReplay) {
+  // Reading an operand's other rail reads its complement: the slot, the
+  // level and every read and write stay the same, so the structure is
+  // intact while the op computes a different function.
+  const Netlist nl =
+      elaborate_network(optimal_4(), 4, sort2_builder(), "polarity_seed");
+  for (const CompileOptions& opt : kModes) {
+    const CompiledProgram prog = CompiledProgram::compile(nl, opt);
+    IrImage m = ir_image_of(prog);
+    flip_output_op_polarity(m);
+    const Status s = verify_ir(m, verify_options_for(opt));
+    EXPECT_TRUE(s.ok()) << s.to_string();
+    const Status r = verify_netlist_replay(m, nl);
+    ASSERT_FALSE(r.ok()) << "flipped operand polarity not caught";
+    EXPECT_NE(r.message().find("netlist-replay"), std::string::npos)
+        << r.to_string();
+  }
 }
 
 }  // namespace

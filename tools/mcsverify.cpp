@@ -109,6 +109,11 @@ constexpr NamedCompile kCompileModes[] = {
     {"retain-all", CompileOptions{.retain_all_nodes = true}},
 };
 
+/// Ops address rails: slot s is the rail 2 * s.
+std::uint32_t rail(std::size_t slot) {
+  return static_cast<std::uint32_t>(2 * slot);
+}
+
 /// One seeded mutation per invariant class: perturb a known-good program
 /// and demand the verifier rejects it with the class's own diagnostic.
 /// Mirrors the gtest suite (tests/verify_ir_test.cpp) so the CI sweep
@@ -158,10 +163,13 @@ int run_mutation_selftest() {
   };
   const Mutation mutations[] = {
       {"out-of-bounds slot", "slot-bounds", Seed::levelized, false,
-       [](IrImage& ir) { ir.ops.back().out = static_cast<std::uint32_t>(
-                             ir.slot_count + 7); }},
+       [](IrImage& ir) { ir.ops.back().out = rail(ir.slot_count + 7); }},
       {"corrupt level offsets", "level-structure", Seed::levelized, false,
        [](IrImage& ir) { ir.level_offsets.back() += 1; }},
+      {"op outside the rail forms", "bad-op", Seed::levelized, false,
+       [](IrImage& ir) {
+         ir.ops[0].form = static_cast<RailForm>(kRailFormCount);
+       }},
       {"two writes in one level", "write-conflict", Seed::levelized, false,
        [](IrImage& ir) { ir.ops[1].out = ir.ops[0].out; }},
       {"clobbered live value", "clobber", Seed::creation_order, false,
@@ -170,20 +178,20 @@ int run_mutation_selftest() {
          // itself; a later op still reads that input.
          const CompiledOp& first = ir.ops[0];
          for (const std::uint32_t s : ir.input_slots) {
-           if (s != first.in[0] && s != first.in[1] && s != first.in[2]) {
-             ir.ops[0].out = s;
+           if (s != first.in[0] >> 1 && s != first.in[1] >> 1) {
+             ir.ops[0].out = rail(s);
              return;
            }
          }
        }},
       {"overwritten constant", "const-overwrite", Seed::levelized, false,
        [](IrImage& ir) {
-         ir.const_inits.push_back({ir.ops.back().out, Trit::one});
+         ir.const_inits.push_back({ir.ops.back().out >> 1, Trit::one});
        }},
       {"dangling operand read", "dangling-read", Seed::levelized, false,
        [](IrImage& ir) {
          ir.slot_count += 1;  // a slot nobody writes
-         ir.ops[0].in[0] = static_cast<std::uint32_t>(ir.slot_count - 1);
+         ir.ops[0].in[0] = rail(ir.slot_count - 1);
        }},
       {"operand from the same level", "operand-level", Seed::levelized, false,
        [](IrImage& ir) {
@@ -196,18 +204,32 @@ int run_mutation_selftest() {
       {"orphan op", "orphan-op", Seed::levelized, false,
        [](IrImage& ir) {
          CompiledOp op;
-         op.kind = CellKind::inv;
-         op.out = static_cast<std::uint32_t>(ir.slot_count);
-         op.in = {ir.output_slots[0], 0, 0};
+         op.form = RailForm::and2;
+         op.out = rail(ir.slot_count);
+         op.in = {ir.output_rails[0], ir.output_rails[0], 0};
          ir.slot_count += 1;
          ir.ops.push_back(op);
          ir.level_offsets.back() += 1;
+         ir.form_runs.back().end += 1;  // the MC seed is one and2 run
        }},
       {"swapped mux2 data pins", "netlist-replay", Seed::mux, true,
        [](IrImage& ir) {
          for (CompiledOp& op : ir.ops) {
-           if (op.kind == CellKind::mux2 && op.in[0] != op.in[1]) {
+           if (op.form == RailForm::mux2 && op.in[0] != op.in[1]) {
              std::swap(op.in[0], op.in[1]);
+             return;
+           }
+         }
+       }},
+      {"flipped operand polarity", "netlist-replay", Seed::levelized, true,
+       [](IrImage& ir) {
+         // Operand 0 of the op that last writes output 0's slot reads the
+         // other rail of the same slot: structurally identical, and the
+         // complement reaches an output.
+         const std::uint32_t slot = ir.output_rails[0] >> 1;
+         for (std::size_t k = ir.ops.size(); k-- > 0;) {
+           if (ir.ops[k].out >> 1 == slot) {
+             ir.ops[k].in[0] ^= 1u;
              return;
            }
          }
