@@ -13,8 +13,10 @@
 // invent an 8-byte header by mutation; the same files replay as a
 // regression suite under the standalone driver (see standalone_main.cpp).
 //
-// Output is a pure function of the codec, so regenerating after a wire
-// change and committing the diff keeps the corpus honest.
+// Output is a pure function of the codec: regenerate after a wire change
+// and commit the diff. With MCSN_BUILD_FUZZERS=ON, ctest's
+// fuzz_corpus_matches_generator fails on any differing, missing or extra
+// seed file.
 
 #include <chrono>
 #include <cstdint>
@@ -165,6 +167,9 @@ int main(int argc, char** argv) {
   write(decode_dir, "req_values.bin", req_values);
   write(decode_dir, "batch_req_trits.bin", batch_req);
   write(decode_dir, "batch_req_values.bin", batch_req_values);
+  // A type-3 frame of one trit round: batch-bounded, unlike type 1.
+  write(decode_dir, "batch_req_one_round.bin",
+        wire::encode_batch_request(batch_trit_request(1), now));
   write(decode_dir, "rsp_ok_trits.bin", rsp_ok);
   write(decode_dir, "rsp_ok_values.bin", rsp_values);
   write(decode_dir, "rsp_error.bin", rsp_error);
@@ -229,6 +234,18 @@ int main(int argc, char** argv) {
     write(decode_dir, "deadline_saturating.bin",
           raw_frame(wire::kVersionMin,
                     static_cast<std::uint8_t>(wire::FrameType::request), body));
+  }
+  {
+    // An out-of-range value (256 at 8 bits) in a v1 request and in a batch
+    // request: kDataLoss in every sort frame type.
+    Bytes bad = req_values;
+    bad[wire::kHeaderSize + 20] = 0x00;
+    bad[wire::kHeaderSize + 21] = 0x01;
+    write(decode_dir, "req_value_out_of_range.bin", bad);
+    bad = batch_req_values;
+    bad[wire::kHeaderSize + 24] = 0x00;
+    bad[wire::kHeaderSize + 25] = 0x01;
+    write(decode_dir, "batch_req_value_out_of_range.bin", bad);
   }
   {
     // Zero-round batch request (decoder must reject, not divide).

@@ -39,28 +39,11 @@ StatusOr<SortRequest> SortRequest::own(SortShape shape,
 StatusOr<SortRequest> SortRequest::view_batch(SortShape shape,
                                               std::size_t rounds,
                                               std::span<const Trit> flat) {
-  if (Status s = shape.validate(); !s.ok()) return s;
-  if (rounds < 1) {
-    return Status::invalid_argument("batch of zero rounds");
-  }
-  // A single round is bounded by the shape limits alone (legacy wide
-  // shapes may exceed kMaxBatchTrits); only true batches take the bound.
-  if (rounds > 1 &&
-      (rounds > kMaxBatchRounds || rounds * shape.trits() > kMaxBatchTrits)) {
-    return Status::invalid_argument(
-        "batch of " + std::to_string(rounds) + " rounds at " +
-        shape_str(shape) + " exceeds the batch bounds");
-  }
-  if (flat.size() != rounds * shape.trits()) {
-    return Status::invalid_argument(
-        "payload of " + std::to_string(flat.size()) + " trits does not match " +
-        std::to_string(rounds) + " x " + shape_str(shape) + " (" +
-        std::to_string(rounds * shape.trits()) + ")");
-  }
   SortRequest req;
   req.shape = shape;
   req.rounds = rounds;
   req.payload = flat;
+  if (Status s = req.validate(); !s.ok()) return s;
   return req;
 }
 
@@ -132,6 +115,8 @@ Status SortRequest::validate() const {
   if (rounds < 1) {
     return Status::invalid_argument("batch of zero rounds");
   }
+  // A single round is bounded by the shape limits alone (legacy wide
+  // shapes may exceed kMaxBatchTrits); only true batches take the bound.
   if (rounds > 1 &&
       (rounds > kMaxBatchRounds || rounds * shape.trits() > kMaxBatchTrits)) {
     return Status::invalid_argument(
@@ -142,7 +127,8 @@ Status SortRequest::validate() const {
     return Status::invalid_argument(
         "payload of " + std::to_string(payload.size()) +
         " trits does not match " + std::to_string(rounds) + " x " +
-        shape_str(shape));
+        shape_str(shape) + " (" + std::to_string(rounds * shape.trits()) +
+        ")");
   }
   return Status();
 }

@@ -182,65 +182,18 @@ Status SortClient::write_frame(const std::vector<std::uint8_t>& frame) {
 }
 
 Status SortClient::send(const SortRequest& request) {
-  if (fd_ < 0) {
-    return Status::failed_precondition("SortClient: not connected");
-  }
   return write_frame(wire::encode_request(request));
 }
 
 Status SortClient::send_batch(const SortRequest& request) {
-  if (fd_ < 0) {
-    return Status::failed_precondition("SortClient: not connected");
-  }
   return write_frame(wire::encode_batch_request(request));
 }
 
-StatusOr<SortResponse> SortClient::receive() {
-  if (fd_ < 0) {
-    return Status::failed_precondition("SortClient: not connected");
-  }
-  for (;;) {
-    StatusOr<std::optional<wire::FrameView>> parsed =
-        wire::try_parse_frame(rbuf_);
-    if (!parsed.ok()) return parsed.status();
-    if (parsed->has_value()) {
-      const wire::FrameView view = **parsed;
-      if (view.type != wire::FrameType::response &&
-          view.type != wire::FrameType::batch_response) {
-        return Status::unimplemented("expected a response frame");
-      }
-      StatusOr<SortResponse> response =
-          view.type == wire::FrameType::response
-              ? wire::decode_response(view.body)
-              : wire::decode_batch_response(view.body);
-      rbuf_.erase(rbuf_.begin(),
-                  rbuf_.begin() + static_cast<std::ptrdiff_t>(view.frame_size));
-      return response;
-    }
-    if (scratch_.empty()) scratch_.resize(kReadChunk);
-    const ssize_t n = ::recv(fd_, scratch_.data(), scratch_.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::unavailable(errno_text("recv"));
-    }
-    if (n == 0) {
-      if (rbuf_.empty()) {
-        return Status::unavailable("connection closed");
-      }
-      return Status::data_loss("connection closed mid-frame");
-    }
-    rbuf_.insert(rbuf_.end(), scratch_.begin(), scratch_.begin() + n);
-  }
-}
-
 Status SortClient::send_stats(wire::StatsFormat format) {
-  if (fd_ < 0) {
-    return Status::failed_precondition("SortClient: not connected");
-  }
   return write_frame(wire::encode_stats_request(format));
 }
 
-StatusOr<wire::StatsReply> SortClient::receive_stats() {
+StatusOr<wire::FrameView> SortClient::next_frame() {
   if (fd_ < 0) {
     return Status::failed_precondition("SortClient: not connected");
   }
@@ -248,16 +201,7 @@ StatusOr<wire::StatsReply> SortClient::receive_stats() {
     StatusOr<std::optional<wire::FrameView>> parsed =
         wire::try_parse_frame(rbuf_);
     if (!parsed.ok()) return parsed.status();
-    if (parsed->has_value()) {
-      const wire::FrameView view = **parsed;
-      if (view.type != wire::FrameType::stats_response) {
-        return Status::unimplemented("expected a stats response frame");
-      }
-      StatusOr<wire::StatsReply> reply = wire::decode_stats_response(view.body);
-      rbuf_.erase(rbuf_.begin(),
-                  rbuf_.begin() + static_cast<std::ptrdiff_t>(view.frame_size));
-      return reply;
-    }
+    if (parsed->has_value()) return **parsed;
     if (scratch_.empty()) scratch_.resize(kReadChunk);
     const ssize_t n = ::recv(fd_, scratch_.data(), scratch_.size(), 0);
     if (n < 0) {
@@ -272,6 +216,34 @@ StatusOr<wire::StatsReply> SortClient::receive_stats() {
     }
     rbuf_.insert(rbuf_.end(), scratch_.begin(), scratch_.begin() + n);
   }
+}
+
+StatusOr<SortResponse> SortClient::receive() {
+  StatusOr<wire::FrameView> view = next_frame();
+  if (!view.ok()) return view.status();
+  if (view->type != wire::FrameType::response &&
+      view->type != wire::FrameType::batch_response) {
+    return Status::unimplemented("expected a response frame");
+  }
+  StatusOr<SortResponse> response =
+      view->type == wire::FrameType::response
+          ? wire::decode_response(view->body)
+          : wire::decode_batch_response(view->body);
+  rbuf_.erase(rbuf_.begin(),
+              rbuf_.begin() + static_cast<std::ptrdiff_t>(view->frame_size));
+  return response;
+}
+
+StatusOr<wire::StatsReply> SortClient::receive_stats() {
+  StatusOr<wire::FrameView> view = next_frame();
+  if (!view.ok()) return view.status();
+  if (view->type != wire::FrameType::stats_response) {
+    return Status::unimplemented("expected a stats response frame");
+  }
+  StatusOr<wire::StatsReply> reply = wire::decode_stats_response(view->body);
+  rbuf_.erase(rbuf_.begin(),
+              rbuf_.begin() + static_cast<std::ptrdiff_t>(view->frame_size));
+  return reply;
 }
 
 StatusOr<wire::StatsReply> SortClient::stats(wire::StatsFormat format) {

@@ -69,7 +69,9 @@ class SortClient {
   /// Encodes `request` as one wire frame and writes it fully. A deadline
   /// on the request travels as a relative budget and is re-anchored at
   /// server receipt. Single-round requests encode as a v1 REQUEST frame
-  /// (interoperable with v1 servers).
+  /// (interoperable with v1 servers); a v1 frame has no round count, so a
+  /// request with rounds != 1 goes out as a BATCH frame, exactly as
+  /// send_batch() would send it.
   [[nodiscard]] Status send(const SortRequest& request);
 
   /// Encodes `request` — any rounds count, 1 included — as one BATCH
@@ -102,6 +104,8 @@ class SortClient {
   /// send_stats with no sort sends in between, or drain sort responses
   /// first when pipelining). The reply's own status reports server-side
   /// scrape failures; wire-level corruption surfaces as this call's Status.
+  /// A frame of the wrong kind is kUnimplemented here and in receive(), and
+  /// stays buffered for the receiver that expects it.
   [[nodiscard]] StatusOr<wire::StatsReply> receive_stats();
 
   /// send_stats() + receive_stats(): one-call scrape.
@@ -122,12 +126,18 @@ class SortClient {
 
   [[nodiscard]] Status write_frame(const std::vector<std::uint8_t>& frame);
 
+  /// The read loop both receivers share: blocks until rbuf_ starts with a
+  /// complete frame and returns a view of it. The caller decodes the body,
+  /// then erases the frame's bytes from rbuf_ (or leaves them buffered).
+  [[nodiscard]] StatusOr<wire::FrameView> next_frame();
+
   int fd_ = -1;
   /// Bytes received but not yet consumed as frames (reads can straddle
   /// frame boundaries in both directions).
   std::vector<std::uint8_t> rbuf_;
   /// recv staging buffer (only the bytes actually read move to rbuf_);
-  /// touched by receive() only, so the send/receive thread split holds.
+  /// touched by the receive side only, so the send/receive thread split
+  /// holds.
   std::vector<std::uint8_t> scratch_;
 };
 

@@ -190,8 +190,7 @@ constexpr std::uint64_t kMaxLatencyNs =
 
 constexpr std::size_t kRequestFixed = 20;   // channels..deadline
 constexpr std::size_t kResponseFixed = 28;  // status..message length
-constexpr std::size_t kBatchRequestFixed = 24;   // channels..round count
-constexpr std::size_t kBatchResponseFixed = 32;  // status..message length
+constexpr std::size_t kRoundCount = 4;      // the batch types' u32 rounds
 constexpr std::size_t kStatsRequestSize = 4;     // format — the whole body
 constexpr std::size_t kStatsResponseFixed = 12;  // status..message length
 
@@ -212,8 +211,8 @@ Status check_batch_rounds(std::uint32_t rounds, SortShape shape) {
 }
 
 /// Gray-encodes `words` u64 values (8 bytes each, caller-checked length)
-/// into flat trits — the decode half both value-payload batch bodies
-/// share. Fails with kDataLoss on a value out of range for shape.bits.
+/// into flat trits. Fails with kDataLoss on a value out of range for
+/// shape.bits.
 Status values_to_trits(SortShape shape, std::size_t words,
                        std::span<const std::uint8_t> payload,
                        std::vector<Trit>& out) {
@@ -235,10 +234,55 @@ Status values_to_trits(SortShape shape, std::size_t words,
   return Status();
 }
 
-}  // namespace
+// --- the sort-frame codec ---------------------------------------------------
+//
+// Types 1-4 share one body layout per direction. The batch types (3/4)
+// add a u32 round count — after the deadline in a request, after the
+// latency in a response — and take the kMaxBatchTrits bound even at one
+// round; the v1 types (1/2) carry exactly one round and no batch bound.
 
-std::vector<std::uint8_t> encode_request(const SortRequest& request,
-                                         Clock::time_point now) {
+bool is_batch(FrameType type) {
+  return type == FrameType::batch_request ||
+         type == FrameType::batch_response;
+}
+
+/// The payload writer: u64 values when `values` holds them, else packed
+/// trits.
+void put_payload(std::vector<std::uint8_t>& body,
+                 const std::optional<std::vector<std::uint64_t>>& values,
+                 std::span<const Trit> trits) {
+  if (values) {
+    for (const std::uint64_t v : *values) put_u64(body, v);
+  } else {
+    pack_trits(body, trits);
+  }
+}
+
+/// The payload reader: `rounds` rounds of `shape` as u64 values (`values`)
+/// or packed trits. The byte length must match exactly (kDataLoss).
+Status read_payload(SortShape shape, std::uint32_t rounds, bool values,
+                    std::span<const std::uint8_t> payload,
+                    std::vector<Trit>& out) {
+  if (values && shape.bits > 64) {
+    return Status::invalid_argument("value payload at bits > 64");
+  }
+  const std::size_t words = rounds * static_cast<std::size_t>(shape.channels);
+  const std::size_t trits = words * shape.bits;
+  const std::size_t expect = values ? words * 8 : packed_trit_bytes(trits);
+  if (payload.size() != expect) {
+    return Status::data_loss(
+        std::string(values ? "value" : "trit") + " payload of " +
+        std::to_string(payload.size()) + " bytes, expected " +
+        std::to_string(expect) + " for " + std::to_string(rounds) +
+        " round(s)");
+  }
+  return values ? values_to_trits(shape, words, payload, out)
+                : unpack_trits(payload, trits, out);
+}
+
+std::vector<std::uint8_t> encode_sort_request(FrameType type,
+                                              const SortRequest& request,
+                                              Clock::time_point now) {
   std::vector<std::uint8_t> body;
   const std::optional<std::vector<std::uint64_t>> values = values_if_decodable(
       request.shape, request.payload, request.values_requested);
@@ -256,15 +300,15 @@ std::vector<std::uint8_t> encode_request(const SortRequest& request,
                       : 1;
   }
   put_u64(body, deadline_ns);
-  if (values) {
-    for (const std::uint64_t v : *values) put_u64(body, v);
-  } else {
-    pack_trits(body, request.payload);
+  if (is_batch(type)) {
+    put_u32(body, static_cast<std::uint32_t>(request.rounds));
   }
-  return finish_frame(FrameType::request, std::move(body));
+  put_payload(body, values, request.payload);
+  return finish_frame(type, std::move(body));
 }
 
-std::vector<std::uint8_t> encode_response(const SortResponse& response) {
+std::vector<std::uint8_t> encode_sort_response(FrameType type,
+                                               const SortResponse& response) {
   std::vector<std::uint8_t> body;
   const bool has_payload = response.status.ok();
   const std::optional<std::vector<std::uint64_t>> values =
@@ -276,69 +320,134 @@ std::vector<std::uint8_t> encode_response(const SortResponse& response) {
   put_u32(body, static_cast<std::uint32_t>(response.shape.channels));
   put_u32(body, static_cast<std::uint32_t>(response.shape.bits));
   put_u64(body, static_cast<std::uint64_t>(response.latency.count()));
+  if (is_batch(type)) {
+    put_u32(body, static_cast<std::uint32_t>(response.rounds));
+  }
   const std::string& message = response.status.message();
   put_u32(body, static_cast<std::uint32_t>(message.size()));
   body.insert(body.end(), message.begin(), message.end());
-  if (has_payload) {
-    if (values) {
-      for (const std::uint64_t v : *values) put_u64(body, v);
-    } else {
-      pack_trits(body, response.payload);
-    }
+  if (has_payload) put_payload(body, values, response.payload);
+  return finish_frame(type, std::move(body));
+}
+
+StatusOr<SortRequest> decode_sort_request(FrameType type,
+                                          std::span<const std::uint8_t> body,
+                                          Clock::time_point now) {
+  const bool batch = is_batch(type);
+  const std::size_t fixed = kRequestFixed + (batch ? kRoundCount : 0);
+  if (body.size() < fixed) {
+    return Status::data_loss("request body truncated (" +
+                             std::to_string(body.size()) + " bytes)");
   }
-  return finish_frame(FrameType::response, std::move(body));
+  StatusOr<SortShape> shape =
+      decode_shape(get_u32(body.data()), get_u32(body.data() + 4));
+  if (!shape.ok()) return shape.status();
+  const std::uint32_t flags = get_u32(body.data() + 8);
+  if ((flags & ~kFlagValues) != 0) {
+    return Status::unimplemented("unknown request flags " + hex32(flags));
+  }
+  const std::uint64_t deadline_ns = get_u64(body.data() + 12);
+  const std::uint32_t rounds = batch ? get_u32(body.data() + kRequestFixed) : 1;
+  if (batch) {
+    if (Status s = check_batch_rounds(rounds, *shape); !s.ok()) return s;
+  }
+  const bool values = (flags & kFlagValues) != 0;
+  std::vector<Trit> trits;
+  if (Status s = read_payload(*shape, rounds, values, body.subspan(fixed),
+                              trits);
+      !s.ok()) {
+    return s;
+  }
+  StatusOr<SortRequest> request =
+      SortRequest::own_batch(*shape, rounds, std::move(trits));
+  if (!request.ok()) return request;
+  request->values_requested = values;
+  if (deadline_ns != 0) {
+    request->deadline =
+        now + std::chrono::nanoseconds(std::min(deadline_ns, kMaxDeadlineNs));
+  }
+  return request;
+}
+
+StatusOr<SortResponse> decode_sort_response(
+    FrameType type, std::span<const std::uint8_t> body) {
+  const bool batch = is_batch(type);
+  const std::size_t rounds_bytes = batch ? kRoundCount : 0;
+  const std::size_t fixed = kResponseFixed + rounds_bytes;
+  if (body.size() < fixed) {
+    return Status::data_loss("response body truncated (" +
+                             std::to_string(body.size()) + " bytes)");
+  }
+  const std::uint32_t code = get_u32(body.data());
+  if (code > static_cast<std::uint32_t>(StatusCode::kInternal)) {
+    return Status::unimplemented("unknown status code " + std::to_string(code));
+  }
+  const std::uint32_t flags = get_u32(body.data() + 4);
+  if ((flags & ~kFlagValues) != 0) {
+    return Status::unimplemented("unknown response flags " + hex32(flags));
+  }
+  StatusOr<SortShape> shape =
+      decode_shape(get_u32(body.data() + 8), get_u32(body.data() + 12));
+  if (!shape.ok()) return shape.status();
+  const std::uint64_t latency_ns = get_u64(body.data() + 16);
+  const std::uint32_t rounds = batch ? get_u32(body.data() + 24) : 1;
+  if (batch) {
+    if (Status s = check_batch_rounds(rounds, *shape); !s.ok()) return s;
+  }
+  const std::uint32_t message_len = get_u32(body.data() + 24 + rounds_bytes);
+  if (body.size() < fixed + message_len) {
+    return Status::data_loss("response message truncated");
+  }
+  std::string message(reinterpret_cast<const char*>(body.data() + fixed),
+                      message_len);
+  const std::span<const std::uint8_t> payload =
+      body.subspan(fixed + message_len);
+
+  SortResponse response;
+  response.shape = *shape;
+  response.rounds = rounds;
+  response.status = Status(static_cast<StatusCode>(code), std::move(message));
+  response.latency =
+      std::chrono::nanoseconds(std::min(latency_ns, kMaxLatencyNs));
+  response.values_requested = (flags & kFlagValues) != 0;
+  if (!response.status.ok()) {
+    if (!payload.empty()) {
+      return Status::data_loss("error response carries a payload");
+    }
+    return response;
+  }
+  if (Status s = read_payload(*shape, rounds, response.values_requested,
+                              payload, response.payload);
+      !s.ok()) {
+    return s;
+  }
+  return response;
+}
+
+}  // namespace
+
+// A v1 frame has no round count: anything but exactly one round goes out
+// under the batch type.
+std::vector<std::uint8_t> encode_request(const SortRequest& request,
+                                         Clock::time_point now) {
+  return encode_sort_request(request.rounds == 1 ? FrameType::request
+                                                 : FrameType::batch_request,
+                             request, now);
+}
+
+std::vector<std::uint8_t> encode_response(const SortResponse& response) {
+  return encode_sort_response(response.rounds == 1 ? FrameType::response
+                                                   : FrameType::batch_response,
+                              response);
 }
 
 std::vector<std::uint8_t> encode_batch_request(const SortRequest& request,
                                                Clock::time_point now) {
-  std::vector<std::uint8_t> body;
-  const std::optional<std::vector<std::uint64_t>> values = values_if_decodable(
-      request.shape, request.payload, request.values_requested);
-  put_u32(body, static_cast<std::uint32_t>(request.shape.channels));
-  put_u32(body, static_cast<std::uint32_t>(request.shape.bits));
-  put_u32(body, values ? kFlagValues : 0u);
-  std::uint64_t deadline_ns = 0;
-  if (request.deadline) {
-    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        *request.deadline - now);
-    deadline_ns = budget.count() > 0
-                      ? static_cast<std::uint64_t>(budget.count())
-                      : 1;
-  }
-  put_u64(body, deadline_ns);
-  put_u32(body, static_cast<std::uint32_t>(request.rounds));
-  if (values) {
-    for (const std::uint64_t v : *values) put_u64(body, v);
-  } else {
-    pack_trits(body, request.payload);
-  }
-  return finish_frame(FrameType::batch_request, std::move(body));
+  return encode_sort_request(FrameType::batch_request, request, now);
 }
 
 std::vector<std::uint8_t> encode_batch_response(const SortResponse& response) {
-  std::vector<std::uint8_t> body;
-  const bool has_payload = response.status.ok();
-  const std::optional<std::vector<std::uint64_t>> values =
-      has_payload ? values_if_decodable(response.shape, response.payload,
-                                        response.values_requested)
-                  : std::nullopt;
-  put_u32(body, static_cast<std::uint32_t>(response.status.code()));
-  put_u32(body, values ? kFlagValues : 0u);
-  put_u32(body, static_cast<std::uint32_t>(response.shape.channels));
-  put_u32(body, static_cast<std::uint32_t>(response.shape.bits));
-  put_u64(body, static_cast<std::uint64_t>(response.latency.count()));
-  put_u32(body, static_cast<std::uint32_t>(response.rounds));
-  const std::string& message = response.status.message();
-  put_u32(body, static_cast<std::uint32_t>(message.size()));
-  body.insert(body.end(), message.begin(), message.end());
-  if (has_payload) {
-    if (values) {
-      for (const std::uint64_t v : *values) put_u64(body, v);
-    } else {
-      pack_trits(body, response.payload);
-    }
-  }
-  return finish_frame(FrameType::batch_response, std::move(body));
+  return encode_sort_response(FrameType::batch_response, response);
 }
 
 std::vector<std::uint8_t> encode_stats_request(StatsFormat format) {
@@ -446,273 +555,21 @@ StatusOr<std::optional<FrameView>> try_parse_frame(
 
 StatusOr<SortRequest> decode_request(std::span<const std::uint8_t> body,
                                      Clock::time_point now) {
-  if (body.size() < kRequestFixed) {
-    return Status::data_loss("request body truncated (" +
-                             std::to_string(body.size()) + " bytes)");
-  }
-  StatusOr<SortShape> shape =
-      decode_shape(get_u32(body.data()), get_u32(body.data() + 4));
-  if (!shape.ok()) return shape.status();
-  const std::uint32_t flags = get_u32(body.data() + 8);
-  if ((flags & ~kFlagValues) != 0) {
-    return Status::unimplemented("unknown request flags " + hex32(flags));
-  }
-  const std::uint64_t deadline_ns = get_u64(body.data() + 12);
-  const std::span<const std::uint8_t> payload = body.subspan(kRequestFixed);
-
-  StatusOr<SortRequest> request = Status::internal("unreachable");
-  if (flags & kFlagValues) {
-    if (shape->bits > 64) {
-      return Status::invalid_argument(
-          "value-encoded request at bits > 64");
-    }
-    const std::size_t expect =
-        static_cast<std::size_t>(shape->channels) * 8;
-    if (payload.size() != expect) {
-      return Status::data_loss("value payload of " +
-                               std::to_string(payload.size()) +
-                               " bytes, expected " + std::to_string(expect));
-    }
-    std::vector<std::uint64_t> values;
-    values.reserve(static_cast<std::size_t>(shape->channels));
-    for (int c = 0; c < shape->channels; ++c) {
-      values.push_back(
-          get_u64(payload.data() + static_cast<std::size_t>(c) * 8));
-    }
-    request = SortRequest::from_values(*shape, values);
-  } else {
-    const std::size_t expect = packed_trit_bytes(shape->trits());
-    if (payload.size() != expect) {
-      return Status::data_loss("trit payload of " +
-                               std::to_string(payload.size()) +
-                               " bytes, expected " + std::to_string(expect));
-    }
-    std::vector<Trit> trits;
-    if (Status s = unpack_trits(payload, shape->trits(), trits); !s.ok()) {
-      return s;
-    }
-    request = SortRequest::own(*shape, std::move(trits));
-  }
-  if (request.ok() && deadline_ns != 0) {
-    request->deadline =
-        now + std::chrono::nanoseconds(std::min(deadline_ns, kMaxDeadlineNs));
-  }
-  return request;
+  return decode_sort_request(FrameType::request, body, now);
 }
 
 StatusOr<SortResponse> decode_response(std::span<const std::uint8_t> body) {
-  if (body.size() < kResponseFixed) {
-    return Status::data_loss("response body truncated (" +
-                             std::to_string(body.size()) + " bytes)");
-  }
-  const std::uint32_t code = get_u32(body.data());
-  if (code > static_cast<std::uint32_t>(StatusCode::kInternal)) {
-    return Status::unimplemented("unknown status code " + std::to_string(code));
-  }
-  const std::uint32_t flags = get_u32(body.data() + 4);
-  if ((flags & ~kFlagValues) != 0) {
-    return Status::unimplemented("unknown response flags " + hex32(flags));
-  }
-  StatusOr<SortShape> shape =
-      decode_shape(get_u32(body.data() + 8), get_u32(body.data() + 12));
-  if (!shape.ok()) return shape.status();
-  const std::uint64_t latency_ns = get_u64(body.data() + 16);
-  const std::uint32_t message_len = get_u32(body.data() + 24);
-  if (body.size() < kResponseFixed + message_len) {
-    return Status::data_loss("response message truncated");
-  }
-  std::string message(
-      reinterpret_cast<const char*>(body.data() + kResponseFixed),
-      message_len);
-  const std::span<const std::uint8_t> payload =
-      body.subspan(kResponseFixed + message_len);
-
-  SortResponse response;
-  response.shape = *shape;
-  response.status = Status(static_cast<StatusCode>(code), std::move(message));
-  response.latency =
-      std::chrono::nanoseconds(std::min(latency_ns, kMaxLatencyNs));
-  response.values_requested = (flags & kFlagValues) != 0;
-  if (!response.status.ok()) {
-    if (!payload.empty()) {
-      return Status::data_loss("error response carries a payload");
-    }
-    return response;
-  }
-  if (flags & kFlagValues) {
-    if (shape->bits > 64) {
-      return Status::invalid_argument("value-encoded response at bits > 64");
-    }
-    const std::size_t expect = static_cast<std::size_t>(shape->channels) * 8;
-    if (payload.size() != expect) {
-      return Status::data_loss("value payload of " +
-                               std::to_string(payload.size()) +
-                               " bytes, expected " + std::to_string(expect));
-    }
-    const std::uint64_t limit =
-        shape->bits == 64 ? ~std::uint64_t{0}
-                          : (std::uint64_t{1} << shape->bits) - 1;
-    response.payload.reserve(shape->trits());
-    for (int c = 0; c < shape->channels; ++c) {
-      const std::uint64_t v =
-          get_u64(payload.data() + static_cast<std::size_t>(c) * 8);
-      if (v > limit) {
-        return Status::data_loss("response value " + std::to_string(v) +
-                                 " out of range for " +
-                                 std::to_string(shape->bits) + " bits");
-      }
-      const Word w = gray_encode(v, shape->bits);
-      response.payload.insert(response.payload.end(), w.begin(), w.end());
-    }
-  } else {
-    const std::size_t expect = packed_trit_bytes(shape->trits());
-    if (payload.size() != expect) {
-      return Status::data_loss("trit payload of " +
-                               std::to_string(payload.size()) +
-                               " bytes, expected " + std::to_string(expect));
-    }
-    if (Status s = unpack_trits(payload, shape->trits(), response.payload);
-        !s.ok()) {
-      return s;
-    }
-  }
-  return response;
+  return decode_sort_response(FrameType::response, body);
 }
 
 StatusOr<SortRequest> decode_batch_request(std::span<const std::uint8_t> body,
                                            Clock::time_point now) {
-  if (body.size() < kBatchRequestFixed) {
-    return Status::data_loss("batch request body truncated (" +
-                             std::to_string(body.size()) + " bytes)");
-  }
-  StatusOr<SortShape> shape =
-      decode_shape(get_u32(body.data()), get_u32(body.data() + 4));
-  if (!shape.ok()) return shape.status();
-  const std::uint32_t flags = get_u32(body.data() + 8);
-  if ((flags & ~kFlagValues) != 0) {
-    return Status::unimplemented("unknown request flags " + hex32(flags));
-  }
-  const std::uint64_t deadline_ns = get_u64(body.data() + 12);
-  const std::uint32_t rounds = get_u32(body.data() + 20);
-  if (Status s = check_batch_rounds(rounds, *shape); !s.ok()) return s;
-  const std::span<const std::uint8_t> payload =
-      body.subspan(kBatchRequestFixed);
-  const std::size_t total_trits = rounds * shape->trits();
-
-  StatusOr<SortRequest> request = Status::internal("unreachable");
-  if (flags & kFlagValues) {
-    if (shape->bits > 64) {
-      return Status::invalid_argument("value-encoded request at bits > 64");
-    }
-    const std::size_t words =
-        rounds * static_cast<std::size_t>(shape->channels);
-    if (payload.size() != words * 8) {
-      return Status::data_loss(
-          "value payload of " + std::to_string(payload.size()) +
-          " bytes inconsistent with " + std::to_string(rounds) +
-          " rounds (expected " + std::to_string(words * 8) + ")");
-    }
-    std::vector<Trit> trits;
-    if (Status s = values_to_trits(*shape, words, payload, trits); !s.ok()) {
-      return s;
-    }
-    request = SortRequest::own_batch(*shape, rounds, std::move(trits));
-    if (request.ok()) request->values_requested = true;
-  } else {
-    const std::size_t expect = packed_trit_bytes(total_trits);
-    if (payload.size() != expect) {
-      return Status::data_loss(
-          "trit payload of " + std::to_string(payload.size()) +
-          " bytes inconsistent with " + std::to_string(rounds) +
-          " rounds (expected " + std::to_string(expect) + ")");
-    }
-    std::vector<Trit> trits;
-    if (Status s = unpack_trits(payload, total_trits, trits); !s.ok()) {
-      return s;
-    }
-    request = SortRequest::own_batch(*shape, rounds, std::move(trits));
-  }
-  if (request.ok() && deadline_ns != 0) {
-    request->deadline =
-        now + std::chrono::nanoseconds(std::min(deadline_ns, kMaxDeadlineNs));
-  }
-  return request;
+  return decode_sort_request(FrameType::batch_request, body, now);
 }
 
 StatusOr<SortResponse> decode_batch_response(
     std::span<const std::uint8_t> body) {
-  if (body.size() < kBatchResponseFixed) {
-    return Status::data_loss("batch response body truncated (" +
-                             std::to_string(body.size()) + " bytes)");
-  }
-  const std::uint32_t code = get_u32(body.data());
-  if (code > static_cast<std::uint32_t>(StatusCode::kInternal)) {
-    return Status::unimplemented("unknown status code " + std::to_string(code));
-  }
-  const std::uint32_t flags = get_u32(body.data() + 4);
-  if ((flags & ~kFlagValues) != 0) {
-    return Status::unimplemented("unknown response flags " + hex32(flags));
-  }
-  StatusOr<SortShape> shape =
-      decode_shape(get_u32(body.data() + 8), get_u32(body.data() + 12));
-  if (!shape.ok()) return shape.status();
-  const std::uint64_t latency_ns = get_u64(body.data() + 16);
-  const std::uint32_t rounds = get_u32(body.data() + 24);
-  if (Status s = check_batch_rounds(rounds, *shape); !s.ok()) return s;
-  const std::uint32_t message_len = get_u32(body.data() + 28);
-  if (body.size() < kBatchResponseFixed + message_len) {
-    return Status::data_loss("batch response message truncated");
-  }
-  std::string message(
-      reinterpret_cast<const char*>(body.data() + kBatchResponseFixed),
-      message_len);
-  const std::span<const std::uint8_t> payload =
-      body.subspan(kBatchResponseFixed + message_len);
-  const std::size_t total_trits = rounds * shape->trits();
-
-  SortResponse response;
-  response.shape = *shape;
-  response.rounds = rounds;
-  response.status = Status(static_cast<StatusCode>(code), std::move(message));
-  response.latency =
-      std::chrono::nanoseconds(std::min(latency_ns, kMaxLatencyNs));
-  response.values_requested = (flags & kFlagValues) != 0;
-  if (!response.status.ok()) {
-    if (!payload.empty()) {
-      return Status::data_loss("error response carries a payload");
-    }
-    return response;
-  }
-  if (flags & kFlagValues) {
-    if (shape->bits > 64) {
-      return Status::invalid_argument("value-encoded response at bits > 64");
-    }
-    const std::size_t words =
-        rounds * static_cast<std::size_t>(shape->channels);
-    if (payload.size() != words * 8) {
-      return Status::data_loss(
-          "value payload of " + std::to_string(payload.size()) +
-          " bytes inconsistent with " + std::to_string(rounds) +
-          " rounds (expected " + std::to_string(words * 8) + ")");
-    }
-    if (Status s = values_to_trits(*shape, words, payload, response.payload);
-        !s.ok()) {
-      return s;
-    }
-  } else {
-    const std::size_t expect = packed_trit_bytes(total_trits);
-    if (payload.size() != expect) {
-      return Status::data_loss(
-          "trit payload of " + std::to_string(payload.size()) +
-          " bytes inconsistent with " + std::to_string(rounds) +
-          " rounds (expected " + std::to_string(expect) + ")");
-    }
-    if (Status s = unpack_trits(payload, total_trits, response.payload);
-        !s.ok()) {
-      return s;
-    }
-  }
-  return response;
+  return decode_sort_response(FrameType::batch_response, body);
 }
 
 StatusOr<std::optional<Frame>> read_frame(std::istream& in) {

@@ -1,7 +1,7 @@
 #pragma once
 // Versioned, length-prefixed binary wire codec for SortRequest/SortResponse
 // frames — the serialization layer every byte-stream front-end (the
-// tool_sortd --framed pipe today, sockets tomorrow) shares.
+// tool_sortd --framed pipe and the TCP/UNIX-domain SocketServer) shares.
 //
 // Frame layout (all multi-byte integers little-endian):
 //
@@ -78,7 +78,8 @@
 // Versioning: encoders emit the lowest version that can represent the
 // frame — single-round frames (types 1/2) stay version 1, byte-identical
 // to what a v1 peer produces and accepts; batch frames (types 3/4) carry
-// version 2. Decoders accept versions 1..kVersion, with batch types
+// version 2, and so does every frame of rounds != 1 (a v1 body has no
+// round count). Decoders accept versions 1..kVersion, with batch types
 // rejected under a version-1 header.
 //
 // Decoding is defensive end to end: bad magic, unsupported versions,
@@ -148,7 +149,10 @@ inline constexpr std::uint32_t kFlagValues = 1u << 0;
 /// One self-delimiting request frame. A deadline is carried as the budget
 /// remaining relative to `now` (floored at 1 ns so an already-expired
 /// deadline survives the trip). Requests built by from_values travel as
-/// value payloads; everything else as packed trits.
+/// value payloads; everything else as packed trits. A single-round request
+/// (rounds == 1) is a version-1 request frame; a v1 frame has no round
+/// count, so any other rounds value is encoded exactly as
+/// encode_batch_request would.
 [[nodiscard]] std::vector<std::uint8_t> encode_request(
     const SortRequest& request,
     std::chrono::steady_clock::time_point now =
@@ -157,7 +161,9 @@ inline constexpr std::uint32_t kFlagValues = 1u << 0;
 /// One self-delimiting response frame. The payload is value-encoded only
 /// when the response requested values AND every output trit is stable
 /// (metastable results fall back to packed trits with the flag clear, so
-/// nothing is silently mis-decoded).
+/// nothing is silently mis-decoded). Same rounds rule as encode_request:
+/// rounds == 1 is a version-1 response frame, anything else is encoded
+/// exactly as encode_batch_response would.
 [[nodiscard]] std::vector<std::uint8_t> encode_response(
     const SortResponse& response);
 
@@ -220,7 +226,8 @@ struct FrameView {
 [[nodiscard]] StatusOr<std::optional<FrameView>> try_parse_frame(
     std::span<const std::uint8_t> bytes);
 
-/// Decodes a request body. Deadline budgets are re-anchored at `now`.
+/// Decodes a request body (one round; no batch bound applies). Deadline
+/// budgets are re-anchored at `now`.
 [[nodiscard]] StatusOr<SortRequest> decode_request(
     std::span<const std::uint8_t> body,
     std::chrono::steady_clock::time_point now =
@@ -233,7 +240,8 @@ struct FrameView {
 /// Decodes a batch request body (frame type batch_request). Rejects a
 /// zero round count (kInvalidArgument), a round count inconsistent with
 /// the body length (kDataLoss), and batches over the API bounds
-/// (kResourceExhausted). Deadline budgets are re-anchored at `now`.
+/// (kResourceExhausted) — one round included. Deadline budgets are
+/// re-anchored at `now`.
 [[nodiscard]] StatusOr<SortRequest> decode_batch_request(
     std::span<const std::uint8_t> body,
     std::chrono::steady_clock::time_point now =

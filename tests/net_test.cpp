@@ -892,6 +892,42 @@ TEST(SocketServer, BatchAndSingleFramesInterleaveInOrder) {
   EXPECT_EQ(r2->payload, expect2[0]);
 }
 
+TEST(SocketServer, MultiRoundSortTravelsAsBatchFrame) {
+  // sort() of a multi-round request: a v1 frame has no round count, so it
+  // must go out as a batch frame, come back with every round, and leave
+  // the connection usable for the next single-round sort.
+  const SortShape shape{4, 4};
+  Xoshiro256 rng(61);
+  std::vector<std::vector<Trit>> rounds;
+  std::vector<Trit> flat;
+  for (int i = 0; i < 3; ++i) {
+    rounds.push_back(random_flat(rng, shape));
+    flat.insert(flat.end(), rounds.back().begin(), rounds.back().end());
+  }
+  std::vector<Trit> expect;
+  for (const std::vector<Trit>& r : expected_sorted(shape, rounds)) {
+    expect.insert(expect.end(), r.begin(), r.end());
+  }
+  const std::vector<Trit> single = random_flat(rng, shape);
+
+  Loopback loop({}, fast_flush());
+  net::SortClient client = loop.client();
+  const StatusOr<SortResponse> batch =
+      client.sort(SortRequest::view_batch(shape, 3, flat).value());
+  ASSERT_TRUE(batch.ok()) << batch.status().to_string();
+  ASSERT_TRUE(batch->status.ok()) << batch->status.to_string();
+  EXPECT_EQ(batch->rounds, 3u);
+  EXPECT_EQ(batch->payload, expect);
+
+  const StatusOr<SortResponse> one =
+      client.sort(SortRequest::view(shape, single).value());
+  ASSERT_TRUE(one.ok()) << one.status().to_string();
+  ASSERT_TRUE(one->status.ok()) << one->status.to_string();
+  EXPECT_EQ(one->rounds, 1u);
+  EXPECT_EQ(one->payload, expected_sorted(shape, {single})[0]);
+  EXPECT_EQ(loop.server->stats().protocol_errors, 0u);
+}
+
 // --- UNIX-domain sockets ----------------------------------------------------
 
 std::string fresh_uds_path() {
@@ -1226,6 +1262,35 @@ TEST(SocketServer, StatsFramesInterleaveWithSortFramesInOrder) {
             std::string::npos);
 }
 
+TEST(SortClient, FrameOfTheOtherKindStaysBufferedForItsReceiver) {
+  // receive() meeting a stats response (or receive_stats() meeting a sort
+  // response) reports kUnimplemented and leaves the frame in place, so
+  // the matching receiver still gets it.
+  const SortShape shape{4, 4};
+  Xoshiro256 rng(63);
+  const std::vector<Trit> round = random_flat(rng, shape);
+  Loopback loop({}, fast_flush());
+  net::SortClient client = loop.client();
+
+  ASSERT_TRUE(client.send_stats().ok());
+  const StatusOr<SortResponse> early = client.receive();
+  ASSERT_FALSE(early.ok());
+  EXPECT_EQ(early.status().code(), StatusCode::kUnimplemented);
+  const StatusOr<wire::StatsReply> reply = client.receive_stats();
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+  EXPECT_TRUE(reply->status.ok());
+  EXPECT_EQ(reply->format, wire::StatsFormat::json);
+
+  ASSERT_TRUE(client.send(SortRequest::view(shape, round).value()).ok());
+  const StatusOr<wire::StatsReply> wrong = client.receive_stats();
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.status().code(), StatusCode::kUnimplemented);
+  const StatusOr<SortResponse> response = client.receive();
+  ASSERT_TRUE(response.ok()) << response.status().to_string();
+  ASSERT_TRUE(response->status.ok());
+  EXPECT_EQ(response->payload, expected_sorted(shape, {round})[0]);
+}
+
 TEST(SocketServer, MalformedStatsRequestGetsErrorReplyAndSurvives) {
   Loopback loop({}, fast_flush());
   net::SortClient client = loop.client();
@@ -1419,6 +1484,31 @@ TEST(SortClient, ServerDyingMidResponseFrameReportsDataLoss) {
   const StatusOr<SortResponse> rsp = client->sort(small_request(rng, storage));
   ASSERT_FALSE(rsp.ok());
   EXPECT_EQ(rsp.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(SortClient, PeerClosingMidHeaderIsDataLossForEitherReceiver) {
+  // Three header bytes, then EOF: receive() and receive_stats() share one
+  // read loop, and both must report the truncation as kDataLoss rather
+  // than the clean-close kUnavailable.
+  for (const bool stats : {false, true}) {
+    DyingServer server([](int fd) {
+      drain_briefly(fd);
+      const std::uint8_t partial[] = {wire::kMagic0, wire::kMagic1,
+                                      wire::kVersion};
+      (void)::send(fd, partial, sizeof(partial), MSG_NOSIGNAL);
+    });
+    StatusOr<net::SortClient> client =
+        net::SortClient::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok()) << client.status().to_string();
+    Xoshiro256 rng(94);
+    std::vector<Trit> storage;
+    const Status status = stats
+                              ? client->stats().status()
+                              : client->sort(small_request(rng, storage))
+                                    .status();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+        << (stats ? "receive_stats: " : "receive: ") << status.to_string();
+  }
 }
 
 TEST(SortClient, ServerResetFailsEveryPipelinedInFlightCall) {

@@ -432,6 +432,39 @@ TEST(WireBatch, SingleRoundFramesStayVersion1ForV1Interop) {
   EXPECT_EQ(wire::encode_response(rsp)[2], wire::kVersionMin);
 }
 
+TEST(WireBatch, MultiRoundFramesEncodeAsBatchFramesWhateverTheEntryPoint) {
+  // A v1 body has no round count, so encode_request/encode_response of a
+  // multi-round value must produce the batch frame, byte for byte — not a
+  // v1 frame whose payload no decoder accepts.
+  Xoshiro256 rng(305);
+  const SortShape shape{4, 4};
+  const std::vector<Trit> flat = random_batch_flat(rng, shape, 3);
+  const SortRequest req =
+      std::move(SortRequest::view_batch(shape, 3, flat).value());
+  const auto now = Clock::now();
+  const std::vector<std::uint8_t> frame = wire::encode_request(req, now);
+  EXPECT_EQ(frame, wire::encode_batch_request(req, now));
+  const auto view = wire::parse_frame(frame);
+  ASSERT_TRUE(view.ok());
+  StatusOr<SortRequest> decoded = wire::decode_batch_request(view->body, now);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded->rounds, 3u);
+
+  SortResponse rsp;
+  rsp.shape = shape;
+  rsp.rounds = 3;
+  rsp.payload = flat;
+  EXPECT_EQ(wire::encode_response(rsp), wire::encode_batch_response(rsp));
+  // Value-encoded responses take the same route.
+  rsp.payload.clear();
+  for (const std::uint64_t v : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}) {
+    const Word w = gray_encode(v, shape.bits);
+    rsp.payload.insert(rsp.payload.end(), w.begin(), w.end());
+  }
+  rsp.values_requested = true;
+  EXPECT_EQ(wire::encode_response(rsp), wire::encode_batch_response(rsp));
+}
+
 TEST(WireBatch, ValueEncodedBatchRequestRoundTrips) {
   const SortShape shape{3, 10};
   const std::vector<std::uint64_t> values = {1023, 0, 512, 7, 99, 1000};
@@ -619,6 +652,93 @@ TEST(WireBatch, TryParseFrameClassifiesBatchTypesAndVersionMix) {
   v3[2] = wire::kVersion + 1;
   EXPECT_EQ(wire::try_parse_frame(v3).status().code(),
             StatusCode::kUnimplemented);
+}
+
+/// A hand-built one-round body of sort frame `type` (1-4): the request or
+/// ok-response fields for `shape` under `flags`, the round count (1) for
+/// the batch types, then `payload` verbatim.
+std::vector<std::uint8_t> one_round_body(
+    wire::FrameType type, SortShape shape, std::uint32_t flags,
+    const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> body;
+  const auto put = [&body](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  const bool batch = type == wire::FrameType::batch_request ||
+                     type == wire::FrameType::batch_response;
+  if (type == wire::FrameType::request ||
+      type == wire::FrameType::batch_request) {
+    put(static_cast<std::uint32_t>(shape.channels), 4);
+    put(shape.bits, 4);
+    put(flags, 4);
+    put(0, 8);  // no deadline
+    if (batch) put(1, 4);
+  } else {
+    put(0, 4);  // status ok
+    put(flags, 4);
+    put(static_cast<std::uint32_t>(shape.channels), 4);
+    put(shape.bits, 4);
+    put(0, 8);  // latency
+    if (batch) put(1, 4);
+    put(0, 4);  // no message
+  }
+  body.insert(body.end(), payload.begin(), payload.end());
+  return body;
+}
+
+StatusCode decode_code(wire::FrameType type,
+                       std::span<const std::uint8_t> body) {
+  switch (type) {
+    case wire::FrameType::request:
+      return wire::decode_request(body).status().code();
+    case wire::FrameType::response:
+      return wire::decode_response(body).status().code();
+    case wire::FrameType::batch_request:
+      return wire::decode_batch_request(body).status().code();
+    default:
+      return wire::decode_batch_response(body).status().code();
+  }
+}
+
+TEST(WireBatch, SortFrameTypesSharePayloadRules) {
+  // The four sort frame types read payloads the same way; only the batch
+  // types take the kMaxBatchTrits bound, and they take it at one round too.
+  std::vector<std::uint8_t> out_of_range(16, 0);
+  out_of_range[8 + 1] = 1;  // second value 256: one past 8 bits
+  const SortShape wide{64, 16385};  // one round of 1,048,640 trits
+  ASSERT_GT(wide.trits(), kMaxBatchTrits);
+  struct Row {
+    const char* what;
+    SortShape shape;
+    std::uint32_t flags;
+    std::vector<std::uint8_t> payload;
+    StatusCode single;  // types 1/2
+    StatusCode batch;   // types 3/4
+  };
+  const std::vector<Row> rows = {
+      {"out-of-range value", {2, 8}, wire::kFlagValues, out_of_range,
+       StatusCode::kDataLoss, StatusCode::kDataLoss},
+      {"value payload at bits > 64", {1, 65}, wire::kFlagValues,
+       std::vector<std::uint8_t>(8, 0), StatusCode::kInvalidArgument,
+       StatusCode::kInvalidArgument},
+      {"one round wider than kMaxBatchTrits", wide, 0,
+       std::vector<std::uint8_t>((wide.trits() + 3) / 4, 0), StatusCode::kOk,
+       StatusCode::kResourceExhausted},
+  };
+  for (const Row& row : rows) {
+    for (const wire::FrameType type :
+         {wire::FrameType::request, wire::FrameType::response,
+          wire::FrameType::batch_request, wire::FrameType::batch_response}) {
+      const bool batch = type == wire::FrameType::batch_request ||
+                         type == wire::FrameType::batch_response;
+      EXPECT_EQ(decode_code(type, one_round_body(type, row.shape, row.flags,
+                                                 row.payload)),
+                batch ? row.batch : row.single)
+          << row.what << ", frame type " << static_cast<int>(type);
+    }
+  }
 }
 
 // --- incremental framing ------------------------------------------------------
