@@ -63,38 +63,24 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
                                          const CompileOptions& opt) {
   const std::vector<GateNode>& nodes = nl.nodes();
   const std::size_t n = nodes.size();
+  const bool reuse_slots = !opt.retain_all_nodes;
   CompiledProgram p;
 
-  // 1. Liveness: reverse reachability from the outputs (unless disabled).
-  std::vector<char> live(n, 0);
-  if (opt.retain_all_nodes || !opt.eliminate_dead) {
-    std::fill(live.begin(), live.end(), 1);
-  } else {
-    std::vector<NodeId> stack;
-    stack.reserve(nl.outputs().size());
-    for (const OutputPort& out : nl.outputs()) {
-      if (!live[out.node]) {
-        live[out.node] = 1;
-        stack.push_back(out.node);
-      }
-    }
-    while (!stack.empty()) {
-      const NodeId id = stack.back();
-      stack.pop_back();
+  // 1. Liveness: reverse reachability from the outputs (unless disabled),
+  // in one backward sweep. Nodes are stored in topological order, so
+  // every reader of a node comes after it and has marked it by the time
+  // the sweep arrives.
+  const bool keep_all = opt.retain_all_nodes || !opt.eliminate_dead;
+  std::vector<char> live(n, keep_all ? 1 : 0);
+  if (!keep_all) {
+    for (const OutputPort& out : nl.outputs()) live[out.node] = 1;
+    for (std::size_t id = n; id-- > 0;) {
+      if (!live[id]) continue;
       const GateNode& g = nodes[id];
       const int arity = cell_arity(g.kind);
-      for (int j = 0; j < arity; ++j) {
-        if (!live[g.in[j]]) {
-          live[g.in[j]] = 1;
-          stack.push_back(g.in[j]);
-        }
-      }
+      for (int j = 0; j < arity; ++j) live[g.in[j]] = 1;
     }
   }
-  const auto is_const = [&nodes](NodeId id) {
-    return nodes[id].kind == CellKind::const0 ||
-           nodes[id].kind == CellKind::const1;
-  };
 
   // 2. Roots, polarities and logic levels, in one forward pass (nodes are
   // stored in topological order). ref[id] = 2 * root + polarity, where the
@@ -104,11 +90,13 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
   // inverter shares its root's level. Nodes that become ops are the live
   // gates, inverters only under retain_all_nodes (one level after their
   // root); the pass counts them per schedule bucket 3 * (level - 1) +
-  // form, so each level's ops run in at most three form runs.
+  // form, so each level's ops run in at most three form runs. It also
+  // lists the live constants, in node order.
   constexpr std::size_t kForms = kRailFormCount;
   std::vector<std::uint32_t> ref(n, 0);
   std::vector<std::uint32_t> level(n, 0);
   std::vector<std::size_t> bucket_start(1, 0);
+  std::vector<NodeId> consts;
   std::size_t op_count = 0;
   std::uint32_t levels = 0;
   const auto count_op = [&](std::uint32_t op_level, CellKind kind) {
@@ -131,7 +119,10 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
     }
     ref[id] = 2 * id;
     const int arity = cell_arity(g.kind);
-    if (arity == 0) continue;
+    if (arity == 0) {
+      if (g.kind != CellKind::input) consts.push_back(id);
+      continue;
+    }
     std::uint32_t lv = 0;
     for (int j = 0; j < arity; ++j) lv = std::max(lv, level[g.in[j]]);
     level[id] = lv + 1;
@@ -139,11 +130,19 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
   }
 
   // 3. Schedule. Level order is a counting sort by (level, form), stable
-  // in creation order; creation order keeps node order. Until step 6
+  // in creation order; creation order keeps node order. Until step 4
   // lowers it in place, ops_ holds the schedule itself: op k's `out` is
-  // its node id, `in` its operands' refs (so later passes read them in
-  // stream order instead of chasing fanins through the node array), and
+  // its node id, `in` its operands' refs (so step 4 reads them in stream
+  // order instead of chasing fanins through the node array), and
   // kinds[k] its cell kind.
+  //
+  // Time runs in steps: inputs are written at step 0, and an op at the
+  // step of its level (in creation order, each op is its own step). With
+  // slot reuse, the pass also finds the step after which each value's
+  // slot may be released: its last reader's, or its own when nothing
+  // reads it. A node's level is read only when the node itself is
+  // placed, and its readers all come later, so release_step takes over
+  // the level buffer in place; inputs and constants keep step 0.
   p.ops_.resize(op_count);
   std::vector<CellKind> kinds(op_count);
   if (opt.levelize) {
@@ -156,6 +155,7 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
       p.level_offsets_[l] = bucket_start[kForms * l];
     }
   }
+  std::vector<std::uint32_t>& release_step = level;
   for (NodeId id = 0, next = 0; id < n; ++id) {
     const GateNode& g = nodes[id];
     if (!live[id] || !is_gate(g.kind) ||
@@ -163,19 +163,24 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
       continue;
     }
     std::size_t pos = next++;
+    auto step = static_cast<std::uint32_t>(next);
     if (opt.levelize) {
-      const std::uint32_t op_level =
-          level[id] + (g.kind == CellKind::inv ? 1u : 0u);
-      pos = bucket_start[kForms * (op_level - 1) +
+      step = level[id] + (g.kind == CellKind::inv ? 1u : 0u);
+      pos = bucket_start[kForms * (step - 1) +
                          static_cast<std::size_t>(rail_form_of(g.kind))]++;
     }
     CompiledOp& op = p.ops_[pos];
     op.out = id;
+    kinds[pos] = g.kind;
+    if (reuse_slots) release_step[id] = step;
     const int arity = cell_arity(g.kind);
     for (int j = 0; j < arity; ++j) {
-      op.in[static_cast<std::size_t>(j)] = ref[g.in[j]];
+      const std::uint32_t r = ref[g.in[j]];
+      op.in[static_cast<std::size_t>(j)] = r;
+      if (reuse_slots) {
+        release_step[r >> 1] = std::max(release_step[r >> 1], step);
+      }
     }
-    kinds[pos] = g.kind;
   }
   std::vector<std::uint32_t> output_refs;
   output_refs.reserve(nl.outputs().size());
@@ -190,124 +195,98 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
     return opt.levelize ? p.level_offsets_[s] : s;
   };
 
-  // 4. Slot assignment, over roots only: inverters read their root's slot.
-  // retain_all_nodes keeps the identity mapping. The dense mode gives live
-  // inputs, then live constants, the first slots and hands gates slots
-  // from a free list. Time runs in steps: inputs are written at step 0, and
-  // a gate at the step of its level (in creation order, each op is its own
-  // step). A value's slot returns to the list at the start of the step
-  // after its last reader, so no op ever writes a slot another op of its
-  // step reads. Constants and outputs stay pinned; input slots are reused
-  // like any other, since run() rewrites them. slot_of and release_step
-  // take over the buffers of level and ref, which are dead by now.
-  std::vector<std::uint32_t> slot_of = std::move(level);
-  if (opt.retain_all_nodes) {
-    for (NodeId id = 0; id < n; ++id) slot_of[id] = id;
-    p.slot_count_ = n;
-  } else {
-    std::fill(slot_of.begin(), slot_of.end(), kNoSlot);
-    // The step after which each value's slot is released: its last
-    // reader's, or its own when nothing reads it. kKept: never released.
-    constexpr std::uint32_t kKept = 0xffffffffu;
-    std::vector<std::uint32_t> release_step = std::move(ref);
-    std::fill(release_step.begin(), release_step.end(), 0);
-    for (std::size_t s = 1; s <= steps; ++s) {
-      const auto step = static_cast<std::uint32_t>(s);
-      for (std::size_t k = step_begin(s - 1); k < step_begin(s); ++k) {
-        const CompiledOp& op = p.ops_[k];
-        release_step[op.out] = step;
-        const int arity = cell_arity(kinds[k]);
-        for (int j = 0; j < arity; ++j) {
-          release_step[op.in[static_cast<std::size_t>(j)] >> 1] = step;
-        }
-      }
-    }
-    for (const std::uint32_t r : output_refs) release_step[r >> 1] = kKept;
-
-    std::uint32_t next = 0;
-    for (const NodeId id : nl.inputs()) {
-      if (live[id]) slot_of[id] = next++;
-    }
-    for (NodeId id = 0; id < n; ++id) {
-      if (live[id] && is_const(id)) {
-        slot_of[id] = next++;
-        release_step[id] = kKept;
-      }
-    }
-    std::vector<std::uint32_t> free_slots;
-    const auto release = [&](NodeId id, std::uint32_t s) {
-      if (release_step[id] == s) {
-        free_slots.push_back(slot_of[id]);
-        release_step[id] = kKept;
-      }
-    };
-    for (const NodeId id : nl.inputs()) {
-      if (live[id]) release(id, 0);
-    }
-    for (std::size_t s = 1; s <= steps; ++s) {
-      const auto step = static_cast<std::uint32_t>(s);
-      const std::size_t begin = step_begin(s - 1);
-      const std::size_t end = step_begin(s);
-      for (std::size_t k = begin; k < end; ++k) {
-        if (free_slots.empty()) {
-          slot_of[p.ops_[k].out] = next++;
-        } else {
-          slot_of[p.ops_[k].out] = free_slots.back();
-          free_slots.pop_back();
-        }
-      }
-      for (std::size_t k = begin; k < end; ++k) {
-        const CompiledOp& op = p.ops_[k];
-        const int arity = cell_arity(kinds[k]);
-        for (int j = 0; j < arity; ++j) {
-          release(op.in[static_cast<std::size_t>(j)] >> 1, step);
-        }
-        release(op.out, step);
-      }
-    }
-    p.slot_count_ = next;
-  }
+  // 4. Slot assignment, over roots only (inverters read their root's
+  // slot), in the same pass as lowering and form runs: each op is lowered
+  // as soon as its destination slot is known. retain_all_nodes keeps the
+  // identity mapping. The dense mode gives live inputs, then live
+  // constants, the first slots and hands gates slots from a free list. A
+  // value's slot returns to the list at the start of the step after its
+  // release step (`freed` holds it until then), so no op ever writes a
+  // slot another op of its step reads. Constants and outputs stay pinned;
+  // input slots are reused like any other, since run() rewrites them. A
+  // slot keeps its value from allocation until release, so slot_of is
+  // each operand's slot at the time its reader runs. slot_of takes over
+  // ref's buffer, which is dead by now.
+  std::vector<std::uint32_t> slot_of = std::move(ref);
   // The rail of a node ref: its root's slot, in the ref's polarity.
   const auto rail_of = [&slot_of](std::uint32_t r) {
     return 2 * slot_of[r >> 1] + (r & 1u);
   };
-
-  // 5. Constant initializers.
-  for (NodeId id = 0; id < n; ++id) {
-    if (live[id] && is_const(id)) {
-      p.const_inits_.push_back(
-          {slot_of[id],
-           nodes[id].kind == CellKind::const1 ? Trit::one : Trit::zero});
+  // kKept: a value whose slot is never released (or already was).
+  constexpr std::uint32_t kKept = 0xffffffffu;
+  std::vector<std::uint32_t> free_slots;
+  std::vector<std::uint32_t> freed;  // released this step, free from the next
+  const auto release = [&](NodeId id, std::uint32_t s) {
+    if (release_step[id] == s) {
+      freed.push_back(slot_of[id]);
+      release_step[id] = kKept;
     }
+  };
+  std::uint32_t next_slot = 0;
+  if (reuse_slots) {
+    for (const std::uint32_t r : output_refs) release_step[r >> 1] = kKept;
+    for (const NodeId id : nl.inputs()) {
+      if (live[id]) slot_of[id] = next_slot++;
+    }
+    for (const NodeId id : consts) {
+      slot_of[id] = next_slot++;
+      release_step[id] = kKept;
+    }
+    for (const NodeId id : nl.inputs()) {
+      if (live[id]) release(id, 0);
+    }
+    free_slots.swap(freed);
+  } else {
+    for (NodeId id = 0; id < n; ++id) slot_of[id] = id;
+    next_slot = static_cast<std::uint32_t>(n);
   }
-
-  // 6. Lower the schedule in place into the instruction stream, and cut
-  // it into form runs. A slot keeps its value from allocation until
-  // release, so slot_of is each operand's slot at the time its reader
-  // runs.
-  for (std::size_t k = 0; k < op_count; ++k) {
-    CompiledOp& op = p.ops_[k];
-    const int arity = cell_arity(kinds[k]);
-    std::array<std::uint32_t, 3> in{0, 0, 0};
-    for (int j = 0; j < arity; ++j) {
-      const auto pin = static_cast<std::size_t>(j);
-      in[pin] = rail_of(op.in[pin]);
+  for (std::size_t s = 1; s <= steps; ++s) {
+    const auto step = static_cast<std::uint32_t>(s);
+    for (std::size_t k = step_begin(s - 1); k < step_begin(s); ++k) {
+      CompiledOp& op = p.ops_[k];
+      const int arity = cell_arity(kinds[k]);
+      std::array<std::uint32_t, 3> in{0, 0, 0};
+      for (int j = 0; j < arity; ++j) {
+        const auto pin = static_cast<std::size_t>(j);
+        in[pin] = rail_of(op.in[pin]);
+        if (reuse_slots) release(op.in[pin] >> 1, step);
+      }
+      const NodeId id = op.out;
+      if (reuse_slots) {
+        if (free_slots.empty()) {
+          slot_of[id] = next_slot++;
+        } else {
+          slot_of[id] = free_slots.back();
+          free_slots.pop_back();
+        }
+        release(id, step);
+      }
+      op = lower(kinds[k], in, slot_of[id]);
+      if (p.form_runs_.empty() || p.form_runs_.back().form != op.form) {
+        p.form_runs_.push_back({op.form, 0});
+      }
+      p.form_runs_.back().end = static_cast<std::uint32_t>(k + 1);
     }
-    op = lower(kinds[k], in, slot_of[op.out]);
-    if (p.form_runs_.empty() || p.form_runs_.back().form != op.form) {
-      p.form_runs_.push_back({op.form, 0});
-    }
-    p.form_runs_.back().end = static_cast<std::uint32_t>(k + 1);
+    free_slots.insert(free_slots.end(), freed.begin(), freed.end());
+    freed.clear();
   }
+  p.slot_count_ = next_slot;
 
-  // 7. Outputs (always live by construction).
+  // 5. Constant initializers, outputs (always live by construction) and
+  // input slots.
+  p.const_inits_.reserve(consts.size());
+  for (const NodeId id : consts) {
+    p.const_inits_.push_back(
+        {slot_of[id],
+         nodes[id].kind == CellKind::const1 ? Trit::one : Trit::zero});
+  }
   p.output_rails_.reserve(output_refs.size());
   for (const std::uint32_t r : output_refs) {
     p.output_rails_.push_back(rail_of(r));
   }
   p.input_slots_.reserve(nl.inputs().size());
   for (const NodeId id : nl.inputs()) {
-    p.input_slots_.push_back(slot_of[id]);
+    p.input_slots_.push_back(live[id] ? slot_of[id] : kNoSlot);
   }
 
 #if !defined(NDEBUG) || defined(MCSN_VERIFY)

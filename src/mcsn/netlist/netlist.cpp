@@ -39,6 +39,21 @@ NodeId Netlist::add_gate(CellKind kind, NodeId a, NodeId b, NodeId c) {
   return id;
 }
 
+void Netlist::add_nodes(std::span<const GateNode> nodes) {
+#ifndef NDEBUG
+  auto id = static_cast<NodeId>(nodes_.size());
+  for (const GateNode& g : nodes) {
+    assert(g.kind != CellKind::input && "use add_input for inputs");
+    const int arity = cell_arity(g.kind);
+    for (int pin = 0; pin < 3; ++pin) {
+      assert(pin < arity ? g.in[pin] < id : g.in[pin] == 0);
+    }
+    ++id;
+  }
+#endif
+  nodes_.insert(nodes_.end(), nodes.begin(), nodes.end());
+}
+
 void Netlist::mark_output(NodeId node, std::string name) {
   assert(node < nodes_.size());
   outputs_.push_back(OutputPort{node, std::move(name)});

@@ -8,6 +8,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,10 @@ class Netlist {
 
   // --- construction ---------------------------------------------------
 
+  /// Reserves room for `nodes` nodes in total, so a builder that knows
+  /// its final size appends without reallocating the node array.
+  void reserve(std::size_t nodes) { nodes_.reserve(nodes); }
+
   NodeId add_input(std::string name);
 
   /// Bus of `width` fresh inputs named <prefix>[0..width).
@@ -65,6 +70,12 @@ class Netlist {
   NodeId ao21(NodeId a, NodeId b, NodeId c) {
     return add_gate(CellKind::ao21, a, b, c);
   }
+
+  /// Appends gates and constants as given, in order, e.g. a copy of a
+  /// cell with its fanins already rewired. Each gate may read only nodes
+  /// before it and leaves pins past its arity at 0, as add_gate stores
+  /// them (asserted); primary inputs come from add_input only.
+  void add_nodes(std::span<const GateNode> nodes);
 
   void mark_output(NodeId node, std::string name);
   void mark_output_bus(const Bus& bus, const std::string& prefix);

@@ -13,7 +13,15 @@
 namespace mcsn {
 
 /// Builds (max, min) buses for one comparator instance from two channel
-/// buses (g, h). Must emit into `nl`.
+/// buses (g, h), both as wide as g and h. Must emit into `nl`; may emit
+/// gates and constants, but no primary inputs or outputs, and may return
+/// input bits unchanged.
+///
+/// elaborate_network calls the builder once, on fresh input buses, and
+/// replicates the resulting cell for every comparator. A builder must
+/// therefore emit the same structure on every call: what it emits may
+/// depend on the bus width, never on the node ids of g and h or on what
+/// `nl` already holds.
 using Sort2Builder =
     std::function<BusPair(Netlist& nl, const Bus& g, const Bus& h)>;
 
@@ -25,6 +33,18 @@ using Sort2Builder =
 
 /// Elaborates `net` over B-bit channels with one 2-sort instance per
 /// comparator. Inputs ch<i>[.], outputs out<i>[.].
+///
+/// The builder runs once, on fresh inputs. Each comparator then appends a
+/// copy of that cell's gates, its pins rewired to the comparator's channel
+/// buses, in network layer order. The result is the netlist one builder
+/// call per comparator would produce, node for node. The node count
+/// (inputs plus comparators times cell nodes) is known before the node
+/// array is allocated, which is reserved at exactly that size.
+///
+/// Throws std::length_error, before allocating the node array, when that
+/// count exceeds what NodeId can index, and std::invalid_argument when the
+/// builder returns buses of another width or adds primary inputs or
+/// outputs.
 [[nodiscard]] Netlist elaborate_network(const ComparatorNetwork& net,
                                         std::size_t bits,
                                         const Sort2Builder& builder,

@@ -57,6 +57,11 @@ SorterPool::Result SorterPool::build_sorter(int channels,
     // A legal-but-huge shape can exhaust memory during elaboration; that
     // is a resource condition (possibly transient), not a caller error.
     return Status::resource_exhausted("sorter build failed: out of memory");
+  } catch (const std::length_error& e) {
+    // A netlist too large for NodeId to index, refused by elaboration
+    // before it allocates the node array.
+    return Status::resource_exhausted(std::string("sorter build failed: ") +
+                                      e.what());
   } catch (const std::invalid_argument& e) {
     return Status::invalid_argument(std::string("sorter build failed: ") +
                                     e.what());

@@ -20,7 +20,8 @@
 // requests for *other* shapes are never stalled by an in-flight build.
 // Construction failures are reported as StatusOr (kInvalidArgument for
 // degenerate shapes, kUnimplemented beyond the configured construction
-// bound, kResourceExhausted/kInternal for build failures) — never as
+// bound, kResourceExhausted for a netlist too large for NodeId or an
+// allocation failure, kInternal for other build failures) — never as
 // exceptions escaping into a serve worker.
 //
 // With a registry, the pool publishes one labeled series family per shape

@@ -121,12 +121,15 @@ McSorter::McSorter(BuiltNetwork built, std::size_t bits,
     : channels_(checked_shape(built.network.channels(), bits)),
       bits_(bits),
       network_(std::move(built.network)),
-      netlist_(elaborate_network(
-          network_, bits,
-          sort2_builder(effective_sort2(opt, built.sort2_topology)))),
-      batch_(netlist_, opt.batch) {}
+      sort2_(effective_sort2(opt, built.sort2_topology)),
+      // The elaborated netlist is a temporary: it is freed once compiled.
+      batch_(netlist(), opt.batch) {}
 
-CircuitStats McSorter::stats() const { return compute_stats(netlist_); }
+Netlist McSorter::netlist() const {
+  return elaborate_network(network_, bits_, sort2_builder(sort2_));
+}
+
+CircuitStats McSorter::stats() const { return compute_stats(netlist()); }
 
 Status McSorter::sort_batch_flat(std::span<const Trit> in,
                                  std::span<Trit> out) const {

@@ -49,6 +49,10 @@ struct McSorterOptions {
 
 class McSorter {
  public:
+  /// Builds the network, elaborates it into a netlist, compiles that and
+  /// frees the netlist. Throws std::invalid_argument for a degenerate or
+  /// unbuildable shape, and std::length_error when the netlist would have
+  /// more nodes than NodeId can index (see elaborate_network).
   McSorter(int channels, std::size_t bits, const McSorterOptions& opt = {});
 
   /// Constructs from an already-built network (see NetworkBuilder) —
@@ -64,12 +68,19 @@ class McSorter {
 
   [[nodiscard]] int channels() const noexcept { return channels_; }
   [[nodiscard]] std::size_t bits() const noexcept { return bits_; }
-  [[nodiscard]] const Netlist& netlist() const noexcept { return netlist_; }
+
+  /// The gate-level netlist the sorter's program was compiled from,
+  /// elaborated afresh on every call: a sorter keeps only its network and
+  /// its compiled program, not the netlist. Bind the result to a local
+  /// before iterating over it.
+  [[nodiscard]] Netlist netlist() const;
+
   [[nodiscard]] const ComparatorNetwork& network() const noexcept {
     return network_;
   }
 
   /// Gate-level report under the default (paper-calibrated) library.
+  /// Elaborates the netlist to count it.
   [[nodiscard]] CircuitStats stats() const;
 
   [[nodiscard]] SortShape shape() const noexcept {
@@ -129,7 +140,7 @@ class McSorter {
   int channels_;
   std::size_t bits_;
   ComparatorNetwork network_;
-  Netlist netlist_;
+  Sort2Options sort2_;  // the 2-sort every comparator is elaborated into
   BatchEvaluator batch_;
 };
 

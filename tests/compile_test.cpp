@@ -355,13 +355,14 @@ TEST(Compile, EveryCellKindLoweringMatchesNodeWalkOnAllTernaryInputs) {
 // vanish and nothing else is merged.
 TEST(Compile, McSorterProgramsAreOneAnd2Run) {
   const McSorter sorter(10, 8);
-  const CompiledProgram prog = CompiledProgram::compile(sorter.netlist());
+  const Netlist nl = sorter.netlist();
+  const CompiledProgram prog = CompiledProgram::compile(nl);
   ASSERT_EQ(prog.form_runs().size(), 1u);
   EXPECT_EQ(prog.form_runs()[0].form, RailForm::and2);
   EXPECT_EQ(prog.form_runs()[0].end, prog.live_gate_count());
   std::size_t inverters = 0;
   std::size_t gates = 0;
-  for (const GateNode& g : sorter.netlist().nodes()) {
+  for (const GateNode& g : nl.nodes()) {
     if (g.kind == CellKind::inv) ++inverters;
     if (is_gate(g.kind)) ++gates;
   }

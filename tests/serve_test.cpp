@@ -193,6 +193,20 @@ TEST(SorterPool, OversizedShapeComesBackUnimplemented) {
   EXPECT_TRUE(pool.acquire(16, 4).ok());  // at the bound is fine
 }
 
+// A shape whose netlist NodeId cannot index (4096x1024: about 4.4 x 10^9
+// nodes) is refused by elaboration before it allocates the node array,
+// and the pool reports it as a resource condition.
+TEST(SorterPool, NetlistBeyondNodeIdIsResourceExhausted) {
+  SorterPool pool;
+  const auto result = pool.acquire(4096, 1024);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(result.status().message().find("NodeId"), std::string::npos)
+      << result.status().to_string();
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_TRUE(pool.acquire(4, 4).ok());  // pool still usable
+}
+
 TEST(SorterPool, EvictsLeastRecentlyUsedIdleShapeAtCapacity) {
   MetricsRegistry registry;
   SorterPool pool(McSorterOptions{}, &registry, /*capacity=*/2);
@@ -710,6 +724,24 @@ TEST(SortService, RequestApiFailsViaStatusNotExceptions) {
       });
   EXPECT_TRUE(called_inline);  // completion ran before submit returned
   EXPECT_EQ(service.metrics().rejected, 2u);
+}
+
+// A request for a shape whose netlist NodeId cannot index completes with
+// kResourceExhausted from admission, and the service keeps serving.
+TEST(SortService, ShapeBeyondNodeIdFailsWithResourceExhausted) {
+  SortService service;
+  const SortShape huge{4096, 1024};
+  StatusOr<SortRequest> request =
+      SortRequest::own(huge, std::vector<Trit>(huge.trits(), Trit::zero));
+  ASSERT_TRUE(request.ok()) << request.status().to_string();
+  const SortResponse rsp = service.submit(std::move(*request)).get();
+  EXPECT_EQ(rsp.status.code(), StatusCode::kResourceExhausted)
+      << rsp.status.to_string();
+  EXPECT_EQ(service.metrics().rejected, 1u);
+
+  Xoshiro256 rng(7);
+  const std::vector<Word> round = random_round(rng, 4, 4);
+  EXPECT_EQ(service.sort(round), McSorter(4, 4).sort(round));
 }
 
 // Deadline policy: judged at flush time. An expired request is failed with

@@ -208,6 +208,15 @@ TEST(McSorter, IntegerEntryPointsRejectBitsOver64) {
   EXPECT_EQ(sorted[1], hi);
 }
 
+// 4096x1024 passes SortShape::validate and max_channels, but its netlist
+// would hold 139,263 comparators x 31,595-gate cells, about 4.4 x 10^9
+// nodes: more than NodeId can index. Construction refuses it with
+// std::length_error before allocating the node array, instead of growing
+// the array until allocation fails.
+TEST(McSorter, RefusesNetlistsNodeIdCannotIndex) {
+  EXPECT_THROW(McSorter(4096, 1024), std::length_error);
+}
+
 TEST(McSorter, AoiOptionPropagates) {
   McSorterOptions opt;
   opt.sort2.style = OpStyle::aoi_cells;
