@@ -164,12 +164,35 @@ double flat_batch_vps(int threads, int channels, std::size_t bits,
   return static_cast<double>(rounds.size()) / secs;
 }
 
+/// What the report reads from one service's registry: executed lane groups
+/// (serve_batches_total), per-request latency (serve_latency_ns) and lane
+/// occupancy — the serve_batch_lanes mean over max_lanes, perfbench's
+/// batcher.lane_occupancy formula.
+struct ServeReading {
+  std::uint64_t batches = 0;
+  double occupancy = 0.0;
+  Histogram latency_ns;
+};
+
+ServeReading read_registry(const SortService& service) {
+  ServeReading r;
+  for (const MetricsRegistry::Series& s : service.registry().snapshot()) {
+    if (s.name == "serve_batches_total") r.batches = s.counter_value;
+    if (s.name == "serve_latency_ns") r.latency_ns = s.histogram;
+    if (s.name == "serve_batch_lanes") {
+      r.occupancy = s.histogram.mean() /
+                    static_cast<double>(service.options().max_lanes);
+    }
+  }
+  return r;
+}
+
 /// Serve capacity via callback completions: no promise/future shared state
 /// per request; each completion writes its slot and the last one releases
 /// the driver. `checksum` chains the responses in submission order.
 double serve_callback_vps(int workers, std::chrono::microseconds window,
                           const std::vector<std::vector<Word>>& rounds,
-                          std::uint64_t& checksum, MetricsSnapshot& metrics) {
+                          std::uint64_t& checksum, ServeReading& metrics) {
   const std::size_t n = rounds.size();
   // Completion state outlives the service (declared first): any return
   // path destroys the service — whose stop() runs the still-pending
@@ -203,7 +226,7 @@ double serve_callback_vps(int workers, std::chrono::microseconds window,
     cv.wait(lock, [&] { return completed == n; });
   }
   const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-  metrics = service.metrics();
+  metrics = read_registry(service);
   checksum = 0xcbf29ce484222325ULL;
   for (const SortResponse& response : slots) {
     if (!response.status.ok()) {
@@ -238,7 +261,7 @@ struct SocketBenchConfig {
 /// order, so the chain is identical).
 double socket_vps(int workers, std::chrono::microseconds window,
                   const std::vector<std::vector<Word>>& rounds,
-                  std::uint64_t& checksum, MetricsSnapshot& metrics,
+                  std::uint64_t& checksum, ServeReading& metrics,
                   const SocketBenchConfig& cfg = {}) {
   const auto fail = [&checksum, &cfg](const std::string& what) {
     std::cerr << cfg.name << ": " << what << "\n";
@@ -333,7 +356,7 @@ double socket_vps(int workers, std::chrono::microseconds window,
   }
   writer.join();
   const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-  metrics = service.metrics();
+  metrics = read_registry(service);
   server.stop();
   if (!error.empty()) return fail(error);
   if (send_failed.load()) return fail("send failed");
@@ -348,7 +371,7 @@ double socket_vps(int workers, std::chrono::microseconds window,
 /// with `workers` executor threads.
 double serve_vps(int workers, std::chrono::microseconds window,
                  const std::vector<std::vector<Word>>& rounds,
-                 std::uint64_t& checksum, MetricsSnapshot& metrics) {
+                 std::uint64_t& checksum, ServeReading& metrics) {
   ServeOptions opt;
   opt.workers = workers;
   opt.flush_window = window;
@@ -362,7 +385,7 @@ double serve_vps(int workers, std::chrono::microseconds window,
   checksum = 0xcbf29ce484222325ULL;
   for (auto& f : futures) checksum = fnv1a_round(checksum, f.get());
   const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-  metrics = service.metrics();
+  metrics = read_registry(service);
   return static_cast<double>(rounds.size()) / secs;
 }
 
@@ -483,7 +506,7 @@ struct SweepResult {
   long window_us = 0;
   double throughput = 0.0;
   double elapsed_s = 0.0;
-  MetricsSnapshot metrics;
+  ServeReading metrics;
 };
 
 /// Open-loop point: exponential inter-arrivals at `rate` req/s; the
@@ -513,7 +536,7 @@ SweepResult open_loop_point(int workers, double rate, long window_us,
   res.elapsed_s =
       std::chrono::duration<double>(Clock::now() - arrivals.start()).count();
   res.throughput = static_cast<double>(rounds.size()) / res.elapsed_s;
-  res.metrics = service.metrics();
+  res.metrics = read_registry(service);
   return res;
 }
 
@@ -572,12 +595,12 @@ int main(int argc, char** argv) {
   std::uint64_t naive_sum = 0;
   const double naive = naive_vps(workers, channels, bits, rounds, naive_sum);
   std::uint64_t serve_sum = 0;
-  MetricsSnapshot cap_metrics;
+  ServeReading cap_metrics;
   const double serve =
       serve_vps(workers, std::chrono::microseconds(200), rounds, serve_sum,
                 cap_metrics);
   std::uint64_t callback_sum = 0;
-  MetricsSnapshot callback_metrics;
+  ServeReading callback_metrics;
   const double callback =
       serve_callback_vps(workers, std::chrono::microseconds(200), rounds,
                          callback_sum, callback_metrics);
@@ -585,11 +608,11 @@ int main(int argc, char** argv) {
   const double flat = flat_batch_vps(workers, channels, bits, rounds,
                                      flat_sum);
   std::uint64_t socket_sum = 0;
-  MetricsSnapshot socket_metrics;
+  ServeReading socket_metrics;
   const double socket = socket_vps(workers, std::chrono::microseconds(200),
                                    rounds, socket_sum, socket_metrics);
   std::uint64_t socket_batch_sum = 0;
-  MetricsSnapshot socket_batch_metrics;
+  ServeReading socket_batch_metrics;
   SocketBenchConfig batch_cfg;
   batch_cfg.name = "socket_batch";
   batch_cfg.batch_rounds = 256;
@@ -597,7 +620,7 @@ int main(int argc, char** argv) {
       socket_vps(workers, std::chrono::microseconds(200), rounds,
                  socket_batch_sum, socket_batch_metrics, batch_cfg);
   std::uint64_t uds_sum = 0;
-  MetricsSnapshot uds_metrics;
+  ServeReading uds_metrics;
   SocketBenchConfig uds_cfg;
   uds_cfg.name = "uds";
   uds_cfg.uds = true;
@@ -626,14 +649,12 @@ int main(int argc, char** argv) {
             << ", \"socket_batch_vps\": " << socket_batch
             << ", \"uds_vps\": " << uds
             << ", \"speedup\": " << (naive > 0.0 ? serve / naive : 0.0)
-            << ", \"serve_mean_occupancy\": " << cap_metrics.mean_occupancy()
-            << ", \"callback_mean_occupancy\": "
-            << callback_metrics.mean_occupancy()
-            << ", \"socket_mean_occupancy\": "
-            << socket_metrics.mean_occupancy()
+            << ", \"serve_mean_occupancy\": " << cap_metrics.occupancy
+            << ", \"callback_mean_occupancy\": " << callback_metrics.occupancy
+            << ", \"socket_mean_occupancy\": " << socket_metrics.occupancy
             << ", \"socket_batch_mean_occupancy\": "
-            << socket_batch_metrics.mean_occupancy()
-            << ", \"uds_mean_occupancy\": " << uds_metrics.mean_occupancy()
+            << socket_batch_metrics.occupancy
+            << ", \"uds_mean_occupancy\": " << uds_metrics.occupancy
             << ", \"results_match_sort_batch\": " << (agree ? "true" : "false")
             << "},\n"
             << "  \"cold_vs_warm\": {\"channels\": " << composed_shape.channels
@@ -656,7 +677,7 @@ int main(int argc, char** argv) {
     for (const double rate : rates) {
       const SweepResult r = open_loop_point(
           workers, rate, static_cast<long>(window_us), rounds, seed + 1);
-      const MetricsSnapshot& m = r.metrics;
+      const ServeReading& m = r.metrics;
       if (!first) std::cout << ",\n";
       first = false;
       std::cout << "    {\"rate\": " << r.rate
@@ -664,7 +685,7 @@ int main(int argc, char** argv) {
                 << ", \"throughput_vps\": " << r.throughput
                 << ", \"elapsed_s\": " << r.elapsed_s
                 << ", \"batches\": " << m.batches
-                << ", \"mean_occupancy\": " << m.mean_occupancy()
+                << ", \"mean_occupancy\": " << m.occupancy
                 << ", \"latency_us\": " << m.latency_ns.json(1000.0) << "}";
     }
   }

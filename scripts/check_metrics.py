@@ -17,6 +17,12 @@ Reads the document from stdin (or a file argument). Two modes:
                               its metric, and the stage histograms must
                               report non-zero _count samples.
 
+Both modes also check the request-accounting identity, which holds at
+any instant: serve_completed_total + serve_failed_total +
+serve_expired_total <= serve_submitted_total. Every finished request was
+admitted first; it is not an equality, because requests still in flight
+and groups refused after admission (serve_rejected_total) are neither.
+
 Flags (both modes):
 
   --require-cache             also assert the sorter-pool cache series
@@ -67,6 +73,11 @@ CACHE_COUNTERS = (
     "pool_evictions_total",
 )
 CACHE_GAUGES = ("pool_capacity", "pool_shapes")
+FINISHED_COUNTERS = (
+    "serve_completed_total",
+    "serve_failed_total",
+    "serve_expired_total",
+)
 PROCESS_GAUGES = ("process_rss_bytes", "process_open_fds")
 
 SAMPLE = re.compile(
@@ -95,6 +106,22 @@ def check_cache(values: dict, require_evictions: bool) -> list:
         if evictions is not None and evictions == 0:
             errors.append("pool_evictions_total: no eviction under churn — "
                           "is the LRU bound enforced?")
+    return errors
+
+
+def check_request_accounting(values: dict) -> list:
+    """completed + failed + expired <= submitted, over a {name: value} map."""
+    names = ("serve_submitted_total",) + FINISHED_COUNTERS
+    errors = [f"{name}: request counter missing"
+              for name in names if name not in values]
+    if errors:
+        return errors
+    finished = sum(values[name] for name in FINISHED_COUNTERS)
+    submitted = values["serve_submitted_total"]
+    if finished > submitted:
+        errors.append(f"request accounting: completed + failed + expired = "
+                      f"{finished:g} exceeds serve_submitted_total = "
+                      f"{submitted:g}")
     return errors
 
 
@@ -157,13 +184,13 @@ def check_json(text: str, require_cache: bool = False,
             if not isinstance(entry, dict) or entry.keys() != SLOW_KEYS:
                 errors.append(f"slow_requests[{i}]: bad entry {entry!r}")
 
-    if require_cache or require_process:
-        scalars = {k: v for k, v in metrics.items()
-                   if isinstance(v, int) and not isinstance(v, bool)}
-        if require_cache:
-            errors += check_cache(scalars, require_evictions)
-        if require_process:
-            errors += check_process_stats(scalars)
+    scalars = {k: v for k, v in metrics.items()
+               if isinstance(v, int) and not isinstance(v, bool)}
+    errors += check_request_accounting(scalars)
+    if require_cache:
+        errors += check_cache(scalars, require_evictions)
+    if require_process:
+        errors += check_process_stats(scalars)
     return errors
 
 
@@ -196,7 +223,7 @@ def check_prometheus(text: str, require_cache: bool = False,
             errors.append(f"line {lineno}: sample before any # TYPE: {name}")
         if name.endswith("_count"):
             counts[name] = float(line.rsplit(" ", 1)[1])
-        if m.group(2) is None:  # unlabeled sample: eligible cache series
+        if m.group(2) is None:  # unlabeled sample: serve/cache/process series
             scalars[name] = float(line.rsplit(" ", 1)[1])
     for stage in STAGES:
         count = counts.get(stage + "_count")
@@ -204,6 +231,7 @@ def check_prometheus(text: str, require_cache: bool = False,
             errors.append(f"{stage}: no _count sample")
         elif count == 0:
             errors.append(f"{stage}: stage histogram is empty")
+    errors += check_request_accounting(scalars)
     if require_cache:
         errors += check_cache(scalars, require_evictions)
     if require_process:

@@ -6,30 +6,6 @@
 
 namespace mcsn {
 
-double MetricsSnapshot::mean_occupancy() const {
-  if (batches == 0 || max_lanes == 0) return 0.0;
-  return static_cast<double>(completed + failed + expired) /
-         (static_cast<double>(batches) * static_cast<double>(max_lanes));
-}
-
-std::string MetricsSnapshot::json() const {
-  std::ostringstream os;
-  // Locale-independent output: this JSON is parsed by CI artifact tooling,
-  // so a grouping/comma global locale must not leak into it.
-  os.imbue(std::locale::classic());
-  os << "{\"submitted\": " << submitted << ", \"completed\": " << completed
-     << ", \"rejected\": " << rejected << ", \"failed\": " << failed
-     << ", \"expired\": " << expired
-     << ", \"batches\": " << batches << ", \"flush\": {\"lane_full\": "
-     << flush_full << ", \"window\": " << flush_window
-     << ", \"drain\": " << flush_drain << "}"
-     << ", \"max_lanes\": " << max_lanes
-     << ", \"mean_occupancy\": " << mean_occupancy()
-     << ", \"batch_lanes\": " << batch_lanes.json()
-     << ", \"latency_us\": " << latency_ns.json(1000.0) << "}";
-  return os.str();
-}
-
 void SlowRequestRing::offer(const SlowRequest& r) noexcept {
   if (capacity_ == 0) return;
   // Fast path: the ring is full and this request is not slower than its
@@ -88,10 +64,8 @@ std::string SlowRequestRing::json() const {
   return os.str();
 }
 
-ServiceMetrics::ServiceMetrics(MetricsRegistry& registry,
-                               std::size_t max_lanes)
-    : max_lanes_(max_lanes),
-      submitted_(registry.counter("serve_submitted_total")),
+ServiceMetrics::ServiceMetrics(MetricsRegistry& registry)
+    : submitted_(registry.counter("serve_submitted_total")),
       completed_(registry.counter("serve_completed_total")),
       rejected_(registry.counter("serve_rejected_total")),
       failed_(registry.counter("serve_failed_total")),
@@ -108,8 +82,8 @@ ServiceMetrics::ServiceMetrics(MetricsRegistry& registry,
       queue_ns_(registry.histogram("stage_queue_ns")),
       execute_ns_(registry.histogram("stage_execute_ns")) {}
 
-void ServiceMetrics::on_batch(std::size_t lanes, FlushCause cause,
-                              std::uint64_t failed,
+void ServiceMetrics::on_batch(std::size_t requests, std::size_t lanes,
+                              FlushCause cause, std::uint64_t failed,
                               std::uint64_t expired) noexcept {
   batches_.add();
   switch (cause) {
@@ -120,28 +94,7 @@ void ServiceMetrics::on_batch(std::size_t lanes, FlushCause cause,
   batch_lanes_.record(lanes);
   if (failed > 0) failed_.add(failed);
   if (expired > 0) expired_.add(expired);
-  completed_.add(lanes - failed - expired);
-}
-
-MetricsSnapshot ServiceMetrics::snapshot() const {
-  MetricsSnapshot snap;
-  snap.max_lanes = max_lanes_;
-  // Completion-side series first, submitted last: increments to submitted
-  // happen-before the matching completion-side increments (the request
-  // rides the batcher's mutex between them), so reading in the reverse
-  // order keeps completed <= submitted plausible in every interleaving.
-  snap.completed = completed_.value();
-  snap.failed = failed_.value();
-  snap.expired = expired_.value();
-  snap.batches = batches_.value();
-  snap.flush_full = flush_full_.value();
-  snap.flush_window = flush_window_.value();
-  snap.flush_drain = flush_drain_.value();
-  snap.latency_ns = latency_ns_.snapshot();
-  snap.batch_lanes = batch_lanes_.snapshot();
-  snap.rejected = rejected_.value();
-  snap.submitted = submitted_.value();
-  return snap;
+  completed_.add(requests - failed - expired);
 }
 
 }  // namespace mcsn

@@ -1,10 +1,9 @@
 #pragma once
-// Service observability, backed by the shared MetricsRegistry
+// Service observability, recorded into the shared MetricsRegistry
 // (util/metrics_registry.hpp): admission counters are relaxed atomics
-// (no lock on the per-request hot path), latency/occupancy histograms
-// record lock-free, and MetricsSnapshot/json() remain as the historical
-// compatibility view assembled from the registry handles. Also home of
-// the slow-request ring: the top-K slowest requests with per-stage
+// (no lock on the per-request hot path) and latency/occupancy histograms
+// record lock-free; readers scrape the registry. Also home of the
+// slow-request ring: the top-K slowest requests with per-stage
 // breakdowns, kept with one relaxed load per fast request.
 
 #include <atomic>
@@ -14,35 +13,12 @@
 #include <vector>
 
 #include "mcsn/api/status.hpp"
-#include "mcsn/util/histogram.hpp"
 #include "mcsn/util/metrics_registry.hpp"
 
 namespace mcsn {
 
 /// Why a lane group left the micro-batcher.
 enum class FlushCause { lane_full, window, drain };
-
-struct MetricsSnapshot {
-  std::uint64_t submitted = 0;  ///< requests admitted by submit()
-  std::uint64_t completed = 0;  ///< requests completed successfully
-  std::uint64_t rejected = 0;   ///< submits refused at admission (malformed
-                                ///< request, service stopped, queue closed)
-  std::uint64_t failed = 0;     ///< requests completed with an error status
-  std::uint64_t expired = 0;    ///< requests past deadline at flush time
-  std::uint64_t batches = 0;    ///< sort_batch executions
-  std::uint64_t flush_full = 0;    ///< batches flushed on lane-full
-  std::uint64_t flush_window = 0;  ///< batches flushed on window expiry
-  std::uint64_t flush_drain = 0;   ///< batches flushed by stop()/drain
-  std::size_t max_lanes = 0;       ///< configured lane-group target
-  Histogram latency_ns;            ///< submit -> future fulfilled
-  Histogram batch_lanes;           ///< requests per executed batch
-
-  /// Mean fraction of the lane-group target actually filled, in [0, 1].
-  [[nodiscard]] double mean_occupancy() const;
-
-  /// One JSON object; latencies reported in microseconds.
-  [[nodiscard]] std::string json() const;
-};
 
 /// One slow request as captured by the ring: its shape, size, and where
 /// its latency went (queue = enqueue -> batch flush, execute = flush ->
@@ -84,19 +60,24 @@ class SlowRequestRing {
 /// The service's recorder: thin, stable handles into a MetricsRegistry.
 /// on_submitted/on_rejected are single relaxed atomic adds — they sit on
 /// every request admission, where the old mutex showed up in profiles.
+/// A request is counted submitted before the batcher sees it, and a
+/// registry snapshot reads counters in name order (serve_completed_,
+/// _expired_, _failed_total before serve_submitted_total), so a scrape
+/// keeps completed + failed + expired <= submitted.
 class ServiceMetrics {
  public:
-  ServiceMetrics(MetricsRegistry& registry, std::size_t max_lanes);
+  explicit ServiceMetrics(MetricsRegistry& registry);
 
   void on_submitted() noexcept { submitted_.add(); }
   void on_rejected() noexcept { rejected_.add(); }
 
-  /// Records one executed batch of `lanes` rounds flushed for `cause`;
-  /// `failed` of its requests carried an error status and `expired`
-  /// (counted separately, not part of `failed`) were past their deadline
-  /// at flush time.
-  void on_batch(std::size_t lanes, FlushCause cause, std::uint64_t failed,
-                std::uint64_t expired = 0) noexcept;
+  /// Records one executed batch of `requests` requests spanning `lanes`
+  /// rounds, flushed for `cause`; `failed` of its requests carried an
+  /// error status and `expired` (counted separately, not part of
+  /// `failed`) were past their deadline at flush time. The rest count as
+  /// completed.
+  void on_batch(std::size_t requests, std::size_t lanes, FlushCause cause,
+                std::uint64_t failed, std::uint64_t expired) noexcept;
 
   /// Per-request submit -> response latency, in ns.
   void record_latency(std::uint64_t ns) noexcept { latency_ns_.record(ns); }
@@ -105,13 +86,7 @@ class ServiceMetrics {
   /// Per-batch flush -> engine-done time, in ns (stage histogram).
   void record_execute(std::uint64_t ns) noexcept { execute_ns_.record(ns); }
 
-  /// Compatibility view assembled from the registry handles. Counters are
-  /// read completion-side first, so after a client observed its response
-  /// the snapshot never shows completed ahead of submitted.
-  [[nodiscard]] MetricsSnapshot snapshot() const;
-
  private:
-  std::size_t max_lanes_;
   Counter& submitted_;
   Counter& completed_;
   Counter& rejected_;

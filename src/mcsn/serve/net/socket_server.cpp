@@ -362,8 +362,7 @@ struct SocketServer::Impl {
 
     /// Per-loop counters: handles into the service's MetricsRegistry
     /// (socket_*_total series labeled loop="<index>"), registered by
-    /// start() before the loop thread spawns. SocketServer::stats()
-    /// aggregates across loops by reading the same handles back.
+    /// start() before the loop thread spawns.
     Counter* accepted = nullptr;
     Counter* rejected = nullptr;
     Counter* closed = nullptr;
@@ -937,21 +936,6 @@ struct SocketServer::Impl {
 
   std::vector<std::unique_ptr<Loop>> loops;
 
-  static void add_loop_stats(SocketServer::Stats& s, const Loop& l) {
-    if (l.accepted == nullptr) return;  // start() failed before registration
-    s.accepted += l.accepted->value();
-    s.rejected += l.rejected->value();
-    s.closed += l.closed->value();
-    s.requests += l.requests->value();
-    s.batch_requests += l.batch_requests->value();
-    s.rounds += l.rounds->value();
-    s.responses += l.responses->value();
-    s.protocol_errors += l.protocol_errors->value();
-    s.idle_closed += l.idle_closed->value();
-    s.stats_requests += l.stats_requests->value();
-    s.fsm_violations += l.fsm_violations->value();
-  }
-
   /// Registers one loop's counters in the service registry, labeled with
   /// the loop index so per-loop load stays visible in the exposition.
   static void register_loop_series(Loop& loop, MetricsRegistry& reg) {
@@ -1313,18 +1297,6 @@ Status SocketServer::start() { return impl_->start(); }
 void SocketServer::stop() { impl_->stop(); }
 
 std::uint16_t SocketServer::port() const noexcept { return impl_->bound_port; }
-
-SocketServer::Stats SocketServer::stats() const {
-  Stats s;
-  for (const auto& loop : impl_->loops) Impl::add_loop_stats(s, *loop);
-  return s;
-}
-
-SocketServer::Stats SocketServer::loop_stats(std::size_t loop) const {
-  Stats s;
-  if (loop < impl_->loops.size()) Impl::add_loop_stats(s, *impl_->loops[loop]);
-  return s;
-}
 
 std::size_t SocketServer::loop_count() const noexcept {
   return impl_->loops.size();

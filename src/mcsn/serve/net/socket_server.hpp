@@ -45,8 +45,13 @@
 // worker threads, or inline on a loop thread for synchronous rejections)
 // only encode the response, file it under the request's sequence number
 // and wake the owning loop through its self-pipe — they never touch a
-// file descriptor. start()/stop()/port()/stats() are safe to call from
-// any thread; stop() is idempotent and the destructor calls it.
+// file descriptor. start()/stop()/port()/connections() are safe to call
+// from any thread; stop() is idempotent and the destructor calls it.
+//
+// Each loop counts its traffic in socket_*_total{loop="i"} series of the
+// service's MetricsRegistry (docs/OBSERVABILITY.md §2); read them there,
+// e.g. service.registry().counter_total("socket_requests_total") for the
+// sum over loops.
 //
 // Flow control and defense:
 //   * at most max_inflight *rounds* per connection that are decoded but
@@ -184,34 +189,6 @@ class SocketServer {
   /// loops > 1 on Linux every SO_REUSEPORT listener shares this one
   /// port). 0 when TCP is disabled. Valid after a successful start().
   [[nodiscard]] std::uint16_t port() const noexcept;
-
-  /// Cumulative counters, read back from the service's MetricsRegistry
-  /// (each loop records into socket_*_total series labeled loop="i";
-  /// this struct is the historical compatibility view).
-  struct Stats {
-    std::uint64_t accepted = 0;         ///< connections accepted
-    std::uint64_t rejected = 0;         ///< accepts over max_connections
-    std::uint64_t closed = 0;           ///< connections fully torn down
-    std::uint64_t requests = 0;         ///< request frames submitted
-                                        ///< (single-round and batch)
-    std::uint64_t batch_requests = 0;   ///< batch request frames among them
-    std::uint64_t rounds = 0;           ///< rounds across all request frames
-    std::uint64_t responses = 0;        ///< response frames fully written
-    std::uint64_t protocol_errors = 0;  ///< malformed frames answered
-    std::uint64_t idle_closed = 0;      ///< idle-timeout teardowns
-    std::uint64_t stats_requests = 0;   ///< stats admin frames served
-    std::uint64_t fsm_violations = 0;   ///< ConnFsm violations observed at
-                                        ///< teardown (always 0 in verify
-                                        ///< builds, which abort instead;
-                                        ///< the soak asserts it stays 0)
-  };
-  /// Aggregated across every loop (each loop keeps its own counters; this
-  /// sums them — never just loop 0's view).
-  [[nodiscard]] Stats stats() const;
-
-  /// One loop's counters (index < loop_count()) — for tests and per-loop
-  /// load introspection.
-  [[nodiscard]] Stats loop_stats(std::size_t loop) const;
 
   /// Event loops actually running (== SocketOptions::loops after a
   /// successful start()).

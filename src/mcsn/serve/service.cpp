@@ -88,7 +88,7 @@ SortService::SortService(ServeOptions opt)
       pool_(opt_.sorter, opt_.registry.get(), opt_.pool_capacity),
       batcher_(opt_.max_lanes, opt_.flush_window, opt_.registry.get()),
       ready_(opt_.ready_capacity),
-      metrics_(*opt_.registry, opt_.max_lanes),
+      metrics_(*opt_.registry),
       proc_stats_(*opt_.registry) {
   // Warm the pool before traffic: first requests for the listed shapes
   // hit compiled programs. Failures reach warmup_observer; the service
@@ -368,7 +368,7 @@ void SortService::execute(BatchGroup group) {
   // Metrics are recorded *before* the completions run, so a client that
   // observed its response also observes the batch in the metrics. Lane
   // occupancy is measured in rounds (what actually fills engine lanes);
-  // failed/expired stay per-request.
+  // completed/failed/expired count requests.
   const auto done_at = Clock::now();
   const auto since_ns = [](Clock::time_point from, Clock::time_point to) {
     return static_cast<std::uint64_t>(
@@ -395,8 +395,8 @@ void SortService::execute(BatchGroup group) {
                            : run_status.code();
     slow_ring_.offer(slow);
   }
-  metrics_.on_batch(total_rounds, group.cause, run_status.ok() ? 0 : n_live,
-                    n_expired);
+  metrics_.on_batch(n, total_rounds, group.cause,
+                    run_status.ok() ? 0 : n_live, n_expired);
   if (n_live > 0 && run_status.ok()) {
     pool_.record_batch(group.sorter->channels(), group.sorter->bits(),
                        live_rounds, execute_ns);

@@ -166,16 +166,12 @@ class SortService {
   /// destructor calls it.
   void stop();
 
-  /// Consistent point-in-time counters/histograms; safe to call from any
-  /// thread, concurrently with traffic and with stop().
-  [[nodiscard]] MetricsSnapshot metrics() const { return metrics_.snapshot(); }
-  /// metrics() rendered as locale-independent JSON.
-  [[nodiscard]] std::string metrics_json() const {
-    return metrics_.snapshot().json();
-  }
   /// The registry this service records into (options().registry; never
-  /// null after construction). Scrape it directly or register additional
-  /// series — handles stay valid for the service's lifetime.
+  /// null after construction) — the one place its metrics are read,
+  /// under the series names of docs/OBSERVABILITY.md. Scrape it directly
+  /// or register additional series — handles stay valid for the
+  /// service's lifetime. Safe from any thread, concurrently with traffic
+  /// and with stop().
   [[nodiscard]] MetricsRegistry& registry() const noexcept {
     return *opt_.registry;
   }

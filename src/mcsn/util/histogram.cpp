@@ -67,6 +67,7 @@ std::string Histogram::json(double unit) const {
   // de_DE locale that means digit grouping and decimal commas — invalid
   // JSON. Always emit in the locale-independent "C" form.
   os.imbue(std::locale::classic());
+  os.precision(16);
   os << "{\"count\": " << count_ << ", \"min\": " << scaled(min())
      << ", \"p50\": " << scaled(quantile(0.5))
      << ", \"p90\": " << scaled(quantile(0.9))

@@ -5,8 +5,8 @@
 // uint64 — the caller picks the unit (the serve subsystem records
 // nanoseconds and reports microseconds).
 //
-// Not internally synchronized; wrap in a mutex (ServiceMetrics does) or
-// keep one per thread and merge().
+// Not internally synchronized: keep one per thread and merge(), or record
+// through AtomicHistogram (util/metrics_registry.hpp) and snapshot().
 
 #include <cstddef>
 #include <cstdint>
@@ -25,6 +25,8 @@ class Histogram {
     return count_ ? min_ : 0;
   }
   [[nodiscard]] std::uint64_t max() const noexcept { return max_; }
+  /// Exact sum of every recorded value.
+  [[nodiscard]] std::uint64_t sum() const noexcept { return sum_; }
   [[nodiscard]] double mean() const noexcept {
     return count_ ? static_cast<double>(sum_) / static_cast<double>(count_)
                   : 0.0;
@@ -39,7 +41,8 @@ class Histogram {
 
   /// JSON object {"count":..,"min":..,"p50":..,"p90":..,"p99":..,"max":..,
   /// "mean":..}, values divided by `unit` (e.g. 1000 to report recorded
-  /// nanoseconds as microseconds).
+  /// nanoseconds as microseconds). Numbers carry 16 significant digits,
+  /// so every integer up to 2^53 prints exactly.
   [[nodiscard]] std::string json(double unit = 1.0) const;
 
  private:

@@ -52,12 +52,14 @@ std::string render_labels(const MetricsRegistry::Labels& labels) {
   return out;
 }
 
-/// Prometheus sample line with the base labels plus an optional extra
-/// label (the quantile), e.g. name{channels="6",quantile="0.5"} 42.
-void sample_line(std::ostream& os, const std::string& name,
-                 const std::string& suffix,
-                 const MetricsRegistry::Labels& labels, const char* extra_key,
-                 const std::string& extra_value, double value) {
+/// Starts a Prometheus sample line with the base labels plus an optional
+/// extra label (the quantile), e.g. `name{channels="6",quantile="0.5"} `;
+/// the caller streams the integer value and the newline.
+std::ostream& sample_line(std::ostream& os, const std::string& name,
+                          const std::string& suffix,
+                          const MetricsRegistry::Labels& labels,
+                          const char* extra_key = nullptr,
+                          const char* extra_value = "") {
   os << name << suffix;
   if (!labels.empty() || extra_key != nullptr) {
     os << "{";
@@ -73,7 +75,7 @@ void sample_line(std::ostream& os, const std::string& name,
     }
     os << "}";
   }
-  os << " " << value << "\n";
+  return os << " ";
 }
 
 const char* kind_prefix(MetricsRegistry::Kind kind) {
@@ -196,6 +198,22 @@ std::vector<MetricsRegistry::Series> MetricsRegistry::snapshot() const {
   return out;
 }
 
+std::optional<std::uint64_t> MetricsRegistry::counter_total(
+    const std::string& name, const Labels& match) const {
+  std::optional<std::uint64_t> total;
+  std::lock_guard lock(mu_);
+  for (const auto& [key, slot] : series_) {
+    if (slot.kind != Kind::counter || slot.name != name) continue;
+    const bool matches = std::all_of(
+        match.begin(), match.end(), [&slot](const auto& label) {
+          return std::find(slot.labels.begin(), slot.labels.end(), label) !=
+                 slot.labels.end();
+        });
+    if (matches) total = total.value_or(0) + slot.counter->value();
+  }
+  return total;
+}
+
 std::string MetricsRegistry::json() const {
   std::ostringstream os;
   // Scraped by CI tooling: a grouping/decimal-comma global locale must
@@ -228,28 +246,22 @@ std::string MetricsRegistry::prometheus() const {
     }
     switch (s.kind) {
       case Kind::counter:
-        sample_line(os, s.name, "", s.labels, nullptr, "",
-                    static_cast<double>(s.counter_value));
+        sample_line(os, s.name, "", s.labels) << s.counter_value << "\n";
         break;
       case Kind::gauge:
-        sample_line(os, s.name, "", s.labels, nullptr, "",
-                    static_cast<double>(s.gauge_value));
+        sample_line(os, s.name, "", s.labels) << s.gauge_value << "\n";
         break;
-      case Kind::histogram: {
-        for (const double q : {0.5, 0.9, 0.99}) {
-          std::ostringstream qs;
-          qs.imbue(std::locale::classic());
-          qs << q;
-          sample_line(os, s.name, "", s.labels, "quantile", qs.str(),
-                      static_cast<double>(s.histogram.quantile(q)));
+      case Kind::histogram:
+        for (const auto& [q, label] :
+             {std::pair{0.5, "0.5"}, {0.9, "0.9"}, {0.99, "0.99"}}) {
+          sample_line(os, s.name, "", s.labels, "quantile", label)
+              << s.histogram.quantile(q) << "\n";
         }
-        sample_line(os, s.name, "_sum", s.labels, nullptr, "",
-                    static_cast<double>(s.histogram.count()) *
-                        s.histogram.mean());
-        sample_line(os, s.name, "_count", s.labels, nullptr, "",
-                    static_cast<double>(s.histogram.count()));
+        sample_line(os, s.name, "_sum", s.labels)
+            << s.histogram.sum() << "\n";
+        sample_line(os, s.name, "_count", s.labels)
+            << s.histogram.count() << "\n";
         break;
-      }
     }
   }
   return os.str();

@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,6 +143,13 @@ class MetricsRegistry {
   /// labels, counters/gauges/histograms interleaved alphabetically).
   [[nodiscard]] std::vector<Series> snapshot() const;
 
+  /// Sum over the counter series named `name` whose labels include every
+  /// pair in `match` (e.g. all loops of socket_requests_total); nullopt
+  /// when no such series is registered. Read-only: unlike counter(), a
+  /// misspelled name registers nothing and does not read as 0.
+  [[nodiscard]] std::optional<std::uint64_t> counter_total(
+      const std::string& name, const Labels& match = {}) const;
+
   /// Flat JSON object keyed by Series::key(): counters/gauges as numbers,
   /// histograms as {"count","min","p50","p90","p99","max","mean"}
   /// objects (values in the series' recorded unit). Locale-independent.
@@ -149,7 +157,8 @@ class MetricsRegistry {
 
   /// Prometheus text exposition: counters/gauges as single samples,
   /// histograms summary-style (quantile-labeled samples plus _sum and
-  /// _count). One # TYPE line per metric name.
+  /// _count), every sample an exact integer. One # TYPE line per metric
+  /// name.
   [[nodiscard]] std::string prometheus() const;
 
  private:

@@ -278,13 +278,16 @@ TEST(ConnFsmProperty, ThousandRandomizedSessionsAgainstRealServer) {
   }
 
   // All sessions eventually account for their close (abrupt ones lag).
+  const MetricsRegistry& reg = service.registry();
   EXPECT_TRUE(eventually([&] {
-    const net::SocketServer::Stats stats = server.stats();
-    return stats.closed + stats.idle_closed >= kSessions;
+    return reg.counter_total("socket_closed_total").value_or(0) +
+               reg.counter_total("socket_idle_closed_total").value_or(0) >=
+           kSessions;
   }));
-  const net::SocketServer::Stats stats = server.stats();
-  EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kSessions));
-  EXPECT_GT(stats.protocol_errors, 0u);  // garbage/truncation endings ran
+  EXPECT_EQ(reg.counter_total("socket_accepted_total"),
+            static_cast<std::uint64_t>(kSessions));
+  // Garbage/truncation endings ran.
+  EXPECT_GT(reg.counter_total("socket_protocol_errors_total").value_or(0), 0u);
   server.stop();
 }
 
@@ -310,7 +313,9 @@ TEST(ConnFsmProperty, IdleReaperClosesStalledConnections) {
   StatusOr<SortResponse> rsp = idle->sort(*req);
   ASSERT_TRUE(rsp.ok());
 
-  EXPECT_TRUE(eventually([&] { return server.stats().idle_closed >= 1; }));
+  EXPECT_TRUE(eventually([&] {
+    return service.registry().counter_total("socket_idle_closed_total") >= 1u;
+  }));
   server.stop();
 }
 

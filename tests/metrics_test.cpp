@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,6 +199,59 @@ TEST(MetricsRegistry, PrometheusExpositionHasTypesAndSummaries) {
   EXPECT_EQ(text.back(), '\n');
 }
 
+// Values past six significant digits keep every digit in both
+// renderings: a counter past a million, a gauge past 2^24, a histogram
+// whose _sum passes 2^28.
+TEST(MetricsRegistry, LargeValuesRenderAsExactIntegers) {
+  MetricsRegistry reg;
+  reg.counter("big_total").add(1234567);
+  reg.gauge("big_bytes").set(31457281);
+  AtomicHistogram& h = reg.histogram("big_ns");
+  for (int i = 0; i < 3; ++i) h.record(123456789);
+
+  const std::string text = reg.prometheus();
+  EXPECT_NE(text.find("\nbig_total 1234567\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nbig_bytes 31457281\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nbig_ns{quantile=\"0.5\"} 123456789\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nbig_ns_sum 370370367\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nbig_ns_count 3\n"), std::string::npos) << text;
+
+  const std::string json = reg.json();
+  EXPECT_NE(json.find("\"big_total\": 1234567"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"big_bytes\": 31457281"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"big_ns\": {\"count\": 3, \"min\": 123456789, "
+                      "\"p50\": 123456789, \"p90\": 123456789, "
+                      "\"p99\": 123456789, \"max\": 123456789, "
+                      "\"mean\": 123456789}"),
+            std::string::npos)
+      << json;
+}
+
+TEST(MetricsRegistry, CounterTotalSumsMatchingSeriesWithoutRegistering) {
+  MetricsRegistry reg;
+  reg.counter("requests_total", {{"loop", "0"}}).add(3);
+  reg.counter("requests_total", {{"loop", "1"}}).add(4);
+  reg.counter("flush_total", {{"cause", "window"}, {"shard", "a"}}).add(2);
+  reg.counter("flush_total", {{"cause", "drain"}, {"shard", "a"}}).add(5);
+  reg.gauge("requests_total").set(100);  // same name, other kind: ignored
+
+  EXPECT_EQ(reg.counter_total("requests_total"), 7u);  // over loops
+  EXPECT_EQ(reg.counter_total("requests_total", {{"loop", "1"}}), 4u);
+  EXPECT_EQ(reg.counter_total("flush_total", {{"shard", "a"}}), 7u);
+  EXPECT_EQ(reg.counter_total("flush_total", {{"cause", "drain"}}), 5u);
+  EXPECT_EQ(reg.counter_total("flush_total",
+                              {{"shard", "a"}, {"cause", "window"}}),
+            2u);
+
+  const std::size_t registered = reg.snapshot().size();
+  EXPECT_EQ(reg.counter_total("request_total"), std::nullopt);  // misspelt
+  EXPECT_EQ(reg.counter_total("requests_total", {{"loop", "9"}}),
+            std::nullopt);
+  EXPECT_EQ(reg.snapshot().size(), registered);  // nothing was created
+}
+
 TEST(SlowRequestRing, KeepsTopKByTotalLatencySortedDescending) {
   SlowRequestRing ring(4);
   for (std::uint64_t t = 1; t <= 20; ++t) {
@@ -242,27 +296,32 @@ TEST(SlowRequestRing, JsonListsEntriesWithStageBreakdown) {
   EXPECT_EQ(SlowRequestRing(4).json(), "[]");
 }
 
-TEST(ServiceMetrics, SnapshotCompatViewMatchesRegistrySeries) {
+TEST(ServiceMetrics, RecordsIntoTheRegistrySeries) {
   MetricsRegistry reg;
-  ServiceMetrics m(reg, 16);
+  ServiceMetrics m(reg);
   m.on_submitted();
   m.on_submitted();
   m.on_rejected();
   m.record_latency(1000);
-  m.on_batch(8, FlushCause::window, /*failed=*/0, /*expired=*/1);
-  const MetricsSnapshot snap = m.snapshot();
-  EXPECT_EQ(snap.submitted, 2u);
-  EXPECT_EQ(snap.rejected, 1u);
-  EXPECT_EQ(snap.batches, 1u);
-  EXPECT_EQ(snap.flush_window, 1u);
-  EXPECT_EQ(snap.expired, 1u);
-  EXPECT_EQ(snap.max_lanes, 16u);
-  EXPECT_EQ(snap.latency_ns.count(), 1u);
-  EXPECT_EQ(snap.batch_lanes.count(), 1u);
-  // The same numbers must be visible through the shared registry.
-  EXPECT_EQ(reg.counter("serve_submitted_total").value(), 2u);
-  EXPECT_EQ(reg.counter("serve_flush_total", {{"cause", "window"}}).value(),
-            1u);
+  // Two requests spanning eight rounds, one of them expired.
+  m.on_batch(/*requests=*/2, /*lanes=*/8, FlushCause::window, /*failed=*/0,
+             /*expired=*/1);
+  EXPECT_EQ(reg.counter_total("serve_submitted_total"), 2u);
+  EXPECT_EQ(reg.counter_total("serve_rejected_total"), 1u);
+  EXPECT_EQ(reg.counter_total("serve_batches_total"), 1u);
+  EXPECT_EQ(reg.counter_total("serve_flush_total", {{"cause", "window"}}), 1u);
+  EXPECT_EQ(reg.counter_total("serve_flush_total", {{"cause", "drain"}}), 0u);
+  EXPECT_EQ(reg.counter_total("serve_expired_total"), 1u);
+  EXPECT_EQ(reg.counter_total("serve_failed_total"), 0u);
+  EXPECT_EQ(reg.counter_total("serve_completed_total"), 1u);
+  std::uint64_t latency_count = 0;
+  std::uint64_t lane_sum = 0;
+  for (const MetricsRegistry::Series& s : reg.snapshot()) {
+    if (s.name == "serve_latency_ns") latency_count = s.histogram.count();
+    if (s.name == "serve_batch_lanes") lane_sum = s.histogram.sum();
+  }
+  EXPECT_EQ(latency_count, 1u);
+  EXPECT_EQ(lane_sum, 8u);  // occupancy stays in rounds
 }
 
 #if defined(__linux__)

@@ -79,6 +79,18 @@ bool eventually(const std::function<bool()>& pred,
   return pred();
 }
 
+/// A counter of the service's registry, summed over every series that
+/// carries `labels` — all loops of a socket_*_total series by default; a
+/// series the service never registered fails the test.
+std::uint64_t counter_total(const SortService& service,
+                            const std::string& name,
+                            const MetricsRegistry::Labels& labels) {
+  const std::optional<std::uint64_t> total =
+      service.registry().counter_total(name, labels);
+  EXPECT_TRUE(total.has_value()) << name << " is not registered";
+  return total.value_or(0);
+}
+
 /// A service + started server on an ephemeral loopback port.
 struct Loopback {
   explicit Loopback(net::SocketOptions sopt = {}, ServeOptions vopt = {}) {
@@ -94,6 +106,11 @@ struct Loopback {
         net::SortClient::connect("127.0.0.1", server->port());
     EXPECT_TRUE(c.ok()) << c.status().to_string();
     return std::move(*c);
+  }
+
+  std::uint64_t counter(const std::string& name,
+                        const MetricsRegistry::Labels& labels = {}) const {
+    return counter_total(*service, name, labels);
   }
 
   std::optional<SortService> service;
@@ -125,10 +142,9 @@ TEST(SocketServer, RoundTripParityVsFlatBatch) {
     ASSERT_TRUE(response->status.ok()) << response->status.to_string();
     EXPECT_EQ(response->payload, expect[i]) << "round " << i;
   }
-  const net::SocketServer::Stats stats = loop.server->stats();
-  EXPECT_EQ(stats.requests, rounds.size());
-  EXPECT_EQ(stats.accepted, 1u);
-  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(loop.counter("socket_requests_total"), rounds.size());
+  EXPECT_EQ(loop.counter("socket_accepted_total"), 1u);
+  EXPECT_EQ(loop.counter("socket_protocol_errors_total"), 0u);
 }
 
 TEST(SocketServer, NonCatalogShapeRoundTripsWithParity) {
@@ -151,7 +167,7 @@ TEST(SocketServer, NonCatalogShapeRoundTripsWithParity) {
     ASSERT_TRUE(response->status.ok()) << response->status.to_string();
     EXPECT_EQ(response->payload, expect[i]) << "round " << i;
   }
-  EXPECT_EQ(loop.server->stats().protocol_errors, 0u);
+  EXPECT_EQ(loop.counter("socket_protocol_errors_total"), 0u);
 }
 
 TEST(SocketServer, UnsupportedShapeGetsUnimplementedFrameNotAClose) {
@@ -184,7 +200,7 @@ TEST(SocketServer, UnsupportedShapeGetsUnimplementedFrameNotAClose) {
   ASSERT_TRUE(response.ok()) << response.status().to_string();
   ASSERT_TRUE(response->status.ok()) << response->status.to_string();
   EXPECT_EQ(response->payload, expect[0]);
-  EXPECT_EQ(loop.server->stats().protocol_errors, 0u);
+  EXPECT_EQ(loop.counter("socket_protocol_errors_total"), 0u);
 }
 
 TEST(SocketServer, ValueRequestsDecodeAsIntegers) {
@@ -272,7 +288,7 @@ TEST(SocketServer, ConcurrentPipelinedClientsInterleave) {
   }
   for (std::thread& t : threads) t.join();
   for (const std::string& f : failures) EXPECT_EQ(f, "");
-  EXPECT_EQ(loop.server->stats().requests,
+  EXPECT_EQ(loop.counter("socket_requests_total"),
             static_cast<std::uint64_t>(kClients) * kPerClient);
 }
 
@@ -333,7 +349,7 @@ TEST(SocketServer, HalfCloseAfterBurstStillAnswersEverything) {
   StatusOr<SortResponse> eof = client.receive();
   ASSERT_FALSE(eof.ok());
   EXPECT_EQ(eof.status().code(), StatusCode::kUnavailable);  // clean close
-  EXPECT_EQ(loop.server->stats().protocol_errors, 0u);
+  EXPECT_EQ(loop.counter("socket_protocol_errors_total"), 0u);
 }
 
 TEST(SocketServer, LateReaderDrainsBackpressuredWrites) {
@@ -417,7 +433,7 @@ TEST(SocketServer, NeverReadingClientIsReaped) {
     }
   });
   EXPECT_TRUE(eventually(
-      [&] { return loop.server->stats().idle_closed >= 1; }, 10000ms));
+      [&] { return loop.counter("socket_idle_closed_total") >= 1; }, 10000ms));
   EXPECT_TRUE(eventually([&] { return loop.server->connections() == 0; }));
   writer.join();
   ::close(fd);
@@ -489,7 +505,7 @@ TEST(SocketServer, BadMagicGetsErrorFrameThenClose) {
   StatusOr<SortResponse> eof = client.receive();
   ASSERT_FALSE(eof.ok());
   EXPECT_EQ(eof.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(loop.server->stats().protocol_errors, 1u);
+  EXPECT_EQ(loop.counter("socket_protocol_errors_total"), 1u);
 }
 
 TEST(SocketServer, UndecodableRequestBodyGetsStatusThenClose) {
@@ -556,10 +572,10 @@ TEST(SocketServer, CloseMidFrameCountsAsProtocolError) {
     const std::uint8_t partial[4] = {'M', 'C', 1, 1};  // header cut short
     ASSERT_EQ(::send(client.native_handle(), partial, sizeof partial, 0), 4);
     ASSERT_TRUE(eventually(
-        [&] { return loop.server->stats().accepted == 1; }));
+        [&] { return loop.counter("socket_accepted_total") == 1; }));
   }  // close with the frame unfinished
   EXPECT_TRUE(eventually(
-      [&] { return loop.server->stats().protocol_errors == 1; }));
+      [&] { return loop.counter("socket_protocol_errors_total") == 1; }));
 }
 
 // --- lifecycle --------------------------------------------------------------
@@ -583,7 +599,7 @@ TEST(SocketServer, StopDrainsPendingResponses) {
     ASSERT_TRUE(client.send(*request).ok());
   }
   ASSERT_TRUE(eventually(
-      [&] { return loop.server->stats().requests == rounds.size(); }));
+      [&] { return loop.counter("socket_requests_total") == rounds.size(); }));
   loop.server->stop();
   // Every admitted request's response was flushed before the close.
   for (std::size_t i = 0; i < rounds.size(); ++i) {
@@ -630,7 +646,7 @@ TEST(SocketServer, IdleConnectionsAreReaped) {
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
   EXPECT_TRUE(eventually(
-      [&] { return loop.server->stats().idle_closed == 1; }));
+      [&] { return loop.counter("socket_idle_closed_total") == 1; }));
 }
 
 TEST(SocketServer, StartValidatesOptionsAndRejectsReuse) {
@@ -717,18 +733,20 @@ TEST(SocketServer, MultiLoopPipelinedClientsSpreadAndAgree) {
   for (std::thread& t : threads) t.join();
   for (const std::string& f : failures) EXPECT_EQ(f, "");
 
-  // Aggregated counters cover every loop's traffic, and the round-robin
-  // dispatch actually used every loop.
-  const net::SocketServer::Stats total = loop.server->stats();
-  EXPECT_EQ(total.requests, static_cast<std::uint64_t>(kClients) * kPerClient);
-  EXPECT_EQ(total.accepted, static_cast<std::uint64_t>(kClients));
+  // Counters summed over the loop label cover every loop's traffic, and
+  // the round-robin dispatch actually used every loop.
+  const std::uint64_t requests = loop.counter("socket_requests_total");
+  EXPECT_EQ(requests, static_cast<std::uint64_t>(kClients) * kPerClient);
+  EXPECT_EQ(loop.counter("socket_accepted_total"),
+            static_cast<std::uint64_t>(kClients));
   std::uint64_t summed = 0;
   for (std::size_t l = 0; l < loop.server->loop_count(); ++l) {
-    const net::SocketServer::Stats per = loop.server->loop_stats(l);
-    EXPECT_GT(per.requests, 0u) << "loop " << l << " served nothing";
-    summed += per.requests;
+    const std::uint64_t per = loop.counter("socket_requests_total",
+                                           {{"loop", std::to_string(l)}});
+    EXPECT_GT(per, 0u) << "loop " << l << " served nothing";
+    summed += per;
   }
-  EXPECT_EQ(summed, total.requests);
+  EXPECT_EQ(summed, requests);
 }
 
 TEST(SocketServer, MultiLoopListenersShareOneEphemeralPort) {
@@ -758,7 +776,7 @@ TEST(SocketServer, MultiLoopListenersShareOneEphemeralPort) {
     ASSERT_TRUE(response->status.ok());
     EXPECT_EQ(response->payload, expect[0]);
   }
-  EXPECT_EQ(loop.server->stats().accepted, 8u);
+  EXPECT_EQ(loop.counter("socket_accepted_total"), 8u);
 }
 
 TEST(SocketServer, MultiLoopGracefulStopDrainsEveryLoop) {
@@ -785,8 +803,9 @@ TEST(SocketServer, MultiLoopGracefulStopDrainsEveryLoop) {
     ASSERT_TRUE(a.send(*request).ok());
     ASSERT_TRUE(b.send(*request).ok());
   }
-  ASSERT_TRUE(eventually(
-      [&] { return loop.server->stats().requests == 2 * rounds.size(); }));
+  ASSERT_TRUE(eventually([&] {
+    return loop.counter("socket_requests_total") == 2 * rounds.size();
+  }));
   loop.server->stop();
   for (std::size_t i = 0; i < rounds.size(); ++i) {
     StatusOr<SortResponse> ra = a.receive();
@@ -834,10 +853,9 @@ TEST(SocketServer, BatchFramesRoundTripWithParityAndCounters) {
             static_cast<std::ptrdiff_t>((i + 1) * shape.trits()));
     EXPECT_EQ(row, expect[i]) << "round " << i;
   }
-  const net::SocketServer::Stats stats = loop.server->stats();
-  EXPECT_EQ(stats.requests, 1u);        // one frame...
-  EXPECT_EQ(stats.batch_requests, 1u);  // ...a batch one...
-  EXPECT_EQ(stats.rounds, kRounds);     // ...carrying all the rounds
+  EXPECT_EQ(loop.counter("socket_requests_total"), 1u);  // one frame...
+  EXPECT_EQ(loop.counter("socket_batch_requests_total"), 1u);  // ...a batch
+  EXPECT_EQ(loop.counter("socket_rounds_total"), kRounds);  // ...of kRounds
 }
 
 TEST(SocketServer, BatchAndSingleFramesInterleaveInOrder) {
@@ -925,7 +943,7 @@ TEST(SocketServer, MultiRoundSortTravelsAsBatchFrame) {
   ASSERT_TRUE(one->status.ok()) << one->status.to_string();
   EXPECT_EQ(one->rounds, 1u);
   EXPECT_EQ(one->payload, expected_sorted(shape, {single})[0]);
-  EXPECT_EQ(loop.server->stats().protocol_errors, 0u);
+  EXPECT_EQ(loop.counter("socket_protocol_errors_total"), 0u);
 }
 
 // --- UNIX-domain sockets ----------------------------------------------------
@@ -952,6 +970,11 @@ struct UdsLoop {
     StatusOr<net::SortClient> c = net::SortClient::connect_unix(path);
     EXPECT_TRUE(c.ok()) << c.status().to_string();
     return std::move(*c);
+  }
+
+  std::uint64_t counter(const std::string& name,
+                        const MetricsRegistry::Labels& labels = {}) const {
+    return counter_total(*service, name, labels);
   }
 
   std::string path;
@@ -1031,15 +1054,14 @@ TEST(SocketServer, UnixDomainBatchAndMultiLoopDispatch) {
       EXPECT_EQ(row, expect[i]);
     }
   }
-  const net::SocketServer::Stats stats = loop.server->stats();
-  EXPECT_EQ(stats.accepted, 4u);
-  EXPECT_EQ(stats.batch_requests, 4u);
-  EXPECT_EQ(stats.rounds, 4 * kRounds);
+  EXPECT_EQ(loop.counter("socket_accepted_total"), 4u);
+  EXPECT_EQ(loop.counter("socket_batch_requests_total"), 4u);
+  EXPECT_EQ(loop.counter("socket_rounds_total"), 4 * kRounds);
   // Round-robin dispatch: both loops adopted connections.
-  EXPECT_GT(loop.server->loop_stats(0).accepted +
-                loop.server->loop_stats(0).requests,
+  EXPECT_GT(loop.counter("socket_accepted_total", {{"loop", "0"}}) +
+                loop.counter("socket_requests_total", {{"loop", "0"}}),
             0u);
-  EXPECT_GT(loop.server->loop_stats(1).requests, 0u);
+  EXPECT_GT(loop.counter("socket_requests_total", {{"loop", "1"}}), 0u);
 }
 
 TEST(SocketServer, UnixPathIsUnlinkedOnStopAndNonSocketRefused) {
@@ -1208,7 +1230,7 @@ TEST(SocketServer, LiveStatsScrapeDuringPipelinedLoad) {
   // By now at least one batch executed, so the per-shape pool series exist.
   EXPECT_NE(after->text.find("pool_batches_total{bits=\"4\",channels=\"4\"}"),
             std::string::npos);
-  EXPECT_GE(loop.server->stats().stats_requests, 2u);
+  EXPECT_GE(loop.counter("socket_stats_requests_total"), 2u);
 }
 
 TEST(SocketServer, StatsFramesInterleaveWithSortFramesInOrder) {
@@ -1321,7 +1343,7 @@ TEST(SocketServer, MalformedStatsRequestGetsErrorReplyAndSurvives) {
       client.sort(SortRequest::view(shape, round).value());
   ASSERT_TRUE(response.ok()) << response.status().to_string();
   EXPECT_TRUE(response->status.ok());
-  EXPECT_EQ(loop.server->stats().protocol_errors, 0u);
+  EXPECT_EQ(loop.counter("socket_protocol_errors_total"), 0u);
 }
 
 TEST(SocketServer, SlowRequestRingCapturesDeadlineExceeded) {

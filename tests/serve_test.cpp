@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <future>
 #include <iterator>
 #include <locale>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "mcsn/serve/service.hpp"
 #include "mcsn/serve/sorter_pool.hpp"
 #include "mcsn/util/loadgen.hpp"
+#include "mcsn/util/metrics_registry.hpp"
 #include "mcsn/util/rng.hpp"
 
 namespace mcsn {
@@ -41,6 +44,30 @@ using Clock = std::chrono::steady_clock;
 std::vector<Word> random_round(Xoshiro256& rng, int channels,
                                std::size_t bits) {
   return random_valid_round(rng, channels, bits);
+}
+
+/// A counter of the service's registry, summed over the series that carry
+/// `labels`; a series the service never registered fails the test.
+std::uint64_t registry_counter(const SortService& service,
+                               const std::string& name,
+                               const MetricsRegistry::Labels& labels = {}) {
+  const std::optional<std::uint64_t> total =
+      service.registry().counter_total(name, labels);
+  EXPECT_TRUE(total.has_value()) << name << " is not registered";
+  return total.value_or(0);
+}
+
+/// A histogram of the service's registry; a series the service never
+/// registered fails the test.
+Histogram registry_histogram(const SortService& service,
+                             const std::string& name) {
+  for (const MetricsRegistry::Series& s : service.registry().snapshot()) {
+    if (s.kind == MetricsRegistry::Kind::histogram && s.name == name) {
+      return s.histogram;
+    }
+  }
+  ADD_FAILURE() << name << " is not registered";
+  return {};
 }
 
 PendingSort make_pending(Xoshiro256& rng, int channels, std::size_t bits,
@@ -439,13 +466,15 @@ TEST(SortService, BatchingEquivalentToDirectSortBatch) {
     }
   }
 
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.submitted, order.size());
-  EXPECT_EQ(m.completed, order.size());
-  EXPECT_EQ(m.failed, 0u);
-  EXPECT_GE(m.batches, 4u);  // at least ceil(300/256)+1+1 shape flushes
-  EXPECT_EQ(m.flush_full + m.flush_window + m.flush_drain, m.batches);
-  EXPECT_GT(m.mean_occupancy(), 0.0);
+  EXPECT_EQ(registry_counter(service, "serve_submitted_total"), order.size());
+  EXPECT_EQ(registry_counter(service, "serve_completed_total"), order.size());
+  EXPECT_EQ(registry_counter(service, "serve_failed_total"), 0u);
+  const std::uint64_t batches =
+      registry_counter(service, "serve_batches_total");
+  EXPECT_GE(batches, 4u);  // at least ceil(300/256)+1+1 shape flushes
+  // Summed over every cause label, the flushes account for each batch.
+  EXPECT_EQ(registry_counter(service, "serve_flush_total"), batches);
+  EXPECT_GT(registry_histogram(service, "serve_batch_lanes").mean(), 0.0);
   EXPECT_EQ(service.shapes(), shapes.size());
 }
 
@@ -473,10 +502,9 @@ TEST(SortService, ConcurrentProducersStaySorted) {
   }
   for (auto& t : producers) t.join();
   for (int p = 0; p < kProducers; ++p) EXPECT_EQ(failures[p], 0);
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.completed,
+  EXPECT_EQ(registry_counter(service, "serve_completed_total"),
             static_cast<std::uint64_t>(kProducers) * kPerProducer);
-  EXPECT_GT(m.latency_ns.count(), 0u);
+  EXPECT_GT(registry_histogram(service, "serve_latency_ns").count(), 0u);
 }
 
 TEST(SortService, StopDrainsEveryPendingFuture) {
@@ -499,13 +527,14 @@ TEST(SortService, StopDrainsEveryPendingFuture) {
   for (std::size_t i = 0; i < futures.size(); ++i) {
     EXPECT_EQ(futures[i].get(), expect[i]);  // fulfilled by the drain
   }
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.flush_drain, 1u);
-  EXPECT_EQ(m.completed, 40u);
+  EXPECT_EQ(
+      registry_counter(service, "serve_flush_total", {{"cause", "drain"}}),
+      1u);
+  EXPECT_EQ(registry_counter(service, "serve_completed_total"), 40u);
 
   EXPECT_THROW((void)service.submit(random_round(rng, 4, 4)),
                std::runtime_error);
-  EXPECT_EQ(service.metrics().rejected, 1u);
+  EXPECT_EQ(registry_counter(service, "serve_rejected_total"), 1u);
   service.stop();  // idempotent
 }
 
@@ -531,10 +560,10 @@ TEST(SortService, RefusedReadyPushFailsGroupInsteadOfDroppingIt) {
     EXPECT_THROW((void)f.get(), std::runtime_error) << "request " << i;
   }
 
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.submitted, 8u);
-  EXPECT_EQ(m.rejected, 8u);  // refused pushes count as rejections
-  EXPECT_EQ(m.completed, 0u);
+  EXPECT_EQ(registry_counter(service, "serve_submitted_total"), 8u);
+  // Refused pushes count as rejections.
+  EXPECT_EQ(registry_counter(service, "serve_rejected_total"), 8u);
+  EXPECT_EQ(registry_counter(service, "serve_completed_total"), 0u);
   service.stop();  // still clean to stop after the induced fault
 }
 
@@ -584,35 +613,62 @@ TEST(SortService, SharedEnginePoolServesCorrectlyAcrossShapes) {
   service.stop();
 }
 
-// Metrics JSON must stay locale-independent (CI parses the artifacts).
-TEST(SortService, MetricsJsonIsLocaleIndependent) {
+// Both renderings of the registry stay locale-independent (CI parses
+// them): no digit grouping, no decimal comma, and every Prometheus sample
+// an exact integer.
+TEST(SortService, StatsDocumentsAreLocaleIndependent) {
   struct CommaPunct : std::numpunct<char> {
     char do_decimal_point() const override { return ','; }
     char do_thousands_sep() const override { return '.'; }
     std::string do_grouping() const override { return "\3"; }
   };
-  MetricsSnapshot snap;
-  snap.submitted = 1234567;
-  snap.completed = 1234567;
-  snap.batches = 1000;
-  snap.max_lanes = 256;
-  for (int i = 0; i < 1000; ++i) snap.latency_ns.record(2500000);
+  ServeOptions opt;
+  opt.flush_window = 100us;
+  SortService service(opt);
+  (void)service.sort_values({3, 1, 2, 0}, 4);
+  service.registry().counter("locale_probe_total").add(1234567);
+  AtomicHistogram& half = service.registry().histogram("locale_probe_ns");
+  half.record(1);
+  half.record(2);  // mean 1.5: a decimal point, never a comma
 
   const std::locale previous =
       std::locale::global(std::locale(std::locale::classic(),
                                       new CommaPunct));
-  const std::string json = snap.json();
+  const std::string json = service.stats_json();
+  const std::string prom = service.stats_prometheus();
   std::locale::global(previous);
 
-  EXPECT_NE(json.find("\"submitted\": 1234567"), std::string::npos) << json;
-  EXPECT_EQ(json.find("1.234"), std::string::npos) << json;  // no grouping
-  // Commas may only be JSON separators (always followed by a space here),
-  // never decimal commas inside a number.
+  EXPECT_NE(json.find("\"locale_probe_total\": 1234567"), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("1.234.567"), std::string::npos) << json;  // grouping
+  EXPECT_NE(json.find("\"mean\": 1.5}"), std::string::npos) << json;
+  // Commas separate JSON members and label pairs; a comma between two
+  // digits would be a decimal comma.
   for (std::size_t pos = json.find(','); pos != std::string::npos;
        pos = json.find(',', pos + 1)) {
+    ASSERT_GT(pos, 0u);
     ASSERT_LT(pos + 1, json.size());
-    EXPECT_EQ(json[pos + 1], ' ') << "decimal comma at " << pos << ": " << json;
+    EXPECT_FALSE(std::isdigit(static_cast<unsigned char>(json[pos - 1])) &&
+                 std::isdigit(static_cast<unsigned char>(json[pos + 1])))
+        << "decimal comma at " << pos << ": " << json;
   }
+
+  EXPECT_NE(prom.find("\nlocale_probe_total 1234567\n"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("\nlocale_probe_ns_sum 3\n"), std::string::npos)
+      << prom;
+  std::size_t samples = 0;
+  std::size_t begin = 0;
+  for (std::size_t end = prom.find('\n'); end != std::string::npos;
+       begin = end + 1, end = prom.find('\n', begin)) {
+    const std::string line = prom.substr(begin, end - begin);
+    if (line.empty() || line.front() == '#') continue;
+    ++samples;
+    const std::string value = line.substr(line.rfind(' ') + 1);
+    EXPECT_EQ(value.find_first_not_of("-0123456789"), std::string::npos)
+        << "non-integer sample: " << line;
+  }
+  EXPECT_GT(samples, 0u);
 }
 
 TEST(SortService, RejectsMalformedRounds) {
@@ -625,16 +681,22 @@ TEST(SortService, RejectsMalformedRounds) {
                std::invalid_argument);
 }
 
-TEST(SortService, MetricsJsonHasTheAdvertisedFields) {
+// stats_json() carries every serve_* series of docs/OBSERVABILITY.md §2.
+TEST(SortService, StatsJsonHasTheAdvertisedServeSeries) {
   ServeOptions opt;
   opt.flush_window = 100us;
   SortService service(opt);
   (void)service.sort_values({3, 1, 2, 0}, 4);
-  const std::string json = service.metrics_json();
+  const std::string json = service.stats_json();
   for (const char* key :
-       {"\"submitted\"", "\"completed\"", "\"batches\"", "\"flush\"",
-        "\"mean_occupancy\"", "\"batch_lanes\"", "\"latency_us\"", "\"p50\"",
-        "\"p99\""}) {
+       {"\"serve_submitted_total\": ", "\"serve_completed_total\": ",
+        "\"serve_rejected_total\": ", "\"serve_failed_total\": ",
+        "\"serve_expired_total\": ", "\"serve_batches_total\": ",
+        "\"serve_flush_total{cause=\\\"lane_full\\\"}\": ",
+        "\"serve_flush_total{cause=\\\"window\\\"}\": ",
+        "\"serve_flush_total{cause=\\\"drain\\\"}\": ",
+        "\"serve_latency_ns\": {\"count\": 1, ",
+        "\"serve_batch_lanes\": {\"count\": 1, "}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
 }
@@ -697,11 +759,10 @@ TEST(SortService, RequestApiMatchesDirectSortBatch) {
     ASSERT_TRUE(callback_slots[i].status.ok());
     ASSERT_EQ(callback_slots[i].words(), expect[i]) << "callback " << i;
   }
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.submitted, kRounds);
-  EXPECT_EQ(m.completed, kRounds);
-  EXPECT_EQ(m.failed, 0u);
-  EXPECT_EQ(m.expired, 0u);
+  EXPECT_EQ(registry_counter(service, "serve_submitted_total"), kRounds);
+  EXPECT_EQ(registry_counter(service, "serve_completed_total"), kRounds);
+  EXPECT_EQ(registry_counter(service, "serve_failed_total"), 0u);
+  EXPECT_EQ(registry_counter(service, "serve_expired_total"), 0u);
 }
 
 // The request path never throws: malformed requests and post-stop submits
@@ -711,7 +772,7 @@ TEST(SortService, RequestApiFailsViaStatusNotExceptions) {
   SortRequest malformed;  // empty payload, 0x0 shape
   const SortResponse bad = service.submit(std::move(malformed)).get();
   EXPECT_EQ(bad.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.metrics().rejected, 1u);
+  EXPECT_EQ(registry_counter(service, "serve_rejected_total"), 1u);
 
   service.stop();
   Xoshiro256 rng(5);
@@ -723,7 +784,7 @@ TEST(SortService, RequestApiFailsViaStatusNotExceptions) {
         EXPECT_EQ(rsp.status.code(), StatusCode::kUnavailable);
       });
   EXPECT_TRUE(called_inline);  // completion ran before submit returned
-  EXPECT_EQ(service.metrics().rejected, 2u);
+  EXPECT_EQ(registry_counter(service, "serve_rejected_total"), 2u);
 }
 
 // A request for a shape whose netlist NodeId cannot index completes with
@@ -737,7 +798,7 @@ TEST(SortService, ShapeBeyondNodeIdFailsWithResourceExhausted) {
   const SortResponse rsp = service.submit(std::move(*request)).get();
   EXPECT_EQ(rsp.status.code(), StatusCode::kResourceExhausted)
       << rsp.status.to_string();
-  EXPECT_EQ(service.metrics().rejected, 1u);
+  EXPECT_EQ(registry_counter(service, "serve_rejected_total"), 1u);
 
   Xoshiro256 rng(7);
   const std::vector<Word> round = random_round(rng, 4, 4);
@@ -774,11 +835,49 @@ TEST(SortService, DeadlineExpiredRequestsFailAtFlushTime) {
   const McSorter reference(4, 4);
   EXPECT_EQ(r_fresh.words(), reference.sort_batch({round_b})[0]);
 
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.submitted, 2u);
-  EXPECT_EQ(m.expired, 1u);
-  EXPECT_EQ(m.completed, 1u);
-  EXPECT_EQ(m.failed, 0u);
+  EXPECT_EQ(registry_counter(service, "serve_submitted_total"), 2u);
+  EXPECT_EQ(registry_counter(service, "serve_expired_total"), 1u);
+  EXPECT_EQ(registry_counter(service, "serve_completed_total"), 1u);
+  EXPECT_EQ(registry_counter(service, "serve_failed_total"), 0u);
+}
+
+// serve_completed_total counts requests, not the rounds they carry, so
+// completed + failed + expired never exceeds submitted; lane occupancy
+// (serve_batch_lanes) stays in rounds.
+TEST(SortService, CompletedCountsRequestsNotRounds) {
+  constexpr std::size_t kRounds = 256;
+  const SortShape shape{4, 4};
+  Xoshiro256 rng(23);
+  const auto batch_request = [&] {
+    std::vector<Trit> flat;
+    flat.reserve(kRounds * shape.trits());
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      for (const Word& w : random_round(rng, shape.channels, shape.bits)) {
+        flat.insert(flat.end(), w.begin(), w.end());
+      }
+    }
+    return std::move(
+        SortRequest::own_batch(shape, kRounds, std::move(flat)).value());
+  };
+  SortService service;
+
+  const SortResponse sorted = service.submit(batch_request()).get();
+  ASSERT_TRUE(sorted.status.ok()) << sorted.status.to_string();
+  EXPECT_EQ(registry_counter(service, "serve_submitted_total"), 1u);
+  EXPECT_EQ(registry_counter(service, "serve_completed_total"), 1u);
+
+  SortRequest late = batch_request();
+  late.deadline = Clock::now() - 1ms;
+  EXPECT_EQ(service.submit(std::move(late)).get().status.code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(registry_counter(service, "serve_submitted_total"), 2u);
+  EXPECT_EQ(registry_counter(service, "serve_completed_total"), 1u);
+  EXPECT_EQ(registry_counter(service, "serve_expired_total"), 1u);
+  EXPECT_EQ(registry_counter(service, "serve_failed_total"), 0u);
+
+  const Histogram lanes = registry_histogram(service, "serve_batch_lanes");
+  EXPECT_EQ(lanes.count(), 2u);
+  EXPECT_EQ(lanes.sum(), 2 * kRounds);
 }
 
 // Satellite regression: integer-valued service entry points must reject
@@ -835,7 +934,7 @@ TEST(SortService, BackpressureBoundsInflight) {
     futures.push_back(service.submit(random_round(rng, 4, 4)));
   }
   for (auto& f : futures) (void)f.get();
-  EXPECT_EQ(service.metrics().completed, 200u);
+  EXPECT_EQ(registry_counter(service, "serve_completed_total"), 200u);
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ TEST(Histogram, JsonIsLocaleIndependent) {
   EXPECT_EQ(json.find("5.000"), std::string::npos) << json;  // no grouping
   // mean = 1234.567 us: a decimal point, never a comma, and no grouping
   // inside the integer part.
-  EXPECT_NE(json.find("\"mean\": 1234.57"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"mean\": 1234.567}"), std::string::npos) << json;
   EXPECT_EQ(json.find("1234,"), std::string::npos) << json;
   EXPECT_EQ(json.find("1.234"), std::string::npos) << json;
 }

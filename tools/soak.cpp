@@ -889,21 +889,32 @@ int main(int argc, char** argv) {
 
   // 6. Every FSM violation counter at zero, plus adversary-effectiveness
   // sanity: an enabled fault class that never fired would make the whole
-  // campaign vacuous.
-  const net::SocketServer::Stats sstats = server.stats();
-  check("fsm_violations_zero", sstats.fsm_violations == 0,
-        std::to_string(sstats.fsm_violations) + " violations");
+  // campaign vacuous. Server counters are the registry's socket_*_total
+  // series summed over loops; a series that is not registered fails the
+  // zero check instead of reading as 0.
+  const MetricsRegistry& registry = service.registry();
+  const auto server_total = [&registry](const char* name) {
+    return registry.counter_total(name).value_or(0);
+  };
+  const std::optional<std::uint64_t> fsm_violations =
+      registry.counter_total("socket_fsm_violations_total");
+  check("fsm_violations_zero", fsm_violations == 0u,
+        fsm_violations ? std::to_string(*fsm_violations) + " violations"
+                       : "socket_fsm_violations_total not registered");
+  const std::uint64_t protocol_errors =
+      server_total("socket_protocol_errors_total");
+  const std::uint64_t idle_closed = server_total("socket_idle_closed_total");
   if (cfg.fault_kill) {
     check("kills_fired", totals.kills.load() > 0,
           std::to_string(totals.kills.load()) + " children killed");
   }
   if (cfg.fault_malformed || cfg.fault_halfclose) {
-    check("protocol_errors_fired", sstats.protocol_errors > 0,
-          std::to_string(sstats.protocol_errors) + " protocol errors");
+    check("protocol_errors_fired", protocol_errors > 0,
+          std::to_string(protocol_errors) + " protocol errors");
   }
   if (cfg.fault_neverread) {
-    check("idle_reaper_fired", sstats.idle_closed > 0,
-          std::to_string(sstats.idle_closed) + " idle closes");
+    check("idle_reaper_fired", idle_closed > 0,
+          std::to_string(idle_closed) + " idle closes");
   }
   check("monitor_scraped", totals.scrapes_ok.load() > 0,
         std::to_string(totals.scrapes_ok.load()) + " scrapes");
@@ -934,13 +945,15 @@ int main(int argc, char** argv) {
          << ", \"neverread_sessions\": " << totals.neverread_sessions.load()
          << ", \"malformed_sent\": " << totals.malformed_sent.load()
          << "},\n";
-  report << "  \"server\": {\"accepted\": " << sstats.accepted
-         << ", \"closed\": " << sstats.closed
-         << ", \"requests\": " << sstats.requests
-         << ", \"responses\": " << sstats.responses
-         << ", \"protocol_errors\": " << sstats.protocol_errors
-         << ", \"idle_closed\": " << sstats.idle_closed
-         << ", \"fsm_violations\": " << sstats.fsm_violations << "},\n";
+  report << "  \"server\": {\"accepted\": "
+         << server_total("socket_accepted_total")
+         << ", \"closed\": " << server_total("socket_closed_total")
+         << ", \"requests\": " << server_total("socket_requests_total")
+         << ", \"responses\": " << server_total("socket_responses_total")
+         << ", \"protocol_errors\": " << protocol_errors
+         << ", \"idle_closed\": " << idle_closed
+         << ", \"fsm_violations\": " << fsm_violations.value_or(0)
+         << "},\n";
   {
     std::lock_guard lock(samples_mu);
     report << "  \"resources\": {\"fd_baseline\": " << fd_baseline

@@ -4,8 +4,9 @@
 //
 //   tool_sortd --rate 50000 --duration-s 2        synthetic Poisson load:
 //     submits random valid measurement rounds at the given arrival rate for
-//     the given duration, then prints the service metrics JSON (request and
-//     batch counters, lane occupancy, p50/p99 latency).
+//     the given duration, then prints one JSON object on stdout: offered
+//     rate, elapsed time, throughput and "metrics", the service registry
+//     (serve_*_total counters, serve_batch_lanes, serve_latency_ns, ...).
 //
 //   tool_sortd --stdin                            text pipe mode:
 //     each input line is one round of whitespace-separated integers; every
@@ -371,13 +372,13 @@ int run_load(SortService& service, int channels, std::size_t bits,
   }
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - arrivals.start()).count();
+  // The stderr dump goes first: it refreshes the process gauges, so the
+  // registry printed on stdout carries live values too.
+  dump_stats(service);
   std::cout << "{\"offered_rate\": " << rate
             << ", \"elapsed_s\": " << elapsed << ", \"throughput_vps\": "
             << static_cast<double>(completed) / elapsed
-            << ",\n \"service\": " << service.metrics_json() << "}\n";
-  // The bench JSON above keeps its schema for scripts; the registry
-  // document goes to stderr like every other mode.
-  dump_stats(service);
+            << ",\n \"metrics\": " << service.registry().json() << "}\n";
   return 0;
 }
 
