@@ -25,7 +25,6 @@ constexpr CompiledOp lower(CellKind kind, std::array<std::uint32_t, 3> in,
   const std::uint32_t b = in[1];
   const std::uint32_t c = in[2];
   switch (kind) {
-    case CellKind::inv: return {RailForm::and2, pos, {a ^ 1u, a ^ 1u, 0}};
     case CellKind::and2: return {RailForm::and2, pos, {a, b, 0}};
     case CellKind::nand2: return {RailForm::and2, neg, {a, b, 0}};
     case CellKind::or2: return {RailForm::and2, neg, {a ^ 1u, b ^ 1u, 0}};
@@ -39,7 +38,8 @@ constexpr CompiledOp lower(CellKind kind, std::array<std::uint32_t, 3> in,
     case CellKind::mux2: return {RailForm::mux2, pos, {a, b, c}};
     case CellKind::xor2: return {RailForm::mux2, pos, {b, b ^ 1u, a}};
     case CellKind::xnor2: return {RailForm::mux2, neg, {b, b ^ 1u, a}};
-    default: return {};  // input/const: not gates, never lowered
+    // input/const: not gates; inv: a rail swap in its readers, never an op.
+    default: return {};
   }
 }
 
@@ -59,27 +59,21 @@ constexpr RailForm rail_form_of(CellKind kind) noexcept {
 
 }  // namespace
 
-CompiledProgram CompiledProgram::compile(const Netlist& nl,
-                                         const CompileOptions& opt) {
+CompiledProgram CompiledProgram::compile(const Netlist& nl) {
   const std::vector<GateNode>& nodes = nl.nodes();
   const std::size_t n = nodes.size();
-  const bool reuse_slots = !opt.retain_all_nodes;
   CompiledProgram p;
 
-  // 1. Liveness: reverse reachability from the outputs (unless disabled),
-  // in one backward sweep. Nodes are stored in topological order, so
-  // every reader of a node comes after it and has marked it by the time
-  // the sweep arrives.
-  const bool keep_all = opt.retain_all_nodes || !opt.eliminate_dead;
-  std::vector<char> live(n, keep_all ? 1 : 0);
-  if (!keep_all) {
-    for (const OutputPort& out : nl.outputs()) live[out.node] = 1;
-    for (std::size_t id = n; id-- > 0;) {
-      if (!live[id]) continue;
-      const GateNode& g = nodes[id];
-      const int arity = cell_arity(g.kind);
-      for (int j = 0; j < arity; ++j) live[g.in[j]] = 1;
-    }
+  // 1. Liveness: reverse reachability from the outputs, in one backward
+  // sweep. Nodes are stored in topological order, so every reader of a
+  // node comes after it and has marked it by the time the sweep arrives.
+  std::vector<char> live(n, 0);
+  for (const OutputPort& out : nl.outputs()) live[out.node] = 1;
+  for (std::size_t id = n; id-- > 0;) {
+    if (!live[id]) continue;
+    const GateNode& g = nodes[id];
+    const int arity = cell_arity(g.kind);
+    for (int j = 0; j < arity; ++j) live[g.in[j]] = 1;
   }
 
   // 2. Roots, polarities and logic levels, in one forward pass (nodes are
@@ -87,9 +81,8 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
   // root is the nearest non-inverter node id reads through a chain of
   // inverters and the polarity is that chain's length mod 2. Inputs and
   // constants sit at level 0, a gate one past its deepest operand root; an
-  // inverter shares its root's level. Nodes that become ops are the live
-  // gates, inverters only under retain_all_nodes (one level after their
-  // root); the pass counts them per schedule bucket 3 * (level - 1) +
+  // inverter shares its root's level. The live gates other than inverters
+  // become ops; the pass counts them per schedule bucket 3 * (level - 1) +
   // form, so each level's ops run in at most three form runs. It also
   // lists the live constants, in node order.
   constexpr std::size_t kForms = kRailFormCount;
@@ -97,24 +90,13 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
   std::vector<std::uint32_t> level(n, 0);
   std::vector<std::size_t> bucket_start(1, 0);
   std::vector<NodeId> consts;
-  std::size_t op_count = 0;
   std::uint32_t levels = 0;
-  const auto count_op = [&](std::uint32_t op_level, CellKind kind) {
-    ++op_count;
-    if (!opt.levelize) return;
-    levels = std::max(levels, op_level);
-    const std::size_t b = kForms * (op_level - 1) +
-                          static_cast<std::size_t>(rail_form_of(kind)) + 1;
-    if (bucket_start.size() <= b) bucket_start.resize(b + 1, 0);
-    ++bucket_start[b];
-  };
   for (NodeId id = 0; id < n; ++id) {
     if (!live[id]) continue;
     const GateNode& g = nodes[id];
     if (g.kind == CellKind::inv) {
       ref[id] = ref[g.in[0]] ^ 1u;
       level[id] = level[g.in[0]];
-      if (opt.retain_all_nodes) count_op(level[id] + 1, g.kind);
       continue;
     }
     ref[id] = 2 * id;
@@ -126,60 +108,53 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
     std::uint32_t lv = 0;
     for (int j = 0; j < arity; ++j) lv = std::max(lv, level[g.in[j]]);
     level[id] = lv + 1;
-    count_op(level[id], g.kind);
+    levels = std::max(levels, level[id]);
+    const std::size_t b =
+        kForms * lv + static_cast<std::size_t>(rail_form_of(g.kind)) + 1;
+    if (bucket_start.size() <= b) bucket_start.resize(b + 1, 0);
+    ++bucket_start[b];
   }
 
-  // 3. Schedule. Level order is a counting sort by (level, form), stable
-  // in creation order; creation order keeps node order. Until step 4
-  // lowers it in place, ops_ holds the schedule itself: op k's `out` is
-  // its node id, `in` its operands' refs (so step 4 reads them in stream
-  // order instead of chasing fanins through the node array), and
-  // kinds[k] its cell kind.
+  // 3. Schedule: a counting sort by (level, form), stable in creation
+  // order. Until step 4 lowers it in place, ops_ holds the schedule
+  // itself: op k's `out` is its node id, `in` its operands' refs (so step
+  // 4 reads them in stream order instead of chasing fanins through the
+  // node array), and kinds[k] its cell kind.
   //
-  // Time runs in steps: inputs are written at step 0, and an op at the
-  // step of its level (in creation order, each op is its own step). With
-  // slot reuse, the pass also finds the step after which each value's
-  // slot may be released: its last reader's, or its own when nothing
-  // reads it. A node's level is read only when the node itself is
-  // placed, and its readers all come later, so release_step takes over
-  // the level buffer in place; inputs and constants keep step 0.
-  p.ops_.resize(op_count);
-  std::vector<CellKind> kinds(op_count);
-  if (opt.levelize) {
-    bucket_start.resize(kForms * levels + 1, 0);
-    for (std::size_t b = 1; b < bucket_start.size(); ++b) {
-      bucket_start[b] += bucket_start[b - 1];
-    }
-    p.level_offsets_.resize(levels + 1);
-    for (std::size_t l = 0; l <= levels; ++l) {
-      p.level_offsets_[l] = bucket_start[kForms * l];
-    }
+  // Time runs in steps: inputs are written at step 0, and the ops of level
+  // l (0-based) at step l + 1, which is their gates' logic level. The pass
+  // also finds the step after which each value's slot may be released:
+  // its last reader's, or its own when nothing reads it. A node's level is
+  // read only when the node itself is placed, and its readers all come
+  // later, so release_step takes over the level buffer in place; inputs
+  // and constants keep step 0.
+  bucket_start.resize(kForms * levels + 1, 0);
+  for (std::size_t b = 1; b < bucket_start.size(); ++b) {
+    bucket_start[b] += bucket_start[b - 1];
+  }
+  p.ops_.resize(bucket_start.back());
+  std::vector<CellKind> kinds(p.ops_.size());
+  p.level_offsets_.resize(levels + 1);
+  for (std::size_t l = 0; l <= levels; ++l) {
+    p.level_offsets_[l] = bucket_start[kForms * l];
   }
   std::vector<std::uint32_t>& release_step = level;
-  for (NodeId id = 0, next = 0; id < n; ++id) {
+  for (NodeId id = 0; id < n; ++id) {
     const GateNode& g = nodes[id];
-    if (!live[id] || !is_gate(g.kind) ||
-        (g.kind == CellKind::inv && !opt.retain_all_nodes)) {
-      continue;
-    }
-    std::size_t pos = next++;
-    auto step = static_cast<std::uint32_t>(next);
-    if (opt.levelize) {
-      step = level[id] + (g.kind == CellKind::inv ? 1u : 0u);
-      pos = bucket_start[kForms * (step - 1) +
-                         static_cast<std::size_t>(rail_form_of(g.kind))]++;
-    }
+    if (!live[id] || !is_gate(g.kind) || g.kind == CellKind::inv) continue;
+    const std::uint32_t step = level[id];
+    const std::size_t pos = bucket_start[kForms * (step - 1) +
+                                         static_cast<std::size_t>(
+                                             rail_form_of(g.kind))]++;
     CompiledOp& op = p.ops_[pos];
     op.out = id;
     kinds[pos] = g.kind;
-    if (reuse_slots) release_step[id] = step;
+    release_step[id] = step;
     const int arity = cell_arity(g.kind);
     for (int j = 0; j < arity; ++j) {
       const std::uint32_t r = ref[g.in[j]];
       op.in[static_cast<std::size_t>(j)] = r;
-      if (reuse_slots) {
-        release_step[r >> 1] = std::max(release_step[r >> 1], step);
-      }
+      release_step[r >> 1] = std::max(release_step[r >> 1], step);
     }
   }
   std::vector<std::uint32_t> output_refs;
@@ -187,25 +162,17 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
   for (const OutputPort& out : nl.outputs()) {
     output_refs.push_back(ref[out.node]);
   }
-  // Step s's ops are [step_begin(s - 1), step_begin(s)): a level each, or
-  // one op each in creation order.
-  const std::size_t steps =
-      opt.levelize ? p.level_offsets_.size() - 1 : op_count;
-  const auto step_begin = [&](std::size_t s) {
-    return opt.levelize ? p.level_offsets_[s] : s;
-  };
 
   // 4. Slot assignment, over roots only (inverters read their root's
   // slot), in the same pass as lowering and form runs: each op is lowered
-  // as soon as its destination slot is known. retain_all_nodes keeps the
-  // identity mapping. The dense mode gives live inputs, then live
-  // constants, the first slots and hands gates slots from a free list. A
-  // value's slot returns to the list at the start of the step after its
-  // release step (`freed` holds it until then), so no op ever writes a
-  // slot another op of its step reads. Constants and outputs stay pinned;
-  // input slots are reused like any other, since run() rewrites them. A
-  // slot keeps its value from allocation until release, so slot_of is
-  // each operand's slot at the time its reader runs. slot_of takes over
+  // as soon as its destination slot is known. Live inputs, then live
+  // constants, take the first slots, and gates get slots from a free
+  // list. A value's slot returns to the list at the start of the step
+  // after its release step (`freed` holds it until then), so no op ever
+  // writes a slot another op of its step reads. Constants and outputs stay
+  // pinned; input slots are reused like any other, since run() rewrites
+  // them. A slot keeps its value from allocation until release, so slot_of
+  // is each operand's slot at the time its reader runs. slot_of takes over
   // ref's buffer, which is dead by now.
   std::vector<std::uint32_t> slot_of = std::move(ref);
   // The rail of a node ref: its root's slot, in the ref's polarity.
@@ -223,44 +190,37 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
     }
   };
   std::uint32_t next_slot = 0;
-  if (reuse_slots) {
-    for (const std::uint32_t r : output_refs) release_step[r >> 1] = kKept;
-    for (const NodeId id : nl.inputs()) {
-      if (live[id]) slot_of[id] = next_slot++;
-    }
-    for (const NodeId id : consts) {
-      slot_of[id] = next_slot++;
-      release_step[id] = kKept;
-    }
-    for (const NodeId id : nl.inputs()) {
-      if (live[id]) release(id, 0);
-    }
-    free_slots.swap(freed);
-  } else {
-    for (NodeId id = 0; id < n; ++id) slot_of[id] = id;
-    next_slot = static_cast<std::uint32_t>(n);
+  for (const std::uint32_t r : output_refs) release_step[r >> 1] = kKept;
+  for (const NodeId id : nl.inputs()) {
+    if (live[id]) slot_of[id] = next_slot++;
   }
-  for (std::size_t s = 1; s <= steps; ++s) {
-    const auto step = static_cast<std::uint32_t>(s);
-    for (std::size_t k = step_begin(s - 1); k < step_begin(s); ++k) {
+  for (const NodeId id : consts) {
+    slot_of[id] = next_slot++;
+    release_step[id] = kKept;
+  }
+  for (const NodeId id : nl.inputs()) {
+    if (live[id]) release(id, 0);
+  }
+  free_slots.swap(freed);
+  for (std::uint32_t step = 1; step <= levels; ++step) {
+    for (std::size_t k = p.level_offsets_[step - 1];
+         k < p.level_offsets_[step]; ++k) {
       CompiledOp& op = p.ops_[k];
       const int arity = cell_arity(kinds[k]);
       std::array<std::uint32_t, 3> in{0, 0, 0};
       for (int j = 0; j < arity; ++j) {
         const auto pin = static_cast<std::size_t>(j);
         in[pin] = rail_of(op.in[pin]);
-        if (reuse_slots) release(op.in[pin] >> 1, step);
+        release(op.in[pin] >> 1, step);
       }
       const NodeId id = op.out;
-      if (reuse_slots) {
-        if (free_slots.empty()) {
-          slot_of[id] = next_slot++;
-        } else {
-          slot_of[id] = free_slots.back();
-          free_slots.pop_back();
-        }
-        release(id, step);
+      if (free_slots.empty()) {
+        slot_of[id] = next_slot++;
+      } else {
+        slot_of[id] = free_slots.back();
+        free_slots.pop_back();
       }
+      release(id, step);
       op = lower(kinds[k], in, slot_of[id]);
       if (p.form_runs_.empty() || p.form_runs_.back().form != op.form) {
         p.form_runs_.push_back({op.form, 0});
@@ -295,7 +255,7 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
   // against the netlist. A failure here is a compiler bug, not a caller
   // error — abort loudly instead of handing an unchecked instruction
   // stream to the branch-free executors.
-  Status s = verify_ir(p, verify_options_for(opt));
+  Status s = verify_ir(p);
   if (s.ok()) s = verify_netlist_replay(p, nl);
   if (!s.ok()) {
     std::fprintf(stderr, "CompiledProgram::compile: %s\n",

@@ -28,10 +28,8 @@
 // complement. An inverter therefore costs no op: compile() resolves each
 // node to its root (the nearest non-inverter) and a polarity in its
 // forward level pass, and the inverter's readers take the root's other
-// rail. Only under retain_all_nodes, which needs a slot per NodeId, does an
-// inverter become an op, and2(~a, ~a). A gate's slot always holds the
-// gate's own value; the destination polarity says which rail of that slot
-// the form's can0 result lands on.
+// rail. A gate's slot always holds the gate's own value; the destination
+// polarity says which rail of that slot the form's can0 result lands on.
 //
 // Lowering table. Every other cell lowers exactly into one form (~x is
 // the rail x ^ 1; + writes the form's can0 result to rail 2*slot, - to
@@ -112,21 +110,6 @@ struct FormRun {
   std::uint32_t end = 0;
 };
 
-struct CompileOptions {
-  /// Drop gates that no output transitively depends on.
-  bool eliminate_dead = true;
-  /// Keep slot == NodeId for every node (implies no dead-node elimination
-  /// and no slot reuse; inverters get an op each). Used by the eval.hpp
-  /// compatibility wrappers, whose API exposes values for all nodes
-  /// indexable by NodeId.
-  bool retain_all_nodes = false;
-  /// Group the instruction stream by logic level (enables level_ops()
-  /// parallel slicing). Creation order (false) can have better operand
-  /// locality for narrow replay; level order is the default for the wide
-  /// batch backends. Either order is a valid topological schedule.
-  bool levelize = true;
-};
-
 class CompiledProgram {
  public:
   /// Slot index marking a dead (eliminated) input.
@@ -137,12 +120,13 @@ class CompiledProgram {
     Trit value = Trit::zero;
   };
 
-  [[nodiscard]] static CompiledProgram compile(const Netlist& nl,
-                                               const CompileOptions& opt = {});
+  /// The one program form every caller runs: dead gates eliminated, ops
+  /// levelized and slots reused by liveness (header comment above).
+  [[nodiscard]] static CompiledProgram compile(const Netlist& nl);
 
   /// Number of value slots (two rails each) an executor must provide: the
-  /// node count under retain_all_nodes, else the peak number of
-  /// simultaneously live values (pinned constants and outputs included).
+  /// peak number of simultaneously live values (pinned constants and
+  /// outputs included).
   [[nodiscard]] std::size_t slot_count() const noexcept { return slot_count_; }
 
   [[nodiscard]] std::size_t input_count() const noexcept {
@@ -164,7 +148,7 @@ class CompiledProgram {
   }
 
   /// Number of logic levels (depth of the scheduled gate DAG). Zero when
-  /// the program was compiled with levelize = false.
+  /// the program has no ops.
   [[nodiscard]] std::size_t level_count() const noexcept {
     return level_offsets_.empty() ? 0 : level_offsets_.size() - 1;
   }
@@ -343,12 +327,6 @@ class CompiledExecutor {
     }
     rail_kernel::run_ops(rails_.data(), prog_->ops().data(),
                          prog_->form_runs());
-  }
-
-  /// The value at `rail` from the last run: rail 2*slot reads the slot,
-  /// 2*slot + 1 its complement.
-  [[nodiscard]] Value value(std::uint32_t rail) const {
-    return Value{rails_[rail], rails_[rail ^ 1u]};
   }
 
   /// Lane `lane` of output o from the last run.

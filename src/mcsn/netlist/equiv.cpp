@@ -1,7 +1,7 @@
 #include "mcsn/netlist/equiv.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "mcsn/netlist/compile.hpp"
 #include "mcsn/util/rng.hpp"
@@ -28,11 +28,22 @@ std::string EquivMismatch::describe() const {
          " b=" + output_b.str();
 }
 
+void require_same_ports(const char* who, const Netlist& a, const Netlist& b) {
+  if (a.inputs().size() != b.inputs().size() ||
+      a.outputs().size() != b.outputs().size()) {
+    throw std::invalid_argument(
+        std::string(who) + ": netlist a has " +
+        std::to_string(a.inputs().size()) + " inputs and " +
+        std::to_string(a.outputs().size()) + " outputs, netlist b has " +
+        std::to_string(b.inputs().size()) + " and " +
+        std::to_string(b.outputs().size()));
+  }
+}
+
 std::optional<EquivMismatch> check_equivalence(const Netlist& a,
                                                const Netlist& b,
                                                const EquivOptions& opt) {
-  assert(a.inputs().size() == b.inputs().size());
-  assert(a.outputs().size() == b.outputs().size());
+  require_same_ports("check_equivalence", a, b);
   const std::size_t width = a.inputs().size();
   const std::size_t outs = a.outputs().size();
   const int radix = opt.semantics == EquivSemantics::boolean_only ? 2 : 3;

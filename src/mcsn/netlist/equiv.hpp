@@ -10,8 +10,8 @@
 // exactly why the paper's flow disables Boolean optimization); the checker
 // distinguishes the two and returns a witness input on mismatch.
 //
-// Exhaustive up to a guarded input count (using the 64-lane packed evaluator
-// to cover 64 vectors per pass); randomized sampling above that.
+// Exhaustive up to a guarded input count (using the 256-lane compiled
+// executor to cover 256 vectors per pass); randomized sampling above that.
 
 #include <optional>
 #include <string>
@@ -39,9 +39,15 @@ struct EquivOptions {
   std::uint64_t seed = 1;
 };
 
-/// Checks a and b produce identical outputs. Preconditions: same input
-/// count and same output count. Returns a witness on mismatch, nullopt if
-/// equivalent (up to sampling, when beyond the exhaustive bound).
+/// Throws std::invalid_argument, naming both counts, unless `a` and `b`
+/// have the same number of inputs and the same number of outputs. Both
+/// checkers below run it first; `who` names the checker in the message.
+void require_same_ports(const char* who, const Netlist& a, const Netlist& b);
+
+/// Checks a and b produce identical outputs. Throws std::invalid_argument
+/// unless they have the same input and output counts. Returns a witness on
+/// mismatch, nullopt if equivalent (up to sampling, when beyond the
+/// exhaustive bound).
 [[nodiscard]] std::optional<EquivMismatch> check_equivalence(
     const Netlist& a, const Netlist& b, const EquivOptions& opt = {});
 
@@ -67,7 +73,8 @@ struct FormalEquivResult {
 /// Formal combinational equivalence via ROBDDs. Under ternary semantics the
 /// circuits are encoded dual-rail (two Boolean variables per input), so the
 /// verdict covers ALL ternary inputs — a proof, not a sample. Throws
-/// std::length_error if the BDDs exceed `node_limit`.
+/// std::invalid_argument unless a and b have the same input and output
+/// counts, and std::length_error if the BDDs exceed `node_limit`.
 [[nodiscard]] FormalEquivResult check_equivalence_formal(
     const Netlist& a, const Netlist& b, const FormalEquivOptions& opt = {});
 

@@ -3,8 +3,6 @@
 // (can0, can1) per node — the same algebra the 64-lane packed evaluator
 // uses, lifted from 64-bit words to BDDs.
 
-#include <cassert>
-
 #include "mcsn/netlist/bdd.hpp"
 #include "mcsn/netlist/equiv.hpp"
 
@@ -145,8 +143,7 @@ std::vector<Rail> build_ternary(Bdd& m, const Netlist& nl,
 
 FormalEquivResult check_equivalence_formal(const Netlist& a, const Netlist& b,
                                            const FormalEquivOptions& opt) {
-  assert(a.inputs().size() == b.inputs().size());
-  assert(a.outputs().size() == b.outputs().size());
+  require_same_ports("check_equivalence_formal", a, b);
   const std::size_t width = a.inputs().size();
   const std::vector<int> order = effective_order(a, opt.var_order);
 

@@ -3,10 +3,14 @@
 // paper's computational model.
 //
 // Evaluator and PackedEvaluator are thin wrappers over the compiled rail
-// engine in compile.hpp (both run its 64-lane executor; Evaluator reads
-// lane 0); Evaluator's node-value API is unchanged from the original
-// pointer-chasing implementation, which survives as NodeWalkEvaluator — the
-// differential-testing baseline and benchmark comparator.
+// engine in compile.hpp: both run the one program compile() produces on
+// its 64-lane executor, and Evaluator reads lane 0. That program keeps no
+// value per node, so per-node values come from the original
+// pointer-chasing implementation, NodeWalkEvaluator (and evaluate_nodes) —
+// also the differential-testing baseline and benchmark comparator.
+//
+// Every entry point throws std::invalid_argument unless it gets exactly
+// one input per primary input.
 
 #include <memory>
 #include <span>
@@ -51,28 +55,21 @@ class NodeWalkEvaluator {
 
 /// Reusable evaluator that amortizes compilation and allocation across
 /// calls — preferred in exhaustive test sweeps and benchmarks. Backed by the
-/// compiled engine: the 64-lane executor run on lane 0, with all nodes
-/// retained so run() stays NodeId-indexable.
+/// compiled engine: the 64-lane executor run on lane 0. Does not keep a
+/// reference to the netlist.
 class Evaluator {
  public:
   explicit Evaluator(const Netlist& nl);
-
-  /// Returns node values (indexable by NodeId); valid until the next run().
-  std::span<const Trit> run(std::span<const Trit> inputs);
 
   /// Runs and copies outputs into `out` (resized as needed).
   void run_outputs(std::span<const Trit> inputs, Word& out);
 
  private:
-  void execute(std::span<const Trit> inputs);
-
-  const Netlist* nl_;
   // shared_ptr keeps the program address stable across moves (the executor
   // holds a pointer into it); vector<Evaluator> must stay movable.
   std::shared_ptr<const CompiledProgram> prog_;
   CompiledExecutor<Packed64Backend> exec_;
   std::vector<PackedTrit> packed_;
-  std::vector<Trit> values_;
 };
 
 /// 64-lane packed evaluator: lane k of every input PackedTrit forms one

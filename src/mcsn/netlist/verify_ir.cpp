@@ -34,40 +34,38 @@ std::string writer_str(std::size_t tag, const IrImage& ir) {
   return "op #" + std::to_string(tag);
 }
 
-/// level-structure and slot-bounds: the offsets partition the ops, and
-/// every slot and rail index anyone will dereference is in range. Every
-/// operand pin must be a valid rail, even and2's unused in[2].
-Status check_shape(const IrImage& ir, const VerifyIrOptions& opt) {
+/// level-structure: the offsets partition the ops into levels. An empty
+/// stream is a schedule of zero levels, offsets {0} (e.g. outputs that are
+/// inputs, constants or inverters of them).
+Status check_levels(const IrImage& ir) {
   const std::size_t n_ops = ir.ops.size();
   if (ir.level_offsets.empty()) {
-    // An empty stream is a levelized schedule of zero levels (e.g. outputs
-    // that are inputs, constants or inverters of them).
-    if (opt.require_levelized && n_ops > 0) {
+    return fail("level-structure", "no level offsets, want at least {0}");
+  }
+  if (ir.level_offsets.front() != 0) {
+    return fail("level-structure",
+                "level_offsets[0] = " +
+                    std::to_string(ir.level_offsets.front()) + ", want 0");
+  }
+  if (ir.level_offsets.back() != n_ops) {
+    return fail("level-structure",
+                "level_offsets.back() = " +
+                    std::to_string(ir.level_offsets.back()) + ", want " +
+                    std::to_string(n_ops) + " (the op count)");
+  }
+  for (std::size_t l = 0; l + 1 < ir.level_offsets.size(); ++l) {
+    if (ir.level_offsets[l] > ir.level_offsets[l + 1]) {
       return fail("level-structure",
-                  "program is not levelized but a levelized schedule was "
-                  "required");
-    }
-  } else {
-    if (ir.level_offsets.front() != 0) {
-      return fail("level-structure",
-                  "level_offsets[0] = " +
-                      std::to_string(ir.level_offsets.front()) + ", want 0");
-    }
-    if (ir.level_offsets.back() != n_ops) {
-      return fail("level-structure",
-                  "level_offsets.back() = " +
-                      std::to_string(ir.level_offsets.back()) + ", want " +
-                      std::to_string(n_ops) + " (the op count)");
-    }
-    for (std::size_t l = 0; l + 1 < ir.level_offsets.size(); ++l) {
-      if (ir.level_offsets[l] > ir.level_offsets[l + 1]) {
-        return fail("level-structure",
-                    "level_offsets not monotone at level " +
-                        std::to_string(l));
-      }
+                  "level_offsets not monotone at level " + std::to_string(l));
     }
   }
+  return Status();
+}
 
+/// slot-bounds: every slot and rail index anyone will dereference is in
+/// range. Every operand pin must be a valid rail, even and2's unused in[2].
+Status check_bounds(const IrImage& ir) {
+  const std::size_t n_ops = ir.ops.size();
   const auto out_of_range = [&ir](const std::string& what, std::uint32_t s) {
     return fail("slot-bounds", what + " slot " + slot_str(s) +
                                    " >= slot_count " +
@@ -270,8 +268,8 @@ IrImage ir_image_of(const CompiledProgram& prog) {
   ir.slot_count = prog.slot_count();
   ir.ops.assign(prog.ops().begin(), prog.ops().end());
   ir.form_runs.assign(prog.form_runs().begin(), prog.form_runs().end());
-  for (std::size_t l = 0; l + 1 <= prog.level_count(); ++l) {
-    if (ir.level_offsets.empty()) ir.level_offsets.push_back(0);
+  ir.level_offsets.push_back(0);
+  for (std::size_t l = 0; l < prog.level_count(); ++l) {
     ir.level_offsets.push_back(ir.level_offsets.back() +
                                prog.level_ops(l).size());
   }
@@ -282,12 +280,12 @@ IrImage ir_image_of(const CompiledProgram& prog) {
   return ir;
 }
 
-Status verify_ir(const IrImage& ir, const VerifyIrOptions& opt) {
-  if (Status s = check_shape(ir, opt); !s.ok()) return s;
+Status verify_ir(const IrImage& ir) {
+  if (Status s = check_levels(ir); !s.ok()) return s;
+  if (Status s = check_bounds(ir); !s.ok()) return s;
+  if (Status s = check_forms(ir); !s.ok()) return s;
   const std::size_t n_ops = ir.ops.size();
   const std::size_t op_tag0 = ir.input_slots.size() + ir.const_inits.size();
-
-  if (Status s = check_forms(ir); !s.ok()) return s;
 
   // The first writer of every slot, to tell a read of a slot nothing ever
   // writes (dangling-read) from one that runs too early (operand-order).
@@ -345,13 +343,11 @@ Status verify_ir(const IrImage& ir, const VerifyIrOptions& opt) {
     if (Status st = initial_write(ir.input_slots[i], i); !st.ok()) return st;
   }
 
-  // Ops: level l is step l + 1; in creation order each op is its own step.
-  const bool levelized = !ir.level_offsets.empty();
-  const std::size_t steps = levelized ? ir.level_offsets.size() - 1 : n_ops;
+  // Ops: level l is step l + 1.
   std::vector<std::size_t> step_writer(ir.slot_count, kNone);
-  for (std::size_t l = 0; l < steps; ++l) {
-    const std::size_t begin = levelized ? ir.level_offsets[l] : l;
-    const std::size_t end = levelized ? ir.level_offsets[l + 1] : l + 1;
+  for (std::size_t l = 0; l + 1 < ir.level_offsets.size(); ++l) {
+    const std::size_t begin = ir.level_offsets[l];
+    const std::size_t end = ir.level_offsets[l + 1];
     const std::size_t step = l + 1;
 
     // --- const-overwrite / write-conflict: constants are materialized
@@ -377,8 +373,7 @@ Status verify_ir(const IrImage& ir, const VerifyIrOptions& opt) {
 
     // --- operand-level / dangling-read / operand-order: every operand an
     // op actually reads (per its form's arity) holds a value from an
-    // earlier step. A slot this step also writes breaks level_ops() slicing
-    // (and, in creation order, means an op reads its own destination).
+    // earlier step. A slot this step also writes breaks level_ops() slicing.
     for (std::size_t k = begin; k < end; ++k) {
       const CompiledOp& op = ir.ops[k];
       for (int j = 0; j < rail_form_arity(op.form); ++j) {
@@ -407,12 +402,12 @@ Status verify_ir(const IrImage& ir, const VerifyIrOptions& opt) {
       }
     }
 
-    // --- clobber: with dead-node elimination every value is consumed — by
-    // a reader, or as an output at the end — so overwriting one that was
-    // never read loses a live value to slot reuse.
+    // --- clobber: dead-node elimination leaves only values something
+    // consumes — a reader, or an output at the end — so overwriting one
+    // that was never read loses a live value to slot reuse.
     for (std::size_t k = begin; k < end; ++k) {
       const std::uint32_t s = ir.ops[k].out >> 1;
-      if (opt.require_reachable && holder[s] != kNone && !was_read[s]) {
+      if (holder[s] != kNone && !was_read[s]) {
         return fail("clobber", "op #" + std::to_string(k) +
                                    " overwrites slot " + slot_str(s) +
                                    " before anything reads the value " +
@@ -441,40 +436,35 @@ Status verify_ir(const IrImage& ir, const VerifyIrOptions& opt) {
     }
   }
 
-  // --- orphan-op: with dead-node elimination on, every op must be
+  // --- orphan-op: after dead-node elimination every op must be
   // transitively reachable from a declared output. One reverse pass over
   // the stream tracks which slots hold a value something later needs; an
   // op's write ends the need for whatever its slot held before.
-  if (opt.require_reachable) {
-    std::vector<char> needed(ir.slot_count, 0);
-    for (const std::uint32_t r : ir.output_rails) needed[r >> 1] = 1;
-    for (std::size_t k = n_ops; k-- > 0;) {
-      const CompiledOp& op = ir.ops[k];
-      if (!needed[op.out >> 1]) {
-        return fail("orphan-op",
-                    "op #" + std::to_string(k) + " (out rail " +
-                        slot_str(op.out) +
-                        ") is unreachable from every declared output, but "
-                        "dead-node elimination was enabled");
-      }
-      needed[op.out >> 1] = 0;
-      for (int j = 0; j < rail_form_arity(op.form); ++j) {
-        needed[op.in[static_cast<std::size_t>(j)] >> 1] = 1;
-      }
+  std::vector<char> needed(ir.slot_count, 0);
+  for (const std::uint32_t r : ir.output_rails) needed[r >> 1] = 1;
+  for (std::size_t k = n_ops; k-- > 0;) {
+    const CompiledOp& op = ir.ops[k];
+    if (!needed[op.out >> 1]) {
+      return fail("orphan-op", "op #" + std::to_string(k) + " (out rail " +
+                                   slot_str(op.out) +
+                                   ") is unreachable from every declared "
+                                   "output");
+    }
+    needed[op.out >> 1] = 0;
+    for (int j = 0; j < rail_form_arity(op.form); ++j) {
+      needed[op.in[static_cast<std::size_t>(j)] >> 1] = 1;
     }
   }
 
   return Status();
 }
 
-Status verify_ir(const CompiledProgram& prog, const VerifyIrOptions& opt) {
-  return verify_ir(ir_image_of(prog), opt);
+Status verify_ir(const CompiledProgram& prog) {
+  return verify_ir(ir_image_of(prog));
 }
 
 Status verify_netlist_replay(const IrImage& ir, const Netlist& nl) {
-  if (Status s = check_shape(ir, {.require_levelized = false}); !s.ok()) {
-    return s;
-  }
+  if (Status s = check_bounds(ir); !s.ok()) return s;
   if (Status s = check_forms(ir); !s.ok()) return s;
   if (ir.input_slots.size() != nl.inputs().size() ||
       ir.output_rails.size() != nl.outputs().size()) {

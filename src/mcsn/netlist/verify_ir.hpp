@@ -8,17 +8,18 @@
 // corruption or a wrong sort, not an error message. Two passes make the
 // compiler's promises checked instead of assumed.
 //
-// verify_ir() checks structure. It replays the schedule in steps: const
-// inits and live inputs are written at step 0, level l (0-based) is step
-// l + 1, and in a creation-order program every op is its own step. Ops
-// address rails (2 * slot + polarity, compile.hpp); the step checks work
-// on the slot a rail belongs to.
+// verify_ir() checks structure, against the one program form compile()
+// produces: dead gates eliminated, ops levelized, slots reused. It replays
+// the schedule in steps: const inits and live inputs are written at step
+// 0, and level l (0-based) is step l + 1. Ops address rails (2 * slot +
+// polarity, compile.hpp); the step checks work on the slot a rail belongs
+// to.
 //
+//   * levels         — level_offsets is a monotone partition of the ops,
+//                      {0} when there are none;
 //   * bounds         — every slot index (inputs, const inits) is
 //                      < slot_count() and every rail index (outputs, op
-//                      operands and destinations) is < 2 * slot_count(),
-//                      and level_offsets is a monotone partition of the
-//                      ops;
+//                      operands and destinations) is < 2 * slot_count();
 //   * rail forms     — every op is one of the three forms and2, ao21,
 //                      mux2, and the form runs the executor dispatches on
 //                      partition the stream, each holding ops of its own
@@ -30,13 +31,12 @@
 //                      slices may run concurrently;
 //   * pinned consts  — nothing overwrites a constant's slot (constants are
 //                      materialized once per executor, not per run);
-//   * no clobber     — with dead-node elimination, no value is overwritten
-//                      before it is read (an output counts as read at the
-//                      end);
+//   * no clobber     — no value is overwritten before it is read (an
+//                      output counts as read at the end);
 //   * coverage       — every declared output and every slot has a writer,
-//                      and (with dead-node elimination) every op is
-//                      transitively reachable from an output, i.e.
-//                      elimination left no orphan ops.
+//                      and every op is transitively reachable from an
+//                      output, i.e. dead-node elimination left no orphan
+//                      ops.
 //
 // Slots are reused (compile.hpp), so one slot carries many values over a
 // run, and structure alone cannot say which value a read means or whether
@@ -49,7 +49,9 @@
 // must end holding exactly its netlist output's pair. AND and OR are
 // matched up to commutativity and idempotence (x & x = x), nothing more.
 // A wrong lowering, a swapped pin, a flipped operand polarity or a value
-// reused too early fails it even when the structure is sound.
+// reused too early fails it even when the structure is sound. The replay
+// walks the op stream in order, so of the structure it checks only bounds
+// and forms.
 //
 // Each violated invariant produces a distinct, greppable diagnostic token
 // in the Status message ("slot-bounds", "level-structure", "bad-op",
@@ -62,7 +64,7 @@
 // in debug builds and in sanitizer builds (MCSN_VERIFY, defined by CMake
 // whenever MCSN_SANITIZE is set); release builds pay nothing. They are
 // also exposed as `tool_mcsverify`, which sweeps the whole catalog plus
-// composed/PPC-elaborated networks under every compile-option combination.
+// composed/PPC-elaborated networks, one compiled program each.
 //
 // IrImage exists for negative testing: CompiledProgram's fields are
 // private and compile() only ever produces valid programs, so the
@@ -85,8 +87,8 @@ struct IrImage {
   std::size_t slot_count = 0;
   std::vector<CompiledOp> ops;
   std::vector<FormRun> form_runs;
-  /// Level l's ops are [level_offsets[l], level_offsets[l + 1]); empty
-  /// means the program is not levelized (creation-order schedule).
+  /// Level l's ops are [level_offsets[l], level_offsets[l + 1]): one
+  /// entry more than there are levels.
   std::vector<std::size_t> level_offsets;
   std::vector<std::uint32_t> input_slots;   // kNoSlot = dead input
   std::vector<std::uint32_t> output_rails;
@@ -96,36 +98,12 @@ struct IrImage {
 /// Snapshot of `prog` for mutation testing / standalone verification.
 [[nodiscard]] IrImage ir_image_of(const CompiledProgram& prog);
 
-struct VerifyIrOptions {
-  /// Require every op to be transitively reachable from a declared output
-  /// (dead-node elimination left no orphans). Turn off for programs
-  /// compiled with eliminate_dead = false or retain_all_nodes = true,
-  /// which intentionally keep dead gates.
-  bool require_reachable = true;
-  /// Require a levelized schedule (consistent level_offsets, non-empty
-  /// unless there are no ops, with every operand in a strictly earlier
-  /// level). Turn off for programs compiled with levelize = false; the
-  /// strict written-before-read stream order is checked either way.
-  bool require_levelized = true;
-};
-
-/// Matching options for how `opt` compiled the program.
-[[nodiscard]] constexpr VerifyIrOptions verify_options_for(
-    const CompileOptions& opt) noexcept {
-  return VerifyIrOptions{
-      .require_reachable = opt.eliminate_dead && !opt.retain_all_nodes,
-      .require_levelized = opt.levelize,
-  };
-}
-
 /// Checks every structural invariant above; OK, or the first violation
 /// found with a precise diagnostic. Runs in O(slots + ops) time and memory.
-[[nodiscard]] Status verify_ir(const IrImage& ir,
-                               const VerifyIrOptions& opt = {});
+[[nodiscard]] Status verify_ir(const IrImage& ir);
 
 /// Convenience overload over a live program (snapshots internally).
-[[nodiscard]] Status verify_ir(const CompiledProgram& prog,
-                               const VerifyIrOptions& opt = {});
+[[nodiscard]] Status verify_ir(const CompiledProgram& prog);
 
 /// Exact replay against the netlist `ir` was compiled from: OK iff every
 /// output rail pair ends holding the hash-consed rail expressions of its

@@ -84,7 +84,7 @@ TEST(Compile, AllBackendsMatchLegacyOnCatalogNetworks) {
         want.push_back(out);
       }
 
-      // Evaluator: one vector at a time on lane 0 of a retain-all program.
+      // Evaluator: one vector at a time on lane 0.
       Evaluator single(nl);
       for (int v = 0; v < kVectors; ++v) {
         in.assign(corpus[v].begin(), corpus[v].end());
@@ -145,12 +145,6 @@ TEST(Compile, DeadNodeEliminationDropsUnobservableGates) {
   const CompiledProgram dense = CompiledProgram::compile(nl);
   EXPECT_EQ(dense.live_gate_count(), 1u);
   EXPECT_EQ(nl.gate_count(), 4u);
-
-  // Without elimination every gate stays, except that the inverter
-  // lowers to no op: its reader would take the other rail of d2.
-  const CompiledProgram full =
-      CompiledProgram::compile(nl, {.eliminate_dead = false});
-  EXPECT_EQ(full.live_gate_count(), 3u);
 
   // Outputs agree with legacy on the full ternary input space.
   CompiledExecutor<Packed64Backend> exec(dense);
@@ -246,27 +240,16 @@ TEST(Compile, DenseProgramsAreSizedByLiveWidth) {
     const std::size_t gates = sorter.netlist().gate_count();
     EXPECT_LE(prog.slot_count(), shape.max_slots);
     EXPECT_LT(prog.slot_count(), gates / 10);
-    // Creation order reuses slots too.
-    const CompiledProgram creation =
-        CompiledProgram::compile(sorter.netlist(), {.levelize = false});
-    EXPECT_LT(creation.slot_count(), gates / 10);
   }
 }
 
 // Every cell kind's rail lowering against the node walker, over the whole
 // ternary input space. Each pin is driven from a primary input, a constant,
 // or an inverter chain of length 1 or 2 over an input; the gate, an
-// inverter over it and every pin source are outputs. Every compile mode
-// (the four tool_mcsverify sweeps) and both lane widths must agree. This
-// is what proves the lowering table's identities; the netlist replay only
-// proves that a program follows them.
+// inverter over it and every pin source are outputs. Both lane widths must
+// agree. This is what proves the lowering table's identities; the netlist
+// replay only proves that a program follows them.
 TEST(Compile, EveryCellKindLoweringMatchesNodeWalkOnAllTernaryInputs) {
-  constexpr CompileOptions kModes[] = {
-      CompileOptions{},
-      CompileOptions{.levelize = false},
-      CompileOptions{.eliminate_dead = false},
-      CompileOptions{.retain_all_nodes = true},
-  };
   enum class Pin { input, const0, const1, inv1, inv2 };
   constexpr Pin kPins[] = {Pin::input, Pin::const0, Pin::const1, Pin::inv1,
                            Pin::inv2};
@@ -319,31 +302,26 @@ TEST(Compile, EveryCellKindLoweringMatchesNodeWalkOnAllTernaryInputs) {
         corpus.push_back(w);
         want.push_back(out);
       }
-      for (const CompileOptions& opt : kModes) {
-        const CompiledProgram prog = CompiledProgram::compile(nl, opt);
-        const auto check = [&](auto backend_tag, const char* label) {
-          using Backend = decltype(backend_tag);
-          CompiledExecutor<Backend> exec(prog);
-          std::vector<typename Backend::Value> packed(width);
-          for (std::size_t v = 0; v < vectors; ++v) {
-            for (std::size_t i = 0; i < width; ++i) {
-              Backend::set_lane(packed[i], static_cast<int>(v), corpus[v][i]);
-            }
+      const CompiledProgram prog = CompiledProgram::compile(nl);
+      const auto check = [&](auto backend_tag, const char* label) {
+        using Backend = decltype(backend_tag);
+        CompiledExecutor<Backend> exec(prog);
+        std::vector<typename Backend::Value> packed(width);
+        for (std::size_t v = 0; v < vectors; ++v) {
+          for (std::size_t i = 0; i < width; ++i) {
+            Backend::set_lane(packed[i], static_cast<int>(v), corpus[v][i]);
           }
-          exec.run(packed);
-          for (std::size_t v = 0; v < vectors; ++v) {
-            for (std::size_t o = 0; o < want[v].size(); ++o) {
-              ASSERT_EQ(exec.output_lane(o, static_cast<int>(v)), want[v][o])
-                  << label << " levelize=" << opt.levelize
-                  << " eliminate_dead=" << opt.eliminate_dead
-                  << " retain_all=" << opt.retain_all_nodes << " v=" << v
-                  << " o=" << o;
-            }
+        }
+        exec.run(packed);
+        for (std::size_t v = 0; v < vectors; ++v) {
+          for (std::size_t o = 0; o < want[v].size(); ++o) {
+            ASSERT_EQ(exec.output_lane(o, static_cast<int>(v)), want[v][o])
+                << label << " v=" << v << " o=" << o;
           }
-        };
-        check(Packed64Backend{}, "packed64");
-        check(Packed256Backend{}, "packed256");
-      }
+        }
+      };
+      check(Packed64Backend{}, "packed64");
+      check(Packed256Backend{}, "packed256");
     }
   }
   EXPECT_EQ(kinds, kCellKindCount - 3);  // every kind but input/const0/const1
@@ -351,24 +329,41 @@ TEST(Compile, EveryCellKindLoweringMatchesNodeWalkOnAllTernaryInputs) {
 
 // The paper's MC circuits use INV, AND2 and OR2 only, so a sorter's
 // program is all and2 ops in one form run, with no op left for any
-// inverter. The 10x8 counts pin the lowering to the table: the inverters
-// vanish and nothing else is merged.
+// inverter. The exact counts pin the served programs: the inverters
+// vanish, nothing else is merged, and a change to the schedule or the slot
+// assignment shows here as a changed level or slot count.
 TEST(Compile, McSorterProgramsAreOneAnd2Run) {
-  const McSorter sorter(10, 8);
-  const Netlist nl = sorter.netlist();
-  const CompiledProgram prog = CompiledProgram::compile(nl);
-  ASSERT_EQ(prog.form_runs().size(), 1u);
-  EXPECT_EQ(prog.form_runs()[0].form, RailForm::and2);
-  EXPECT_EQ(prog.form_runs()[0].end, prog.live_gate_count());
-  std::size_t inverters = 0;
-  std::size_t gates = 0;
-  for (const GateNode& g : nl.nodes()) {
-    if (g.kind == CellKind::inv) ++inverters;
-    if (is_gate(g.kind)) ++gates;
+  const struct {
+    int channels;
+    std::size_t bits;
+    std::size_t ops;
+    std::size_t levels;
+    std::size_t slots;
+  } shapes[] = {
+      {10, 8, 4030, 48, 439},
+      {24, 8, 16510, 69, 1278},
+      {64, 16, 170502, 135, 6937},  // composed
+  };
+  for (const auto& shape : shapes) {
+    SCOPED_TRACE(std::to_string(shape.channels) + "x" +
+                 std::to_string(shape.bits));
+    const McSorter sorter(shape.channels, shape.bits);
+    const Netlist nl = sorter.netlist();
+    const CompiledProgram prog = CompiledProgram::compile(nl);
+    ASSERT_EQ(prog.form_runs().size(), 1u);
+    EXPECT_EQ(prog.form_runs()[0].form, RailForm::and2);
+    EXPECT_EQ(prog.form_runs()[0].end, prog.live_gate_count());
+    std::size_t inverters = 0;
+    std::size_t gates = 0;
+    for (const GateNode& g : nl.nodes()) {
+      if (g.kind == CellKind::inv) ++inverters;
+      if (is_gate(g.kind)) ++gates;
+    }
+    EXPECT_EQ(prog.live_gate_count(), gates - inverters);
+    EXPECT_EQ(prog.live_gate_count(), shape.ops);
+    EXPECT_EQ(prog.level_count(), shape.levels);
+    EXPECT_EQ(prog.slot_count(), shape.slots);
   }
-  EXPECT_EQ(prog.live_gate_count(), gates - inverters);
-  EXPECT_EQ(prog.live_gate_count(), 4030u);
-  EXPECT_EQ(prog.level_count(), 48u);
 }
 
 // Wrong-sized input is rejected with std::invalid_argument, never turned
@@ -412,24 +407,6 @@ TEST(Compile, ExecutorRejectsInputCountMismatch) {
   EXPECT_THROW(exec.run(more), std::invalid_argument);
   const std::vector<PackedTrit> exact(width);
   EXPECT_NO_THROW(exec.run(exact));
-}
-
-TEST(Compile, RetainAllNodesKeepsNodeIdIndexing) {
-  const Netlist nl =
-      elaborate_network(optimal_4(), 3, sort2_builder(), "retain_check");
-  Evaluator ev(nl);
-  Xoshiro256 rng(7);
-  std::vector<Trit> in;
-  for (int trial = 0; trial < 50; ++trial) {
-    const Word w = random_ternary(rng, nl.inputs().size());
-    in.assign(w.begin(), w.end());
-    const std::span<const Trit> got = ev.run(in);
-    const std::vector<Trit> want = evaluate_nodes(nl, in);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t id = 0; id < want.size(); ++id) {
-      ASSERT_EQ(got[id], want[id]) << "node " << id;
-    }
-  }
 }
 
 // sort_batch must agree with per-round sort() for every batch size around

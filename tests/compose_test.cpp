@@ -286,7 +286,7 @@ void check_backends_against_node_walk(const Netlist& nl,
   ASSERT_TRUE(verify_ir(prog).ok());
   ASSERT_TRUE(verify_netlist_replay(prog, nl).ok());
 
-  // One vector at a time: Evaluator runs a retain-all program on lane 0.
+  // One vector at a time: Evaluator runs the same program on lane 0.
   Evaluator single(nl);
   for (int v = 0; v < vectors; ++v) {
     in.assign(corpus[v].begin(), corpus[v].end());

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "mcsn/ckt/ops.hpp"
 #include "mcsn/ckt/sort2.hpp"
 #include "mcsn/ckt/sort2_baselines.hpp"
@@ -113,6 +115,36 @@ TEST(Equiv, DetectsSingleGateDifference) {
   const auto mismatch = check_equivalence(a, b);
   ASSERT_TRUE(mismatch);
   EXPECT_NE(mismatch->output_a, mismatch->output_b);
+}
+
+// Netlists with different port counts are rejected by both checkers, in
+// either argument order, before anything is read through the side with
+// fewer ports.
+TEST(Equiv, PortCountMismatchThrows) {
+  const Netlist mux = sop_mux();
+  Netlist more_outputs("more_outputs");
+  {
+    const NodeId a = more_outputs.add_input("a");
+    const NodeId b = more_outputs.add_input("b");
+    const NodeId s = more_outputs.add_input("s");
+    more_outputs.mark_output(cmux(more_outputs, a, b, s), "f");
+    more_outputs.mark_output(more_outputs.and2(a, b), "g");
+  }
+  Netlist fewer_inputs("fewer_inputs");
+  {
+    const NodeId a = fewer_inputs.add_input("a");
+    const NodeId b = fewer_inputs.add_input("b");
+    fewer_inputs.mark_output(fewer_inputs.and2(a, b), "f");
+  }
+  for (const Netlist* other : {&more_outputs, &fewer_inputs}) {
+    SCOPED_TRACE(other->name());
+    EXPECT_THROW((void)check_equivalence(*other, mux), std::invalid_argument);
+    EXPECT_THROW((void)check_equivalence(mux, *other), std::invalid_argument);
+    EXPECT_THROW((void)check_equivalence_formal(*other, mux),
+                 std::invalid_argument);
+    EXPECT_THROW((void)check_equivalence_formal(mux, *other),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "mcsn/core/closure.hpp"
 
 namespace mcsn {
@@ -92,7 +96,7 @@ TEST(Eval, EvaluatorReuseMatchesOneShot) {
 }
 
 // The compiled Evaluator and the legacy node-walker are interchangeable:
-// identical node values and outputs on the full ternary input space.
+// identical outputs on the full ternary input space.
 TEST(Eval, CompiledEvaluatorMatchesNodeWalk) {
   const Netlist nl = mux_circuit();
   Evaluator compiled(nl);
@@ -106,12 +110,36 @@ TEST(Eval, CompiledEvaluatorMatchesNodeWalk) {
         compiled.run_outputs(span, a);
         legacy.run_outputs(span, b);
         ASSERT_EQ(a, b);
-        const std::span<const Trit> cv = compiled.run(span);
-        const std::span<const Trit> lv = legacy.run(span);
-        ASSERT_EQ(std::vector<Trit>(cv.begin(), cv.end()),
-                  std::vector<Trit>(lv.begin(), lv.end()));
       }
     }
+  }
+}
+
+// One input too few or too many is an error, not a read past the input
+// buffer (or a silently ignored extra). Every node-walk entry point shares
+// the check, and Evaluator inherits the compiled executor's.
+TEST(Eval, InputCountMismatchThrows) {
+  const Netlist nl = mux_circuit();
+  const std::vector<Trit> short_in(2, Trit::one);
+  const std::vector<Trit> long_in(4, Trit::one);
+  for (const std::vector<Trit>* in : {&short_in, &long_in}) {
+    SCOPED_TRACE(std::to_string(in->size()) + " inputs");
+    EXPECT_THROW((void)evaluate(nl, *in), std::invalid_argument);
+    EXPECT_THROW((void)evaluate_nodes(nl, *in), std::invalid_argument);
+    NodeWalkEvaluator walk(nl);
+    EXPECT_THROW((void)walk.run(*in), std::invalid_argument);
+    Evaluator compiled(nl);
+    Word out;
+    EXPECT_THROW(compiled.run_outputs(*in, out), std::invalid_argument);
+  }
+  try {
+    (void)evaluate(nl, short_in);
+    FAIL() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    // Both counts are named.
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" 2 "), std::string::npos) << what;
+    EXPECT_NE(what.find(" 3 "), std::string::npos) << what;
   }
 }
 

@@ -1,8 +1,8 @@
 // Tests for the CompiledProgram IR verifier (netlist/verify_ir.hpp).
 //
 // Positive direction: every catalog network, elaborated under several
-// builders and compiled under every CompileOptions combination, must pass
-// both the structural checks and the netlist replay — including the
+// builders and compiled into the one program form compile() produces, must
+// pass both the structural checks and the netlist replay — including the
 // programs actually held by each lane backend's executor and by
 // BatchEvaluator. Negative direction: a seeded mutation suite perturbs a
 // known-good IrImage one invariant at a time and demands the verifier
@@ -27,27 +27,18 @@
 namespace mcsn {
 namespace {
 
-const CompileOptions kModes[] = {
-    CompileOptions{},
-    CompileOptions{.levelize = false},
-    CompileOptions{.eliminate_dead = false},
-    CompileOptions{.retain_all_nodes = true},
-};
-
-TEST(VerifyIr, AllCatalogNetworksVerifyUnderEveryCompileMode) {
+TEST(VerifyIr, AllCatalogNetworksVerify) {
   for (const ComparatorNetwork& net : paper_networks()) {
     for (const std::size_t bits : {1u, 4u, 8u}) {
       const Netlist nl = elaborate_network(net, bits, sort2_builder(),
                                            net.name() + "_verify");
-      for (const CompileOptions& opt : kModes) {
-        const CompiledProgram prog = CompiledProgram::compile(nl, opt);
-        const Status s = verify_ir(prog, verify_options_for(opt));
-        EXPECT_TRUE(s.ok()) << net.name() << " bits=" << bits << ": "
-                            << s.to_string();
-        const Status r = verify_netlist_replay(prog, nl);
-        EXPECT_TRUE(r.ok()) << net.name() << " bits=" << bits << ": "
-                            << r.to_string();
-      }
+      const CompiledProgram prog = CompiledProgram::compile(nl);
+      const Status s = verify_ir(prog);
+      EXPECT_TRUE(s.ok()) << net.name() << " bits=" << bits << ": "
+                          << s.to_string();
+      const Status r = verify_netlist_replay(prog, nl);
+      EXPECT_TRUE(r.ok()) << net.name() << " bits=" << bits << ": "
+                          << r.to_string();
     }
   }
 }
@@ -105,29 +96,12 @@ TEST(VerifyIr, ProgramsWithoutOpsVerify) {
   nl.mark_output(a, "a");
   nl.mark_output(nl.inv(nl.inv(nl.inv(a))), "not_a");
   nl.mark_output(nl.inv(nl.constant(true)), "zero");
-  for (const CompileOptions& opt : kModes) {
-    const CompiledProgram prog = CompiledProgram::compile(nl, opt);
-    if (!opt.retain_all_nodes) {
-      EXPECT_EQ(prog.live_gate_count(), 0u);
-    }
-    const Status s = verify_ir(prog, verify_options_for(opt));
-    EXPECT_TRUE(s.ok()) << s.to_string();
-    const Status r = verify_netlist_replay(prog, nl);
-    EXPECT_TRUE(r.ok()) << r.to_string();
-  }
-}
-
-TEST(VerifyIr, OptionsMapping) {
-  // retain_all_nodes keeps dead nodes: reachability must be off.
-  EXPECT_FALSE(
-      verify_options_for(CompileOptions{.retain_all_nodes = true})
-          .require_reachable);
-  EXPECT_FALSE(
-      verify_options_for(CompileOptions{.eliminate_dead = false})
-          .require_reachable);
-  EXPECT_TRUE(verify_options_for(CompileOptions{}).require_reachable);
-  EXPECT_FALSE(
-      verify_options_for(CompileOptions{.levelize = false}).require_levelized);
+  const CompiledProgram prog = CompiledProgram::compile(nl);
+  EXPECT_EQ(prog.live_gate_count(), 0u);
+  const Status s = verify_ir(prog);
+  EXPECT_TRUE(s.ok()) << s.to_string();
+  const Status r = verify_netlist_replay(prog, nl);
+  EXPECT_TRUE(r.ok()) << r.to_string();
 }
 
 // ---------------------------------------------------------------------------
@@ -157,9 +131,7 @@ class VerifyIrMutation : public ::testing::Test {
   void SetUp() override {
     nl_ = elaborate_network(optimal_4(), 4, sort2_builder(), "mutation_seed");
     clean_ = ir_image_of(CompiledProgram::compile(nl_));
-    creation_ = ir_image_of(CompiledProgram::compile(nl_, kCreationOrder));
     ASSERT_TRUE(verify_ir(clean_).ok());
-    ASSERT_TRUE(verify_ir(creation_, kCreationChecks).ok());
     ASSERT_GE(clean_.ops.size(), 2u);
     ASSERT_GE(clean_.level_offsets.size(), 3u);
     ASSERT_GE(clean_.level_offsets[1], 2u);  // level 0 holds >= 2 ops
@@ -169,22 +141,34 @@ class VerifyIrMutation : public ::testing::Test {
 
   /// Asserts the mutated image fails verification and the diagnostic
   /// carries `token` — the class-specific tag, not just any error.
-  static void expect_rejected(const IrImage& mutated, const std::string& token,
-                              const VerifyIrOptions& opt = {}) {
-    const Status s = verify_ir(mutated, opt);
+  static void expect_rejected(const IrImage& mutated,
+                              const std::string& token) {
+    const Status s = verify_ir(mutated);
     ASSERT_FALSE(s.ok()) << "mutation not caught (want token '" << token
                          << "')";
     EXPECT_NE(s.message().find(token), std::string::npos)
         << "wrong diagnostic for token '" << token << "': " << s.to_string();
   }
 
-  /// The first op of a creation-order program writes over a primary input
-  /// it does not read itself; a later op still reads that input.
+  /// Whether an op in [begin, end) reads `slot` on a pin its form reads.
+  [[nodiscard]] bool reads_slot(std::size_t begin, std::size_t end,
+                                std::uint32_t slot) const {
+    for (std::size_t k = begin; k < end; ++k) {
+      const CompiledOp& op = clean_.ops[k];
+      for (int j = 0; j < rail_form_arity(op.form); ++j) {
+        if (op.in[static_cast<std::size_t>(j)] >> 1 == slot) return true;
+      }
+    }
+    return false;
+  }
+
+  /// Op 0 writes over an input slot that no level-0 op reads; a later
+  /// level still reads that input.
   [[nodiscard]] IrImage clobber_mutant() const {
-    IrImage m = creation_;
-    const CompiledOp& first = m.ops[0];
+    IrImage m = clean_;
+    const std::size_t level1 = m.level_offsets[1];
     for (const std::uint32_t s : m.input_slots) {
-      if (s != first.in[0] >> 1 && s != first.in[1] >> 1) {
+      if (!reads_slot(0, level1, s) && reads_slot(level1, m.ops.size(), s)) {
         m.ops[0].out = rail_of_slot(s);
         break;
       }
@@ -192,13 +176,8 @@ class VerifyIrMutation : public ::testing::Test {
     return m;
   }
 
-  static constexpr CompileOptions kCreationOrder{.levelize = false};
-  static constexpr VerifyIrOptions kCreationChecks =
-      verify_options_for(kCreationOrder);
-
   Netlist nl_;
   IrImage clean_;
-  IrImage creation_;
 };
 
 TEST_F(VerifyIrMutation, OperandFromSameLevelIsCaught) {
@@ -222,8 +201,8 @@ TEST_F(VerifyIrMutation, ClobberIsCaught) {
   // Class: slot reuse too early — a value overwritten before its reader
   // runs. Structure proves it without the netlist.
   const IrImage m = clobber_mutant();
-  ASSERT_NE(m.ops[0].out, creation_.ops[0].out);
-  expect_rejected(m, "clobber", kCreationChecks);
+  ASSERT_NE(m.ops[0].out, clean_.ops[0].out) << "no input slot qualifies";
+  expect_rejected(m, "clobber");
   // The replay sees the same bug as a wrong output function.
   const Status r = verify_netlist_replay(m, nl_);
   ASSERT_FALSE(r.ok());
@@ -267,10 +246,6 @@ TEST_F(VerifyIrMutation, OrphanOpIsCaught) {
   IrImage m = clean_;
   append_orphan_op(m);
   expect_rejected(m, "orphan-op");
-
-  // The same mutant is LEGAL when the program was compiled without
-  // dead-node elimination — reachability is opt.-gated.
-  EXPECT_TRUE(verify_ir(m, VerifyIrOptions{.require_reachable = false}).ok());
 }
 
 TEST_F(VerifyIrMutation, OutOfBoundsSlotIsCaught) {
@@ -320,7 +295,7 @@ TEST_F(VerifyIrMutation, DistinctDiagnosticsPerClass) {
   conflict.ops[1].out = conflict.ops[0].out;
   tokens.push_back(verify_ir(conflict).message());
 
-  tokens.push_back(verify_ir(clobber_mutant(), kCreationChecks).message());
+  tokens.push_back(verify_ir(clobber_mutant()).message());
 
   IrImage constant = clean_;
   constant.const_inits.push_back({constant.ops.back().out >> 1, Trit::one});
@@ -396,17 +371,14 @@ TEST(VerifyIrReplay, FlippedOperandPolarityFailsOnlyTheReplay) {
   // intact while the op computes a different function.
   const Netlist nl =
       elaborate_network(optimal_4(), 4, sort2_builder(), "polarity_seed");
-  for (const CompileOptions& opt : kModes) {
-    const CompiledProgram prog = CompiledProgram::compile(nl, opt);
-    IrImage m = ir_image_of(prog);
-    flip_output_op_polarity(m);
-    const Status s = verify_ir(m, verify_options_for(opt));
-    EXPECT_TRUE(s.ok()) << s.to_string();
-    const Status r = verify_netlist_replay(m, nl);
-    ASSERT_FALSE(r.ok()) << "flipped operand polarity not caught";
-    EXPECT_NE(r.message().find("netlist-replay"), std::string::npos)
-        << r.to_string();
-  }
+  IrImage m = ir_image_of(CompiledProgram::compile(nl));
+  flip_output_op_polarity(m);
+  const Status s = verify_ir(m);
+  EXPECT_TRUE(s.ok()) << s.to_string();
+  const Status r = verify_netlist_replay(m, nl);
+  ASSERT_FALSE(r.ok()) << "flipped operand polarity not caught";
+  EXPECT_NE(r.message().find("netlist-replay"), std::string::npos)
+      << r.to_string();
 }
 
 }  // namespace
