@@ -1,5 +1,9 @@
 #include "mcsn/serve/batcher.hpp"
 
+#include <algorithm>
+
+#include "mcsn/core/packed.hpp"
+
 namespace mcsn {
 
 BatchGroup MicroBatcher::drain_shard(Shard& shard, FlushCause cause) {
@@ -32,8 +36,12 @@ MicroBatcher::AddResult MicroBatcher::add(
   if (shard.requests.empty()) {
     shard.sorter = std::move(sorter);
     shard.oldest = now;
-    shard.requests.reserve(max_lanes_);
-    shard.flat.reserve(max_lanes_ * pending.request.shape.trits());
+    // Reserve one engine lane group at most: a larger max_lanes grows the
+    // shard on demand instead of allocating its whole bound up front.
+    const std::size_t lanes = std::min<std::size_t>(
+        max_lanes_, static_cast<std::size_t>(PackedTrit256::kLanes));
+    shard.requests.reserve(lanes);
+    shard.flat.reserve(lanes * pending.request.shape.trits());
     result.window_started = true;
   }
   // Stage the payload contiguously; from here on the group owns the trits,

@@ -1,7 +1,7 @@
 #include "mcsn/serve/service.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <exception>
 #include <string>
 
 namespace mcsn {
@@ -12,7 +12,7 @@ using Clock = std::chrono::steady_clock;
 
 ServeOptions sanitize(ServeOptions opt) {
   opt.workers = std::max(1, opt.workers);
-  opt.max_lanes = std::max<std::size_t>(1, opt.max_lanes);
+  opt.max_lanes = std::clamp<std::size_t>(opt.max_lanes, 1, kMaxBatchRounds);
   opt.max_inflight = std::max<std::size_t>(1, opt.max_inflight);
   opt.ready_capacity = std::max<std::size_t>(1, opt.ready_capacity);
   if (opt.flush_window < std::chrono::microseconds(0)) {
@@ -50,6 +50,10 @@ Status ServeOptions::validate() const {
     complain("workers must be >= 1 (got " + std::to_string(workers) + ")");
   }
   if (max_lanes < 1) complain("max_lanes must be >= 1 (got 0)");
+  if (max_lanes > kMaxBatchRounds) {
+    complain("max_lanes must be <= " + std::to_string(kMaxBatchRounds) +
+             " (got " + std::to_string(max_lanes) + ")");
+  }
   if (flush_window < std::chrono::microseconds(0)) {
     complain("flush_window must be >= 0 (got " +
              std::to_string(flush_window.count()) + "us)");
@@ -194,65 +198,6 @@ std::future<SortResponse> SortService::submit(SortRequest request) {
            promise.set_value(std::move(response));
          });
   return future;
-}
-
-std::future<std::vector<Word>> SortService::submit(std::vector<Word> round) {
-  // from_words performs the historical validation (empty round, zero-width
-  // words, ragged rounds) and its failures keep surfacing as the
-  // historical synchronous std::invalid_argument.
-  StatusOr<SortRequest> request = SortRequest::from_words(round);
-  if (!request.ok()) {
-    throw std::invalid_argument("SortService::submit: " +
-                                request.status().to_string());
-  }
-  if (!accepting_.load(std::memory_order_relaxed)) {
-    metrics_.on_rejected();
-    throw std::runtime_error("SortService: stopped");
-  }
-  // Historical contract: results arrive as Words and failures as exceptions
-  // on the future, so adapt the response inside the completion.
-  std::promise<std::vector<Word>> promise;
-  std::future<std::vector<Word>> future = promise.get_future();
-  submit(std::move(*request),
-         [promise = std::move(promise)](SortResponse response) mutable {
-           if (response.status.ok()) {
-             promise.set_value(response.words());
-           } else if (response.status.code() == StatusCode::kInvalidArgument) {
-             promise.set_exception(std::make_exception_ptr(
-                 std::invalid_argument(response.status.to_string())));
-           } else {
-             promise.set_exception(std::make_exception_ptr(
-                 std::runtime_error(response.status.to_string())));
-           }
-         });
-  return future;
-}
-
-std::vector<Word> SortService::sort(std::vector<Word> round) {
-  return submit(std::move(round)).get();
-}
-
-std::vector<std::uint64_t> SortService::sort_values(
-    const std::vector<std::uint64_t>& values, std::size_t bits) {
-  StatusOr<SortRequest> request = SortRequest::from_values(
-      SortShape{static_cast<int>(values.size()), bits}, values);
-  if (!request.ok()) {
-    // Covers bits > 64 (uint64_t values cannot fill wider words) and
-    // out-of-range values, with the Status message naming the culprit.
-    throw std::invalid_argument("SortService::sort_values: " +
-                                request.status().to_string());
-  }
-  const SortResponse response = submit(std::move(*request)).get();
-  if (!response.status.ok()) {
-    throw std::runtime_error("SortService::sort_values: " +
-                             response.status.to_string());
-  }
-  StatusOr<std::vector<std::uint64_t>> decoded = response.values();
-  if (!decoded.ok()) {
-    throw std::runtime_error("SortService::sort_values: " +
-                             decoded.status().to_string());
-  }
-  return std::move(*decoded);
 }
 
 void SortService::stop() {

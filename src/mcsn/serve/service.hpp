@@ -14,13 +14,14 @@
 //
 //   svc.submit(std::move(request), [](SortResponse rsp) { ... });
 //
-// The SortRequest path never throws: malformed requests, a stopped
-// service, and deadline-expired work all come back as a SortResponse with
-// the corresponding Status (the callback/future always completes exactly
-// once). A request with a deadline that passed before its batch flushed is
-// failed with kDeadlineExceeded instead of being sorted late. The legacy
-// vector<Word> signatures remain as thin wrappers with their historical
-// exception behavior.
+// submit() is the only entry point, and it never throws: malformed
+// requests, a stopped service, and deadline-expired work all come back as
+// a SortResponse with the corresponding Status (the callback/future always
+// completes exactly once). A request with a deadline that passed before
+// its batch flushed is failed with kDeadlineExceeded instead of being
+// sorted late. Callers holding Words or integers build the request with
+// SortRequest::from_words/from_values and read SortResponse::words()/
+// values().
 //
 // Latency/throughput trade-off is one knob: flush_window. A shard flushes
 // the moment it fills max_lanes lanes (no added latency under load); a
@@ -43,7 +44,6 @@
 #include <vector>
 
 #include "mcsn/api/sort_api.hpp"
-#include "mcsn/core/word.hpp"
 #include "mcsn/serve/batcher.hpp"
 #include "mcsn/serve/metrics.hpp"
 #include "mcsn/serve/queue.hpp"
@@ -57,7 +57,7 @@ struct ServeOptions {
   int workers = 1;
   /// Lane-group target per batch; 256 fills one wide engine pass. Larger
   /// values span several lane groups per flush, smaller trade throughput
-  /// for latency.
+  /// for latency. At most kMaxBatchRounds, the bound on one batch.
   std::size_t max_lanes = 256;
   /// Max time a request waits for lane-mates before a partial flush.
   std::chrono::microseconds flush_window{200};
@@ -127,8 +127,6 @@ class SortService {
   SortService(const SortService&) = delete;
   SortService& operator=(const SortService&) = delete;
 
-  // --- primary (SortRequest/SortResponse) API -------------------------------
-
   /// Submits one request; the future completes with a SortResponse whose
   /// Status reports validation failures (kInvalidArgument), shutdown
   /// (kUnavailable), expired deadlines (kDeadlineExceeded) or engine
@@ -141,25 +139,6 @@ class SortService {
   /// worker thread otherwise. Skips the promise/shared-state allocation of
   /// the futures path; the completion must not block the worker for long.
   void submit(SortRequest request, SortCompletion done);
-
-  // --- legacy wrappers ------------------------------------------------------
-
-  /// Submits one measurement round (channels = round.size() words of equal
-  /// width) and returns the future of its sorted result. Blocks while the
-  /// service is at max_inflight. Throws std::invalid_argument on a
-  /// malformed round and std::runtime_error after stop(); async failures
-  /// surface as exceptions on the future.
-  [[nodiscard]] std::future<std::vector<Word>> submit(std::vector<Word> round);
-
-  /// Synchronous convenience: submit + wait.
-  [[nodiscard]] std::vector<Word> sort(std::vector<Word> round);
-
-  /// Synchronous convenience over integers: Gray-encodes `values` at
-  /// `bits` wide, sorts, decodes. Throws std::invalid_argument for
-  /// malformed input — including bits > 64, which uint64_t values cannot
-  /// fill.
-  [[nodiscard]] std::vector<std::uint64_t> sort_values(
-      const std::vector<std::uint64_t>& values, std::size_t bits);
 
   /// Stops admission, flushes and executes everything pending (every
   /// future/callback completes), then joins the workers. Idempotent; the

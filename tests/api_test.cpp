@@ -93,6 +93,8 @@ TEST(SortRequest, FactoriesRejectMismatchedPayloads) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(SortRequest::from_words({Word(4), Word(3)}).status().code(),
             StatusCode::kInvalidArgument);  // ragged
+  EXPECT_EQ(SortRequest::from_words({Word(0), Word(0)}).status().code(),
+            StatusCode::kInvalidArgument);  // zero-width words
 }
 
 TEST(SortRequest, FromValuesGrayEncodesAndFlagsIntent) {
@@ -113,6 +115,10 @@ TEST(SortRequest, FromValuesRejectsBitsOver64AndOutOfRangeValues) {
   ASSERT_FALSE(too_wide.ok());
   EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(too_wide.status().message().find("64"), std::string::npos);
+
+  const StatusOr<SortRequest> zero_width = SortRequest::from_values(
+      SortShape{2, 0}, std::vector<std::uint64_t>{0, 0});
+  EXPECT_EQ(zero_width.status().code(), StatusCode::kInvalidArgument);
 
   const StatusOr<SortRequest> too_big = SortRequest::from_values(
       SortShape{2, 4}, std::vector<std::uint64_t>{3, 16});  // 16 needs 5 bits

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -1096,6 +1097,130 @@ TEST(SocketServer, UnixPathIsUnlinkedOnStopAndNonSocketRefused) {
     EXPECT_EQ(::access(file.c_str(), F_OK), 0);  // still there
     ::unlink(file.c_str());
   }
+}
+
+// --- every serving path agrees ---------------------------------------------
+
+/// Round-trips `requests` on `client` with at most `window` frames in
+/// flight and returns the responses in send order; a transport failure
+/// fails the test and cuts the list short.
+std::vector<SortResponse> round_trip(net::SortClient& client,
+                                     const std::vector<SortRequest>& requests,
+                                     std::size_t window) {
+  std::vector<SortResponse> responses;
+  for (std::size_t begin = 0; begin < requests.size(); begin += window) {
+    const std::size_t end = std::min(requests.size(), begin + window);
+    for (std::size_t i = begin; i < end; ++i) {
+      const Status sent = client.send(requests[i]);
+      EXPECT_TRUE(sent.ok()) << sent.to_string();
+      if (!sent.ok()) return responses;
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      StatusOr<SortResponse> response = client.receive();
+      EXPECT_TRUE(response.ok()) << response.status().to_string();
+      if (!response.ok()) return responses;
+      responses.push_back(std::move(*response));
+    }
+  }
+  return responses;
+}
+
+/// Checks that `responses`, read in order with any number of rounds each,
+/// carry exactly the rounds of `expect`.
+void expect_rounds(const std::string& path,
+                   const std::vector<SortResponse>& responses,
+                   const std::vector<std::vector<Word>>& expect) {
+  const std::size_t channels = expect.front().size();
+  std::size_t round = 0;
+  for (const SortResponse& response : responses) {
+    ASSERT_TRUE(response.status.ok())
+        << path << ": " << response.status.to_string();
+    const std::vector<Word> words = response.words();
+    ASSERT_EQ(words.size(), response.rounds * channels) << path;
+    const auto width = static_cast<std::ptrdiff_t>(channels);
+    for (auto w = words.begin(); w != words.end(); w += width, ++round) {
+      ASSERT_LT(round, expect.size()) << path;
+      ASSERT_EQ(std::vector<Word>(w, w + width), expect[round])
+          << path << " round " << round;
+    }
+  }
+  EXPECT_EQ(round, expect.size()) << path;
+}
+
+TEST(SocketServer, EveryServingPathMatchesSortBatch) {
+  // The paper's 10-channel 8-bit sorter through the five ways a round
+  // reaches the engine: the in-process future and callback submits, TCP
+  // one-round and 256-round batch frames, and UNIX-domain one-round
+  // frames. Each must answer exactly what a direct sort_batch does.
+  const SortShape shape{10, 8};
+  constexpr std::size_t kRounds = 2048;
+  constexpr std::size_t kBatchRounds = 256;
+  Xoshiro256 rng(71);
+  std::vector<std::vector<Word>> rounds;
+  std::vector<SortRequest> singles;
+  for (std::size_t i = 0; i < kRounds; ++i) {
+    rounds.push_back(random_valid_round(rng, shape.channels, shape.bits));
+    singles.push_back(
+        std::move(SortRequest::from_words(rounds.back()).value()));
+  }
+  std::vector<SortRequest> batches;
+  for (std::size_t i = 0; i < kRounds; i += kBatchRounds) {
+    std::vector<Trit> flat;
+    for (std::size_t r = i; r < i + kBatchRounds; ++r) {
+      for (const Word& w : rounds[r]) {
+        flat.insert(flat.end(), w.begin(), w.end());
+      }
+    }
+    batches.push_back(std::move(
+        SortRequest::own_batch(shape, kBatchRounds, std::move(flat)).value()));
+  }
+  const std::vector<std::vector<Word>> expect =
+      McSorter(shape.channels, shape.bits).sort_batch(rounds);
+
+  // Callback slots outlive the service: its destructor drains pending
+  // callbacks, which must find their targets alive.
+  std::vector<SortResponse> callback_slots(kRounds);
+  std::atomic<std::size_t> callbacks_left{kRounds};
+  std::promise<void> callbacks_done;
+  const std::future<void> all_called_back = callbacks_done.get_future();
+
+  net::SocketOptions sopt;
+  sopt.unix_path = fresh_uds_path();
+  sopt.max_inflight = 1024;  // rounds: room for a few batch frames
+  ServeOptions vopt = fast_flush();
+  vopt.workers = 2;
+  Loopback loop(sopt, vopt);
+  SortService& service = *loop.service;
+
+  std::vector<std::future<SortResponse>> futures;
+  for (const SortRequest& request : singles) {
+    futures.push_back(service.submit(request));
+  }
+  std::vector<SortResponse> future_responses;
+  for (std::future<SortResponse>& f : futures) {
+    future_responses.push_back(f.get());
+  }
+  expect_rounds("submit future", future_responses, expect);
+
+  for (std::size_t i = 0; i < kRounds; ++i) {
+    service.submit(singles[i], [&, i](SortResponse response) {
+      callback_slots[i] = std::move(response);
+      if (callbacks_left.fetch_sub(1) == 1) callbacks_done.set_value();
+    });
+  }
+  ASSERT_EQ(all_called_back.wait_for(30s), std::future_status::ready);
+  expect_rounds("submit callback", callback_slots, expect);
+
+  net::SortClient tcp = loop.client();
+  expect_rounds("TCP one-round frames", round_trip(tcp, singles, 64), expect);
+  expect_rounds("TCP batch frames", round_trip(tcp, batches, 2), expect);
+
+  StatusOr<net::SortClient> uds =
+      net::SortClient::connect_unix(sopt.unix_path);
+  ASSERT_TRUE(uds.ok()) << uds.status().to_string();
+  expect_rounds("UDS one-round frames", round_trip(*uds, singles, 64), expect);
+  EXPECT_EQ(loop.counter("socket_batch_requests_total"),
+            kRounds / kBatchRounds);
 }
 
 // --- connect timeout --------------------------------------------------------

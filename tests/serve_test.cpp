@@ -46,6 +46,31 @@ std::vector<Word> random_round(Xoshiro256& rng, int channels,
   return random_valid_round(rng, channels, bits);
 }
 
+/// Submits `round` as a SortRequest. The rounds here are valid, so a
+/// factory failure fails the test (and the service answers the empty
+/// request with kInvalidArgument).
+std::future<SortResponse> submit_words(SortService& service,
+                                       const std::vector<Word>& round) {
+  StatusOr<SortRequest> request = SortRequest::from_words(round);
+  EXPECT_TRUE(request.ok()) << request.status().to_string();
+  return service.submit(request.ok() ? std::move(*request) : SortRequest{});
+}
+
+/// Sorts integer `values` at `bits` wide through the service; empty when
+/// the request could not be built or its response failed.
+std::vector<std::uint64_t> sort_values(SortService& service,
+                                       const std::vector<std::uint64_t>& values,
+                                       std::size_t bits) {
+  StatusOr<SortRequest> request = SortRequest::from_values(
+      SortShape{static_cast<int>(values.size()), bits}, values);
+  EXPECT_TRUE(request.ok()) << request.status().to_string();
+  if (!request.ok()) return {};
+  StatusOr<std::vector<std::uint64_t>> sorted =
+      service.submit(std::move(*request)).get().values();
+  EXPECT_TRUE(sorted.ok()) << sorted.status().to_string();
+  return sorted.ok() ? std::move(*sorted) : std::vector<std::uint64_t>{};
+}
+
 /// A counter of the service's registry, summed over the series that carry
 /// `labels`; a series the service never registered fails the test.
 std::uint64_t registry_counter(const SortService& service,
@@ -446,13 +471,12 @@ TEST(SortService, BatchingEquivalentToDirectSortBatch) {
   opt.flush_window = 500us;
   SortService service(opt);
 
-  std::vector<std::vector<std::future<std::vector<Word>>>> futures(
-      shapes.size());
+  std::vector<std::vector<std::future<SortResponse>>> futures(shapes.size());
   for (std::size_t s = 0; s < shapes.size(); ++s) {
     futures[s].resize(shapes[s].count);
   }
   for (const auto& [s, i] : order) {
-    futures[s][i] = service.submit(rounds[s][i]);
+    futures[s][i] = submit_words(service, rounds[s][i]);
   }
 
   for (std::size_t s = 0; s < shapes.size(); ++s) {
@@ -460,7 +484,7 @@ TEST(SortService, BatchingEquivalentToDirectSortBatch) {
     const std::vector<std::vector<Word>> expect =
         reference.sort_batch(rounds[s]);
     for (std::size_t i = 0; i < shapes[s].count; ++i) {
-      ASSERT_EQ(futures[s][i].get(), expect[i])
+      ASSERT_EQ(futures[s][i].get().words(), expect[i])
           << "shape " << shapes[s].channels << "x" << shapes[s].bits
           << " request " << i;
     }
@@ -496,7 +520,7 @@ TEST(SortService, ConcurrentProducersStaySorted) {
         for (int c = 0; c < 6; ++c) vals.push_back(rng.below(32));
         std::vector<std::uint64_t> expect = vals;
         std::sort(expect.begin(), expect.end());
-        if (service.sort_values(vals, 5) != expect) ++failures[p];
+        if (sort_values(service, vals, 5) != expect) ++failures[p];
       }
     });
   }
@@ -514,26 +538,26 @@ TEST(SortService, StopDrainsEveryPendingFuture) {
   SortService service(opt);
 
   Xoshiro256 rng(9);
-  std::vector<std::future<std::vector<Word>>> futures;
+  std::vector<std::future<SortResponse>> futures;
   std::vector<std::vector<Word>> sent;
   for (int i = 0; i < 40; ++i) {  // partial group: stays pending in batcher
     sent.push_back(random_round(rng, 4, 4));
-    futures.push_back(service.submit(sent.back()));
+    futures.push_back(submit_words(service, sent.back()));
   }
   service.stop();
 
   const McSorter reference(4, 4);
   const auto expect = reference.sort_batch(sent);
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), expect[i]);  // fulfilled by the drain
+    EXPECT_EQ(futures[i].get().words(), expect[i]);  // fulfilled by the drain
   }
   EXPECT_EQ(
       registry_counter(service, "serve_flush_total", {{"cause", "drain"}}),
       1u);
   EXPECT_EQ(registry_counter(service, "serve_completed_total"), 40u);
 
-  EXPECT_THROW((void)service.submit(random_round(rng, 4, 4)),
-               std::runtime_error);
+  EXPECT_EQ(submit_words(service, random_round(rng, 4, 4)).get().status.code(),
+            StatusCode::kUnavailable);
   EXPECT_EQ(registry_counter(service, "serve_rejected_total"), 1u);
   service.stop();  // idempotent
 }
@@ -555,9 +579,11 @@ TEST(SortService, RefusedReadyPushFailsGroupInsteadOfDroppingIt) {
   // Well past max_inflight: only possible if each refused group releases
   // its inflight slots. Every future must carry the failure, not hang.
   for (int i = 0; i < 8; ++i) {
-    std::future<std::vector<Word>> f = service.submit(random_round(rng, 4, 4));
+    std::future<SortResponse> f =
+        submit_words(service, random_round(rng, 4, 4));
     ASSERT_EQ(f.wait_for(5s), std::future_status::ready) << "request " << i;
-    EXPECT_THROW((void)f.get(), std::runtime_error) << "request " << i;
+    EXPECT_EQ(f.get().status.code(), StatusCode::kUnavailable)
+        << "request " << i;
   }
 
   EXPECT_EQ(registry_counter(service, "serve_submitted_total"), 8u);
@@ -591,10 +617,10 @@ TEST(SortService, SharedEnginePoolServesCorrectlyAcrossShapes) {
   };
   for (const Shape s : {Shape{4, 4}, Shape{6, 3}}) {
     std::vector<std::vector<Word>> rounds;
-    std::vector<std::future<std::vector<Word>>> futures;
+    std::vector<std::future<SortResponse>> futures;
     for (int i = 0; i < 600; ++i) {  // > 512: at least one sharded flush
       rounds.push_back(random_round(rng, s.channels, s.bits));
-      futures.push_back(service.submit(rounds.back()));
+      futures.push_back(submit_words(service, rounds.back()));
     }
     // Explicitly serial reference: default auto-threads would lazily spawn
     // a pool of its own on multi-core hosts and trip the spawn assertion.
@@ -603,7 +629,7 @@ TEST(SortService, SharedEnginePoolServesCorrectlyAcrossShapes) {
     const McSorter reference(s.channels, s.bits, serial);
     const auto expect = reference.sort_batch(rounds);
     for (std::size_t i = 0; i < futures.size(); ++i) {
-      ASSERT_EQ(futures[i].get(), expect[i])
+      ASSERT_EQ(futures[i].get().words(), expect[i])
           << s.channels << "x" << s.bits << " request " << i;
     }
   }
@@ -625,7 +651,7 @@ TEST(SortService, StatsDocumentsAreLocaleIndependent) {
   ServeOptions opt;
   opt.flush_window = 100us;
   SortService service(opt);
-  (void)service.sort_values({3, 1, 2, 0}, 4);
+  (void)sort_values(service, {3, 1, 2, 0}, 4);
   service.registry().counter("locale_probe_total").add(1234567);
   AtomicHistogram& half = service.registry().histogram("locale_probe_ns");
   half.record(1);
@@ -671,22 +697,12 @@ TEST(SortService, StatsDocumentsAreLocaleIndependent) {
   EXPECT_GT(samples, 0u);
 }
 
-TEST(SortService, RejectsMalformedRounds) {
-  SortService service;
-  EXPECT_THROW((void)service.submit(std::vector<Word>{}),
-               std::invalid_argument);
-  EXPECT_THROW((void)service.submit(std::vector<Word>{Word(0), Word(0)}),
-               std::invalid_argument);
-  EXPECT_THROW((void)service.submit(std::vector<Word>{Word(4), Word(3)}),
-               std::invalid_argument);
-}
-
 // stats_json() carries every serve_* series of docs/OBSERVABILITY.md §2.
 TEST(SortService, StatsJsonHasTheAdvertisedServeSeries) {
   ServeOptions opt;
   opt.flush_window = 100us;
   SortService service(opt);
-  (void)service.sort_values({3, 1, 2, 0}, 4);
+  (void)sort_values(service, {3, 1, 2, 0}, 4);
   const std::string json = service.stats_json();
   for (const char* key :
        {"\"serve_submitted_total\": ", "\"serve_completed_total\": ",
@@ -802,7 +818,8 @@ TEST(SortService, ShapeBeyondNodeIdFailsWithResourceExhausted) {
 
   Xoshiro256 rng(7);
   const std::vector<Word> round = random_round(rng, 4, 4);
-  EXPECT_EQ(service.sort(round), McSorter(4, 4).sort(round));
+  EXPECT_EQ(submit_words(service, round).get().words(),
+            McSorter(4, 4).sort(round));
 }
 
 // Deadline policy: judged at flush time. An expired request is failed with
@@ -880,21 +897,6 @@ TEST(SortService, CompletedCountsRequestsNotRounds) {
   EXPECT_EQ(lanes.sum(), 2 * kRounds);
 }
 
-// Satellite regression: integer-valued service entry points must reject
-// bits > 64 loudly — uint64_t values cannot fill wider words.
-TEST(SortService, SortValuesRejectsBitsOver64) {
-  SortService service;
-  EXPECT_THROW((void)service.sort_values({3, 1, 2, 0}, 65),
-               std::invalid_argument);
-  EXPECT_THROW((void)service.sort_values({3, 1, 2, 0}, 0),
-               std::invalid_argument);
-  // bits = 64 stays legal at the validation layer (the values all fit).
-  const StatusOr<SortRequest> wide =
-      SortRequest::from_values(SortShape{2, 64}, std::vector<std::uint64_t>{
-                                                     1, ~std::uint64_t{0}});
-  EXPECT_TRUE(wide.ok()) << wide.status().to_string();
-}
-
 TEST(ServeOptions, ValidateNamesEveryBadKnob) {
   ServeOptions opt;
   EXPECT_TRUE(opt.validate().ok());
@@ -918,6 +920,118 @@ TEST(ServeOptions, ValidateNamesEveryBadKnob) {
   // service from these knobs clamps instead of failing.
   SortService service(opt);
   EXPECT_GE(service.options().workers, 1);
+
+  // max_lanes is bounded above too: no batch carries more rounds.
+  ServeOptions wide;
+  wide.max_lanes = kMaxBatchRounds + 1;
+  const Status too_wide = wide.validate();
+  EXPECT_EQ(too_wide.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_wide.message().find("max_lanes must be <= " +
+                                    std::to_string(kMaxBatchRounds)),
+            std::string::npos)
+      << too_wide.message();
+}
+
+// An unvalidated max_lanes far past any batch used to make the first
+// request reserve that many lanes and throw std::bad_alloc out of
+// submit(). The constructor clamps it to kMaxBatchRounds, and a shard
+// reserves one engine lane group up front.
+TEST(SortService, HugeMaxLanesStillSortsTheFirstRequest) {
+  ServeOptions opt;
+  opt.max_lanes = 100'000'000'000;
+  opt.flush_window = 100us;
+  SortService service(opt);
+  EXPECT_EQ(service.options().max_lanes, kMaxBatchRounds);
+
+  Xoshiro256 rng(43);
+  const std::vector<Word> round = random_round(rng, 4, 4);
+  const SortResponse rsp = submit_words(service, round).get();
+  ASSERT_TRUE(rsp.status.ok()) << rsp.status.to_string();
+  EXPECT_EQ(rsp.words(), McSorter(4, 4).sort(round));
+}
+
+// Warmup builds the listed shapes inside the constructor, so the first
+// request for one is a pool hit and pays no build.
+TEST(SortService, WarmedShapeServesItsFirstRequestFromThePool) {
+  const SortShape shape{24, 8};  // composed: past the optimal catalog
+  int builds = 0;
+  Status build_status = Status::internal("observer never ran");
+  std::uint64_t build_ns = 0;
+  ServeOptions opt;
+  opt.flush_window = 100us;
+  opt.warmup_shapes = {shape};
+  opt.warmup_observer = [&](const SortShape& built, const Status& status,
+                            std::uint64_t ns) {
+    ++builds;
+    EXPECT_EQ(built, shape);
+    build_status = status;
+    build_ns = ns;
+  };
+  SortService service(opt);
+  EXPECT_EQ(builds, 1);
+  EXPECT_TRUE(build_status.ok()) << build_status.to_string();
+  EXPECT_GT(build_ns, 0u);
+  EXPECT_EQ(service.shapes(), 1u);  // before any request
+
+  Xoshiro256 rng(29);
+  const std::vector<Word> round =
+      random_round(rng, shape.channels, shape.bits);
+  const SortResponse rsp = submit_words(service, round).get();
+  ASSERT_TRUE(rsp.status.ok()) << rsp.status.to_string();
+  EXPECT_EQ(rsp.words(), McSorter(shape.channels, shape.bits).sort(round));
+  EXPECT_EQ(registry_counter(service, "pool_misses_total"), 1u);  // warmup
+  EXPECT_EQ(registry_counter(service, "pool_hits_total"), 1u);
+  EXPECT_EQ(service.shapes(), 1u);
+}
+
+// A bounded pool under shape churn: six shapes through a pool of three,
+// in per-shape bursts, evict idle shapes and still answer every request
+// correctly.
+TEST(SortService, BoundedPoolChurnEvictsAndAnswersEveryRequest) {
+  constexpr std::size_t kCapacity = 3;
+  constexpr int kCycles = 4;
+  constexpr std::size_t kBurst = 4;
+  constexpr std::size_t kBits = 8;
+  const std::vector<int> channel_mix{4, 6, 11, 12, 13, 14};
+  std::vector<McSorter> references;
+  for (const int channels : channel_mix) {
+    references.emplace_back(channels, kBits);
+  }
+
+  ServeOptions opt;
+  opt.workers = 2;
+  opt.flush_window = 50us;
+  opt.pool_capacity = kCapacity;
+  SortService service(opt);
+  Xoshiro256 rng(37);
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    for (std::size_t s = 0; s < channel_mix.size(); ++s) {
+      std::vector<std::vector<Word>> rounds;
+      std::vector<std::future<SortResponse>> burst;
+      for (std::size_t r = 0; r < kBurst; ++r) {
+        rounds.push_back(random_round(rng, channel_mix[s], kBits));
+        burst.push_back(submit_words(service, rounds.back()));
+      }
+      // Draining each burst leaves its shape idle before the next shape
+      // arrives, so the LRU can evict it.
+      const std::vector<std::vector<Word>> expect =
+          references[s].sort_batch(rounds);
+      for (std::size_t r = 0; r < kBurst; ++r) {
+        const SortResponse rsp = burst[r].get();
+        ASSERT_TRUE(rsp.status.ok())
+            << channel_mix[s] << " channels: " << rsp.status.to_string();
+        EXPECT_EQ(rsp.words(), expect[r])
+            << channel_mix[s] << " channels, cycle " << cycle;
+      }
+      // A worker may still hold the previous shape while the next one
+      // builds, so the pool can ride one shape over its bound.
+      EXPECT_LE(service.shapes(), kCapacity + 1);
+    }
+  }
+  EXPECT_GT(registry_counter(service, "pool_evictions_total"), 0u);
+  EXPECT_EQ(registry_counter(service, "serve_completed_total"),
+            kCycles * channel_mix.size() * kBurst);
+  EXPECT_EQ(registry_counter(service, "serve_failed_total"), 0u);
 }
 
 TEST(SortService, BackpressureBoundsInflight) {
@@ -929,9 +1043,9 @@ TEST(SortService, BackpressureBoundsInflight) {
   // Far more submissions than max_inflight: the bound forces submit() to
   // block and the service to keep up, rather than queueing unboundedly.
   Xoshiro256 rng(21);
-  std::vector<std::future<std::vector<Word>>> futures;
+  std::vector<std::future<SortResponse>> futures;
   for (int i = 0; i < 200; ++i) {
-    futures.push_back(service.submit(random_round(rng, 4, 4)));
+    futures.push_back(submit_words(service, random_round(rng, 4, 4)));
   }
   for (auto& f : futures) (void)f.get();
   EXPECT_EQ(registry_counter(service, "serve_completed_total"), 200u);

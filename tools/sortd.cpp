@@ -80,7 +80,6 @@
 #include <thread>
 #include <vector>
 
-#include "mcsn/core/gray.hpp"
 #include "mcsn/serve/net/socket_server.hpp"
 #include "mcsn/serve/service.hpp"
 #include "mcsn/serve/wire.hpp"
@@ -145,37 +144,60 @@ class StatsDumper {
   std::thread thread_;
 };
 
-int run_stdin(SortService& service, std::size_t bits) {
-  const std::uint64_t limit = std::uint64_t{1} << bits;
-  std::vector<std::future<std::vector<Word>>> futures;
+/// Reads text rounds from stdin, one per line: whitespace-separated
+/// integers, one per channel, built into a value request `bits` wide and
+/// handed to `use`. Blank lines are skipped. Returns 2 after a diagnostic
+/// naming the first malformed line, else 0.
+template <typename Use>
+int for_each_text_round(std::size_t bits, Use&& use) {
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(std::cin, line)) {
     ++lineno;
     std::istringstream ss(line);
-    std::vector<Word> round;
+    std::vector<std::uint64_t> values;
     std::uint64_t v = 0;
-    while (ss >> v) {
-      if (v >= limit) {
-        std::cerr << "sortd: line " << lineno << ": value " << v
-                  << " needs more than " << bits << " bits\n";
-        return 2;
-      }
-      round.push_back(gray_encode(v, bits));
-    }
+    while (ss >> v) values.push_back(v);
     if (!ss.eof()) {
       std::cerr << "sortd: line " << lineno << ": not an integer round\n";
       return 2;
     }
-    if (round.empty()) continue;
-    futures.push_back(service.submit(std::move(round)));
+    if (values.empty()) continue;
+    StatusOr<SortRequest> request = SortRequest::from_values(
+        SortShape{static_cast<int>(values.size()), bits}, values);
+    if (!request.ok()) {
+      std::cerr << "sortd: line " << lineno << ": "
+                << request.status().message() << "\n";
+      return 2;
+    }
+    use(std::move(*request));
+  }
+  return 0;
+}
+
+void print_values(const std::vector<std::uint64_t>& values) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    std::cout << (i ? " " : "") << values[i];
+  }
+  std::cout << "\n";
+}
+
+int run_stdin(SortService& service, std::size_t bits) {
+  std::vector<std::future<SortResponse>> futures;
+  if (const int rc = for_each_text_round(bits, [&](SortRequest request) {
+        futures.push_back(service.submit(std::move(request)));
+      });
+      rc != 0) {
+    return rc;
   }
   for (auto& f : futures) {
-    const std::vector<Word> sorted = f.get();
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      std::cout << (i ? " " : "") << gray_decode(sorted[i]);
+    const StatusOr<std::vector<std::uint64_t>> sorted = f.get().values();
+    if (!sorted.ok()) {
+      std::cerr << "sortd: request failed: " << sorted.status().to_string()
+                << "\n";
+      return 3;
     }
-    std::cout << "\n";
+    print_values(*sorted);
   }
   dump_stats(service);
   return 0;
@@ -230,38 +252,11 @@ int run_framed(SortService& service) {
 }
 
 int run_encode_frames(std::size_t bits) {
-  const std::uint64_t limit = std::uint64_t{1} << bits;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(std::cin, line)) {
-    ++lineno;
-    std::istringstream ss(line);
-    std::vector<std::uint64_t> values;
-    std::uint64_t v = 0;
-    while (ss >> v) {
-      if (v >= limit) {
-        std::cerr << "sortd: line " << lineno << ": value " << v
-                  << " needs more than " << bits << " bits\n";
-        return 2;
-      }
-      values.push_back(v);
-    }
-    if (!ss.eof()) {
-      std::cerr << "sortd: line " << lineno << ": not an integer round\n";
-      return 2;
-    }
-    if (values.empty()) continue;
-    StatusOr<SortRequest> request = SortRequest::from_values(
-        SortShape{static_cast<int>(values.size()), bits}, values);
-    if (!request.ok()) {
-      std::cerr << "sortd: line " << lineno << ": "
-                << request.status().to_string() << "\n";
-      return 2;
-    }
-    wire::write_frame(std::cout, wire::encode_request(*request));
-  }
+  const int rc = for_each_text_round(bits, [](const SortRequest& request) {
+    wire::write_frame(std::cout, wire::encode_request(request));
+  });
   std::cout.flush();
-  return 0;
+  return rc;
 }
 
 int run_decode_frames() {
@@ -290,15 +285,13 @@ int run_decode_frames() {
     }
     const StatusOr<std::vector<std::uint64_t>> values = response->values();
     if (values.ok()) {
-      for (std::size_t i = 0; i < values->size(); ++i) {
-        std::cout << (i ? " " : "") << (*values)[i];
-      }
-    } else {
-      // Metastable or >64-bit outputs have no integer form; print words.
-      const std::vector<Word> words = response->words();
-      for (std::size_t i = 0; i < words.size(); ++i) {
-        std::cout << (i ? " " : "") << words[i].str();
-      }
+      print_values(*values);
+      continue;
+    }
+    // Metastable or >64-bit outputs have no integer form; print words.
+    const std::vector<Word> words = response->words();
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      std::cout << (i ? " " : "") << words[i].str();
     }
     std::cout << "\n";
   }
@@ -348,7 +341,7 @@ int run_load(SortService& service, int channels, std::size_t bits,
   // an old future is all but certainly fulfilled, so the get() is cheap.
   constexpr std::size_t kMaxPendingFutures = 16384;
   Xoshiro256 rng(seed);
-  std::deque<std::future<std::vector<Word>>> futures;
+  std::deque<std::future<SortResponse>> futures;
   std::size_t completed = 0;
   PoissonClock arrivals(rate, rng);
   const auto end = arrivals.start() +
@@ -358,17 +351,20 @@ int run_load(SortService& service, int channels, std::size_t bits,
     const auto scheduled = arrivals.next();
     if (scheduled >= end) break;
     if (scheduled > Clock::now()) std::this_thread::sleep_until(scheduled);
-    futures.push_back(
-        service.submit(random_valid_round(rng, channels, bits)));
+    StatusOr<SortRequest> request =
+        SortRequest::from_words(random_valid_round(rng, channels, bits));
+    if (!request.ok()) {
+      std::cerr << "sortd: " << request.status().to_string() << "\n";
+      return 2;
+    }
+    futures.push_back(service.submit(std::move(*request)));
     while (futures.size() > kMaxPendingFutures) {
-      (void)futures.front().get();
+      if (futures.front().get().status.ok()) ++completed;
       futures.pop_front();
-      ++completed;
     }
   }
   for (auto& f : futures) {
-    (void)f.get();
-    ++completed;
+    if (f.get().status.ok()) ++completed;
   }
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - arrivals.start()).count();
@@ -415,7 +411,7 @@ bool parse_warmup_shapes(const std::string& arg,
 
 int usage() {
   std::cerr << "usage: tool_sortd [--channels C>=2] [--bits 1..16]"
-               " [--workers W>=1] [--window-us U>=0] [--max-lanes L>=1]"
+               " [--workers W>=1] [--window-us U>=0] [--max-lanes 1..1048576]"
                " [--max-inflight N>=1] [--rate R>0] [--duration-s S>0]"
                " [--seed S] [--pool-capacity N>=0] [--warmup CxB[,CxB...]]"
                " [--stdin | --framed | --encode-frames |"
