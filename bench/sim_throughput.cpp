@@ -4,24 +4,26 @@
 //
 // Compares the legacy scalar node-walking evaluator against the compiled,
 // levelized engine at every backend width (one vector at a time through
-// Evaluator, 64-lane, 256-lane batch, threaded batch) and emits
+// Evaluator, 64-lane, 256-lane batch, sharded batch) and emits
 // machine-readable JSON so the perf trajectory can be tracked across PRs:
 //
 //   bench_sim_throughput [--vectors N] [--bits B] [--channels C]
-//                        [--threads T]   (batch_compiled_mt parallelism;
-//                                         0 = hardware concurrency)
 //
-// batch_compiled_mt shards 256-lane groups across the persistent pool, the
-// way the serving path does when sorter.batch.threads > 1.
+// batch_compiled calls BatchEvaluator::run once per 256-vector lane group,
+// so every call runs serially on the caller. batch_compiled_mt passes the
+// whole corpus in one call, whose lane groups shard over the process-wide
+// engine pool ("engine_parallelism" threads, the caller included).
 //
 // Every engine runs the same input corpus and must produce the same output
 // checksum ("engines_agree": true) — a built-in differential smoke test.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <locale>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,12 +71,9 @@ int main(int argc, char** argv) {
   std::size_t n_vectors = 16384;
   std::size_t bits = 8;
   int channels = 10;
-  int mt_threads = 0;  // 0 = auto (hardware concurrency)
   const auto usage = [&] {
     std::cerr << "usage: bench_sim_throughput [--vectors N>=1] [--bits 1..16]"
-                 " [--channels C>=2] [--threads T>=0]\n"
-                 "  --threads: batch_compiled_mt shard count"
-                 " (0 = hardware concurrency)\n";
+                 " [--channels C>=2]\n";
     return 2;
   };
   for (int i = 1; i < argc; i += 2) {
@@ -93,8 +92,6 @@ int main(int argc, char** argv) {
       bits = value;
     } else if (std::strcmp(argv[i], "--channels") == 0) {
       channels = static_cast<int>(value);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      mt_threads = static_cast<int>(value);
     } else {
       return usage();
     }
@@ -173,22 +170,22 @@ int main(int argc, char** argv) {
   }));
 
   results.push_back(run_engine("batch_compiled", n_vectors, [&] {
-    BatchOptions o;
-    o.threads = 1;
-    const BatchEvaluator be(nl, o);
-    const std::vector<Word> outs = be.run(corpus);
+    const BatchEvaluator be(nl);
+    const std::span<const Word> all(corpus);
     std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const Word& w : outs) h = fnv1a_word(h, w);
+    for (std::size_t base = 0; base < n_vectors; base += 256) {
+      const std::size_t count = std::min<std::size_t>(256, n_vectors - base);
+      for (const Word& w : be.run(all.subspan(base, count))) {
+        h = fnv1a_word(h, w);
+      }
+    }
     return h;
   }));
 
   results.push_back(run_engine("batch_compiled_mt", n_vectors, [&] {
-    BatchOptions o;
-    o.threads = mt_threads;
-    const BatchEvaluator be(nl, o);
-    const std::vector<Word> outs = be.run(corpus);
+    const BatchEvaluator be(nl);
     std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const Word& w : outs) h = fnv1a_word(h, w);
+    for (const Word& w : be.run(corpus)) h = fnv1a_word(h, w);
     return h;
   }));
 
@@ -204,7 +201,8 @@ int main(int argc, char** argv) {
             << ", \"live_gates\": " << prog.live_gate_count()
             << ", \"levels\": " << prog.level_count()
             << ", \"vectors\": " << n_vectors
-            << ", \"mt_threads\": " << mt_threads << "},\n  \"engines\": [\n";
+            << ", \"engine_parallelism\": "
+            << ThreadPool::hardware_parallelism() << "},\n  \"engines\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const EngineResult& r = results[i];
     std::cout << "    {\"name\": \"" << r.name

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "mcsn/util/thread_pool.hpp"
+
 #if !defined(NDEBUG) || defined(MCSN_VERIFY)
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +15,16 @@
 
 namespace mcsn {
 namespace {
+
+/// The pool every multi-group BatchEvaluator::run_flat shards onto:
+/// hardware_parallelism() - 1 workers plus the calling thread, started on
+/// first use. Deliberately never destroyed, so a thread still inside
+/// run_flat while static destructors run never reaches a dead pool.
+ThreadPool& engine_pool() {
+  static ThreadPool* const pool =
+      new ThreadPool(ThreadPool::hardware_parallelism() - 1);
+  return *pool;
+}
 
 /// Lowers gate `kind` over operand rails `in` (per cell_arity) into its
 /// rail form, destination slot `slot` (the lowering table in compile.hpp).
@@ -266,44 +278,6 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl) {
   return p;
 }
 
-BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchOptions& opt)
-    : prog_(CompiledProgram::compile(nl)),
-      parallel_(opt.threads > 0
-                    ? opt.threads
-                    : (opt.pool
-                           ? static_cast<int>(opt.pool->parallelism())
-                           : static_cast<int>(
-                                 ThreadPool::hardware_parallelism()))),
-      pool_(opt.pool) {}
-
-BatchEvaluator::BatchEvaluator(BatchEvaluator&& other) noexcept
-    : prog_(std::move(other.prog_)), parallel_(other.parallel_) {
-  std::lock_guard lock(other.pool_mu_);
-  pool_ = std::move(other.pool_);
-}
-
-BatchEvaluator& BatchEvaluator::operator=(BatchEvaluator&& other) noexcept {
-  if (this != &other) {
-    prog_ = std::move(other.prog_);
-    parallel_ = other.parallel_;
-    std::scoped_lock lock(pool_mu_, other.pool_mu_);
-    pool_ = std::move(other.pool_);
-  }
-  return *this;
-}
-
-ThreadPool* BatchEvaluator::acquire_pool() const {
-  std::lock_guard lock(pool_mu_);
-  if (!pool_ && parallel_ > 1) {
-    // Lazily owned, created once and kept: construction cost (the only
-    // thread spawns this evaluator ever performs) is paid on the first
-    // parallel run(), never per call.
-    pool_ = std::make_shared<ThreadPool>(
-        static_cast<std::size_t>(parallel_ - 1));
-  }
-  return pool_.get();
-}
-
 void BatchEvaluator::run_flat(std::span<const Trit> inputs,
                               std::span<Trit> outputs) const {
   using Backend = Packed256Backend;
@@ -354,14 +328,13 @@ void BatchEvaluator::run_flat(std::span<const Trit> inputs,
     }
   };
 
-  const std::size_t shards =
-      std::min(static_cast<std::size_t>(parallel_), groups);
-  if (shards <= 1) {
+  if (groups == 1) {
     shard(0, 1);
-  } else {
-    acquire_pool()->run_and_wait(
-        shards, [&](std::size_t t) { shard(t, shards); });
+    return;
   }
+  ThreadPool& pool = engine_pool();
+  const std::size_t shards = std::min(groups, pool.parallelism());
+  pool.run_and_wait(shards, [&](std::size_t t) { shard(t, shards); });
 }
 
 std::vector<Word> BatchEvaluator::run(std::span<const Word> inputs) const {

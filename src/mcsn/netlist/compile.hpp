@@ -59,15 +59,13 @@
 //
 // One CompiledProgram serves every backend width: the 64-lane PackedTrit
 // backend and the 256-lane PackedTrit256 backend. BatchEvaluator packs any
-// number of input vectors into 256-lane groups and shards the groups across
-// a persistent ThreadPool (injected or lazily owned — never a std::thread
-// spawn per run()).
+// number of input vectors into 256-lane groups. A call with one group runs
+// on the caller; a call with several shards them over one process-wide
+// engine pool (see BatchEvaluator).
 
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -77,7 +75,6 @@
 #include "mcsn/core/word.hpp"
 #include "mcsn/netlist/cell.hpp"
 #include "mcsn/netlist/netlist.hpp"
-#include "mcsn/util/thread_pool.hpp"
 
 namespace mcsn {
 
@@ -352,28 +349,15 @@ class CompiledExecutor {
 
 // --- Batch evaluation -------------------------------------------------------
 
-struct BatchOptions {
-  /// Parallelism target: 0 = auto (hardware concurrency), 1 = serial.
-  /// run_flat() shards 256-lane groups over this many threads, capped by
-  /// the group count.
-  int threads = 0;
-  /// Executor pool shared with other owners (e.g. one pool for a whole
-  /// SortService). When null and the effective parallelism exceeds 1, the
-  /// evaluator lazily creates a private pool on first parallel run() and
-  /// keeps it — run() never constructs threads per call either way.
-  std::shared_ptr<ThreadPool> pool;
-};
-
 /// High-throughput evaluation of many input vectors: packs them into
 /// 256-lane groups, runs the compiled program per group, and unpacks the
-/// outputs, sharding the groups across a persistent ThreadPool when there
-/// is more than one. Thread-safe: concurrent run() calls share the pool.
+/// outputs. A one-group call runs on the caller. A call with G > 1 groups
+/// shards them over min(G, hardware_parallelism()) threads: the caller plus
+/// one process-wide pool, started by the first such call. Thread-safe.
 class BatchEvaluator {
  public:
-  explicit BatchEvaluator(const Netlist& nl, const BatchOptions& opt = {});
-
-  BatchEvaluator(BatchEvaluator&& other) noexcept;
-  BatchEvaluator& operator=(BatchEvaluator&& other) noexcept;
+  explicit BatchEvaluator(const Netlist& nl)
+      : prog_(CompiledProgram::compile(nl)) {}
 
   [[nodiscard]] std::size_t input_width() const noexcept {
     return prog_.input_count();
@@ -383,13 +367,6 @@ class BatchEvaluator {
   }
   [[nodiscard]] const CompiledProgram& program() const noexcept {
     return prog_;
-  }
-
-  /// The pool run() distributes onto, or nullptr while still serial (no
-  /// parallel run() happened yet and none was injected).
-  [[nodiscard]] const ThreadPool* pool() const noexcept {
-    std::lock_guard lock(pool_mu_);
-    return pool_.get();
   }
 
   /// `inputs` holds N input vectors back to back (N x input_width()
@@ -408,15 +385,7 @@ class BatchEvaluator {
   [[nodiscard]] std::vector<Word> run(std::span<const Word> inputs) const;
 
  private:
-  /// The shared pool, creating the lazily-owned one on first need.
-  [[nodiscard]] ThreadPool* acquire_pool() const;
-
   CompiledProgram prog_;
-  int parallel_ = 1;
-  // Injected pool, or the lazily-created owned one: guarded so that
-  // concurrent const run() calls race safely on first use.
-  mutable std::mutex pool_mu_;
-  mutable std::shared_ptr<ThreadPool> pool_;
 };
 
 }  // namespace mcsn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <set>
 #include <string>
 
 namespace mcsn {
@@ -17,22 +18,6 @@ ServeOptions sanitize(ServeOptions opt) {
   opt.ready_capacity = std::max<std::size_t>(1, opt.ready_capacity);
   if (opt.flush_window < std::chrono::microseconds(0)) {
     opt.flush_window = std::chrono::microseconds(0);
-  }
-  // Engine parallelism is one persistent pool shared by every worker and
-  // every pooled sorter (see ServeOptions::sorter), so thread count is
-  // additive (workers + pool), never multiplicative. With no pool and no
-  // explicit thread count the engine stays serial inside a worker — the
-  // workers knob remains the service's parallelism unit.
-  BatchOptions& batch = opt.sorter.batch;
-  if (batch.pool) {
-    if (batch.threads <= 0) {
-      batch.threads = static_cast<int>(batch.pool->parallelism());
-    }
-  } else if (batch.threads > 1) {
-    batch.pool =
-        std::make_shared<ThreadPool>(static_cast<std::size_t>(batch.threads - 1));
-  } else {
-    batch.threads = 1;
   }
   if (!opt.registry) opt.registry = std::make_shared<MetricsRegistry>();
   return opt;
@@ -60,10 +45,6 @@ Status ServeOptions::validate() const {
   }
   if (max_inflight < 1) complain("max_inflight must be >= 1 (got 0)");
   if (ready_capacity < 1) complain("ready_capacity must be >= 1 (got 0)");
-  if (sorter.batch.threads < 0) {
-    complain("sorter.batch.threads must be >= 0 (got " +
-             std::to_string(sorter.batch.threads) + ")");
-  }
   if (sorter.max_channels < 1) {
     complain("sorter.max_channels must be >= 1 (got " +
              std::to_string(sorter.max_channels) + ")");
@@ -78,9 +59,12 @@ Status ServeOptions::validate() const {
                std::to_string(sorter.max_channels) + ")");
     }
   }
-  if (pool_capacity > 0 && warmup_shapes.size() > pool_capacity) {
-    complain("warmup_shapes lists " + std::to_string(warmup_shapes.size()) +
-             " shapes but pool_capacity is " + std::to_string(pool_capacity) +
+  const std::size_t distinct =
+      std::set<SortShape>(warmup_shapes.begin(), warmup_shapes.end()).size();
+  if (pool_capacity > 0 && distinct > pool_capacity) {
+    complain("warmup_shapes lists " + std::to_string(distinct) +
+             " distinct shapes but pool_capacity is " +
+             std::to_string(pool_capacity) +
              " — warmed shapes would be evicted immediately");
   }
   if (!bad.empty()) return Status::invalid_argument("ServeOptions: " + bad);

@@ -56,8 +56,9 @@ struct ServeOptions {
   /// Worker threads draining the batcher and executing lane groups.
   int workers = 1;
   /// Lane-group target per batch; 256 fills one wide engine pass. Larger
-  /// values span several lane groups per flush, smaller trade throughput
-  /// for latency. At most kMaxBatchRounds, the bound on one batch.
+  /// values span several lane groups per flush, sharded over the engine
+  /// pool (see BatchEvaluator); smaller trade throughput for latency. At
+  /// most kMaxBatchRounds, the bound on one batch.
   std::size_t max_lanes = 256;
   /// Max time a request waits for lane-mates before a partial flush.
   std::chrono::microseconds flush_window{200};
@@ -66,18 +67,7 @@ struct ServeOptions {
   std::size_t max_inflight = 4096;
   /// Bound on flushed-but-not-yet-executed lane groups.
   std::size_t ready_capacity = 64;
-  /// Knobs for pooled sorters (network choice, sort2 style, engine).
-  ///
-  /// Engine threading composes with the service's workers through one
-  /// shared ThreadPool instead of nesting thread sets per worker:
-  ///   * sorter.batch.pool set      — every pooled sorter shards onto that
-  ///     pool (inject one pool to share it across services and other
-  ///     BatchEvaluator owners);
-  ///   * sorter.batch.threads > 1   — the service creates one pool of
-  ///     threads - 1 workers shared by all shapes and all workers;
-  ///   * sorter.batch.threads == 0  — engine stays serial inside a worker
-  ///     (the workers knob is the service's parallelism unit by default).
-  /// Total thread count is workers + pool size — never workers x threads.
+  /// Knobs for pooled sorters (network choice, sort2 style).
   McSorterOptions sorter;
 
   /// Bound on compiled shapes kept resident in the sorter pool (0 =

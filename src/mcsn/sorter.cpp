@@ -1,5 +1,6 @@
 #include "mcsn/sorter.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mcsn {
@@ -123,7 +124,7 @@ McSorter::McSorter(BuiltNetwork built, std::size_t bits,
       network_(std::move(built.network)),
       sort2_(effective_sort2(opt, built.sort2_topology)),
       // The elaborated netlist is a temporary: it is freed once compiled.
-      batch_(netlist(), opt.batch) {}
+      batch_(netlist()) {}
 
 Netlist McSorter::netlist() const {
   return elaborate_network(network_, bits_, sort2_builder(sort2_));
@@ -151,6 +152,7 @@ Status McSorter::sort_batch_flat(std::span<const Trit> in,
 SortResponse McSorter::sort_request(const SortRequest& request) const {
   SortResponse response;
   response.shape = request.shape;
+  response.rounds = std::max<std::size_t>(request.rounds, 1);
   response.values_requested = request.values_requested;
   if (Status s = request.validate(); !s.ok()) {
     response.status = std::move(s);

@@ -37,8 +37,6 @@ struct McSorterOptions {
   /// programs on demand.
   int max_channels = 4096;
   Sort2Options sort2;
-  /// Batch engine knobs (thread sharding) used by every sort path.
-  BatchOptions batch;
 };
 
 /// The NetworkBuilder configuration McSorter derives from its options —
@@ -60,11 +58,6 @@ class McSorter {
   /// shape, e.g. the serving pool's Status-based path.
   McSorter(BuiltNetwork built, std::size_t bits,
            const McSorterOptions& opt = {});
-
-  // Movable, so pools and containers can hold sorters by value; not
-  // copyable, since the batch evaluator is not.
-  McSorter(McSorter&&) noexcept = default;
-  McSorter& operator=(McSorter&&) noexcept = default;
 
   [[nodiscard]] int channels() const noexcept { return channels_; }
   [[nodiscard]] std::size_t bits() const noexcept { return bits_; }
@@ -100,7 +93,8 @@ class McSorter {
   [[nodiscard]] Status sort_batch_flat(std::span<const Trit> in,
                                        std::span<Trit> out) const;
 
-  /// Sorts one SortRequest through the flat path. The response carries
+  /// Sorts one SortRequest (one round or a batch) through the flat path.
+  /// The response echoes the request's shape and round count, and carries
   /// kInvalidArgument (never throws) when the request is malformed or its
   /// shape differs from this sorter's.
   [[nodiscard]] SortResponse sort_request(const SortRequest& request) const;
@@ -124,10 +118,10 @@ class McSorter {
       const std::vector<std::uint64_t>& values) const;
 
   /// Sorts many measurement rounds in one pass through the compiled batch
-  /// engine (256-lane packing, optional thread sharding). Each round is a
-  /// vector of channels() B-bit words; results come back round-aligned.
-  /// Flattens once into a contiguous buffer for sort_batch_flat, then
-  /// splits the flat results back into Words.
+  /// engine (256-lane packing; several groups shard, see BatchEvaluator).
+  /// Each round is a vector of channels() B-bit words; results come back
+  /// round-aligned. Flattens once into a contiguous buffer for
+  /// sort_batch_flat, then splits the flat results back into Words.
   [[nodiscard]] std::vector<std::vector<Word>> sort_batch(
       const std::vector<std::vector<Word>>& rounds) const;
 

@@ -1,10 +1,7 @@
 #pragma once
-// Persistent worker pool for level- and lane-parallel evaluation.
-//
-// Every threaded path in the library used to spawn fresh std::threads per
-// call (BatchEvaluator::run) or rely on ad-hoc per-owner thread sets; this
-// pool replaces all of that with one fixed worker set that is started once
-// and reused for the lifetime of its owner(s):
+// Persistent worker pool: a fixed set of threads started once and reused
+// for every batch of tasks, so a hot path never constructs a thread per
+// call.
 //
 //   ThreadPool pool(3);                       // 3 workers + the caller
 //   pool.run_and_wait(8, [&](std::size_t i) { shard(i); });
@@ -15,10 +12,9 @@
 // with zero thread overhead). It blocks until every index has finished and
 // rethrows the first task exception.
 //
-// The pool is safe to share between several concurrent owners: batches from
-// different callers are queued FIFO and each caller only blocks on its own
-// batch. This is what lets one bounded pool serve N service workers x M
-// pooled sorters without workers x threads oversubscription.
+// The pool is safe to share between concurrent callers: batches are queued
+// FIFO and each caller only blocks on its own batch. BatchEvaluator shards
+// lane groups over one such pool per process.
 
 #include <condition_variable>
 #include <cstddef>
@@ -43,10 +39,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t worker_count() const noexcept {
-    return workers_.size();
-  }
-
   /// Parallel lanes a run_and_wait can use: workers + the calling thread.
   [[nodiscard]] std::size_t parallelism() const noexcept {
     return workers_.size() + 1;
@@ -61,8 +53,8 @@ class ThreadPool {
   void run_and_wait(std::size_t n,
                     const std::function<void(std::size_t)>& task);
 
-  /// max(1, std::thread::hardware_concurrency) — the default parallelism
-  /// target used wherever a knob is 0 ("auto").
+  /// max(1, std::thread::hardware_concurrency): the parallelism of the
+  /// engine pool BatchEvaluator shards onto.
   [[nodiscard]] static std::size_t hardware_parallelism() noexcept;
 
   /// Process-wide count of threads ever started by any ThreadPool. Tests

@@ -14,6 +14,7 @@
 #include "mcsn/api/sort_api.hpp"
 #include "mcsn/api/status.hpp"
 #include "mcsn/core/gray.hpp"
+#include "mcsn/serve/wire.hpp"
 #include "mcsn/sorter.hpp"
 #include "mcsn/util/loadgen.hpp"
 #include "mcsn/util/rng.hpp"
@@ -249,6 +250,43 @@ TEST(McSorterFlat, SortRequestReportsShapeMismatch) {
           .value()));
   EXPECT_EQ(rsp.status.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(rsp.payload.empty());
+}
+
+// A batch request through sort_request answers with the request's round
+// count, so the response encodes as a batch frame that decodes back to the
+// sorted payload. A refused batch reports its round count too.
+TEST(McSorterFlat, SortRequestEchoesBatchRounds) {
+  const McSorter sorter(4, 4);
+  Xoshiro256 rng(91);
+  std::vector<Trit> flat;
+  for (int r = 0; r < 3; ++r) {
+    for (const Word& w : random_valid_round(rng, 4, 4)) {
+      flat.insert(flat.end(), w.begin(), w.end());
+    }
+  }
+  std::vector<Trit> expect(flat.size());
+  ASSERT_TRUE(sorter.sort_batch_flat(flat, expect).ok());
+
+  const SortResponse rsp = sorter.sort_request(
+      SortRequest::view_batch(sorter.shape(), 3, flat).value());
+  ASSERT_TRUE(rsp.status.ok()) << rsp.status.to_string();
+  EXPECT_EQ(rsp.rounds, 3u);
+  EXPECT_EQ(rsp.payload, expect);
+
+  const std::vector<std::uint8_t> frame = wire::encode_response(rsp);
+  const StatusOr<wire::FrameView> view = wire::parse_frame(frame);
+  ASSERT_TRUE(view.ok()) << view.status().to_string();
+  const StatusOr<SortResponse> decoded =
+      wire::decode_batch_response(view->body);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded->rounds, 3u);
+  EXPECT_EQ(decoded->payload, expect);
+
+  // Same 16 trits per round, other shape: refused, still three rounds.
+  const SortResponse refused = sorter.sort_request(
+      SortRequest::view_batch(SortShape{2, 8}, 3, flat).value());
+  EXPECT_EQ(refused.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused.rounds, 3u);
 }
 
 }  // namespace

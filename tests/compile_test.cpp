@@ -9,7 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "mcsn/nets/elaborate.hpp"
 #include "mcsn/sorter.hpp"
 #include "mcsn/util/rng.hpp"
+#include "mcsn/util/thread_pool.hpp"
 
 namespace mcsn {
 namespace {
@@ -119,9 +121,7 @@ TEST(Compile, AllBackendsMatchLegacyOnCatalogNetworks) {
       check_packed(Packed256Backend{}, "packed256");
 
       // BatchEvaluator over the whole corpus at once.
-      BatchOptions serial_opt;
-      serial_opt.threads = 1;
-      const BatchEvaluator batch(nl, serial_opt);
+      const BatchEvaluator batch(nl);
       const std::vector<Word> got = batch.run(corpus);
       ASSERT_EQ(got.size(), want.size());
       for (int v = 0; v < kVectors; ++v) {
@@ -433,6 +433,8 @@ TEST(Compile, SortBatchMatchesPerRoundSortAcrossLaneBoundaries) {
   }
 }
 
+// One 600-vector call spans three lane groups and shards them over the
+// engine pool; per-group calls run serially on the caller. Both must agree.
 TEST(Compile, ThreadShardedBatchMatchesSerial) {
   const Netlist nl =
       elaborate_network(optimal_9(), 4, sort2_builder(), "shard_check");
@@ -441,18 +443,21 @@ TEST(Compile, ThreadShardedBatchMatchesSerial) {
   for (int v = 0; v < 600; ++v) {
     corpus.push_back(random_ternary(rng, nl.inputs().size()));
   }
-  BatchOptions serial_opt;
-  serial_opt.threads = 1;
-  BatchOptions sharded_opt;
-  sharded_opt.threads = 3;
-  const BatchEvaluator serial(nl, serial_opt);
-  const BatchEvaluator sharded(nl, sharded_opt);
-  EXPECT_EQ(serial.run(corpus), sharded.run(corpus));
+  const BatchEvaluator be(nl);
+  std::vector<Word> serial;
+  for (std::size_t base = 0; base < corpus.size(); base += 256) {
+    const std::size_t count = std::min<std::size_t>(256, corpus.size() - base);
+    const std::vector<Word> group =
+        be.run(std::span<const Word>(corpus).subspan(base, count));
+    serial.insert(serial.end(), group.begin(), group.end());
+  }
+  EXPECT_EQ(be.run(corpus), serial);
 }
 
-// The acceptance property of the pool rewire: run() never constructs a
-// thread. The pool is built at most once (lazily or injected); repeated and
-// concurrent runs reuse it, observed through the process-wide spawn counter.
+// run() never constructs a thread per call: the first multi-group call in
+// the process starts the engine pool (at most hardware_parallelism() - 1
+// threads, none if an earlier test started it), and every later call, on
+// any evaluator, reuses it. Observed through the process-wide spawn counter.
 TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
   const Netlist nl =
       elaborate_network(optimal_7(), 4, sort2_builder(), "pool_reuse");
@@ -462,28 +467,20 @@ TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
     corpus.push_back(random_ternary(rng, nl.inputs().size()));
   }
 
-  BatchOptions opt;
-  opt.threads = 3;
-  const BatchEvaluator be(nl, opt);
-  const std::vector<Word> first = be.run(corpus);  // spawns the lazy pool
-  EXPECT_NE(be.pool(), nullptr);
+  const std::uint64_t before = ThreadPool::threads_started();
+  const BatchEvaluator be(nl);
+  const std::vector<Word> first = be.run(corpus);
+  EXPECT_LE(ThreadPool::threads_started() - before,
+            ThreadPool::hardware_parallelism() - 1);
 
   const std::uint64_t spawned = ThreadPool::threads_started();
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(be.run(corpus), first);
   }
+  const BatchEvaluator be2(nl);
+  EXPECT_EQ(be2.run(corpus), first);
   EXPECT_EQ(ThreadPool::threads_started(), spawned)
       << "BatchEvaluator::run must not construct threads per call";
-
-  // Injected pool: shared across evaluators, and still zero spawns per run.
-  const auto shared = std::make_shared<ThreadPool>(2);
-  BatchOptions inj;
-  inj.pool = shared;
-  const BatchEvaluator be2(nl, inj);
-  const std::uint64_t spawned2 = ThreadPool::threads_started();
-  EXPECT_EQ(be2.run(corpus), first);
-  EXPECT_EQ(be2.pool(), shared.get());
-  EXPECT_EQ(ThreadPool::threads_started(), spawned2);
 }
 
 TEST(Compile, SortValuesBatchRoundTrips) {

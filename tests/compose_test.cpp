@@ -317,9 +317,7 @@ void check_backends_against_node_walk(const Netlist& nl,
   check_packed(Packed64Backend{}, "packed64");
   check_packed(Packed256Backend{}, "packed256");
 
-  BatchOptions serial;
-  serial.threads = 1;
-  const BatchEvaluator batch(nl, serial);
+  const BatchEvaluator batch(nl);
   std::vector<Trit> flat_in;
   flat_in.reserve(corpus.size() * width);
   for (const Word& w : corpus) {

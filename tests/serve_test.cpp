@@ -24,6 +24,7 @@
 #include "mcsn/util/loadgen.hpp"
 #include "mcsn/util/metrics_registry.hpp"
 #include "mcsn/util/rng.hpp"
+#include "mcsn/util/thread_pool.hpp"
 
 namespace mcsn {
 
@@ -593,21 +594,16 @@ TEST(SortService, RefusedReadyPushFailsGroupInsteadOfDroppingIt) {
   service.stop();  // still clean to stop after the induced fault
 }
 
-// The engine pool knob: batch.threads > 1 creates ONE pool shared by every
-// worker and shape (never workers x threads), and serving results stay
-// bit-identical to direct sort_batch.
+// A max_lanes of 512 makes a full flush span two 256-lane groups, which
+// shard over the process-wide engine pool. Every worker and shape shares
+// that one pool, so serving starts at most hardware_parallelism() - 1
+// engine threads, and results stay bit-identical to direct sort_batch.
 TEST(SortService, SharedEnginePoolServesCorrectlyAcrossShapes) {
   ServeOptions opt;
   opt.workers = 2;
   opt.flush_window = 200us;
-  // max_lanes spans two 256-lane engine groups, so a full flush actually
-  // shards across the pool — the exact nesting the old sanitize() hack
-  // had to forbid.
   opt.max_lanes = 512;
-  opt.sorter.batch.threads = 3;  // one shared 2-worker pool via sanitize()
   SortService service(opt);
-  ASSERT_NE(service.options().sorter.batch.pool, nullptr);
-  EXPECT_EQ(service.options().sorter.batch.pool->worker_count(), 2u);
 
   const std::uint64_t spawned = ThreadPool::threads_started();
   Xoshiro256 rng(17);
@@ -622,20 +618,14 @@ TEST(SortService, SharedEnginePoolServesCorrectlyAcrossShapes) {
       rounds.push_back(random_round(rng, s.channels, s.bits));
       futures.push_back(submit_words(service, rounds.back()));
     }
-    // Explicitly serial reference: default auto-threads would lazily spawn
-    // a pool of its own on multi-core hosts and trip the spawn assertion.
-    McSorterOptions serial;
-    serial.batch.threads = 1;
-    const McSorter reference(s.channels, s.bits, serial);
-    const auto expect = reference.sort_batch(rounds);
+    const auto expect = McSorter(s.channels, s.bits).sort_batch(rounds);
     for (std::size_t i = 0; i < futures.size(); ++i) {
       ASSERT_EQ(futures[i].get().words(), expect[i])
           << s.channels << "x" << s.bits << " request " << i;
     }
   }
-  // Every shape's sorter shared the one service pool, and serving spawned
-  // nothing further (the references above are explicitly serial).
-  EXPECT_EQ(ThreadPool::threads_started(), spawned);
+  EXPECT_LE(ThreadPool::threads_started() - spawned,
+            ThreadPool::hardware_parallelism() - 1);
   service.stop();
 }
 
@@ -906,13 +896,11 @@ TEST(ServeOptions, ValidateNamesEveryBadKnob) {
   opt.flush_window = std::chrono::microseconds(-5);
   opt.max_inflight = 0;
   opt.ready_capacity = 0;
-  opt.sorter.batch.threads = -2;
   const Status s = opt.validate();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   for (const char* knob : {"workers", "max_lanes", "flush_window",
-                           "max_inflight", "ready_capacity",
-                           "sorter.batch.threads"}) {
+                           "max_inflight", "ready_capacity"}) {
     EXPECT_NE(s.message().find(knob), std::string::npos)
         << knob << " missing in: " << s.message();
   }
@@ -930,6 +918,27 @@ TEST(ServeOptions, ValidateNamesEveryBadKnob) {
                                     std::to_string(kMaxBatchRounds)),
             std::string::npos)
       << too_wide.message();
+}
+
+// A shape listed twice is warmed once, so it fits a pool of one.
+TEST(ServeOptions, DuplicateWarmupShapesCountOnceAgainstPoolCapacity) {
+  ServeOptions opt;
+  opt.pool_capacity = 1;
+  opt.warmup_shapes = {SortShape{4, 4}, SortShape{4, 4}};
+  const Status s = opt.validate();
+  EXPECT_TRUE(s.ok()) << s.to_string();
+  SortService service(opt);
+  EXPECT_EQ(service.shapes(), 1u);
+}
+
+TEST(ServeOptions, DistinctWarmupShapesBeyondPoolCapacityFail) {
+  ServeOptions opt;
+  opt.pool_capacity = 1;
+  opt.warmup_shapes = {SortShape{4, 4}, SortShape{6, 4}};
+  const Status s = opt.validate();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("warmup_shapes"), std::string::npos)
+      << s.message();
 }
 
 // An unvalidated max_lanes far past any batch used to make the first

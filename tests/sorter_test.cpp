@@ -131,12 +131,14 @@ TEST(McSorter, SortValuesRejectsValuesWiderThanBits) {
 }
 
 // sort() and sort_values() are const: one shared sorter serves concurrent
-// callers, each getting what sort_batch returns for the same rounds.
+// callers, each getting what sort_batch returns for the same rounds. 600
+// rounds span three lane groups, so the threads' sort_batch calls shard
+// over the shared engine pool at the same time.
 TEST(McSorter, SortIsConstAndThreadSafe) {
   const McSorter flagship(10, 8);
   const McSorter composed(24, 8);
   constexpr int kThreads = 4;
-  constexpr int kRounds = 24;
+  constexpr int kRounds = 600;
   std::vector<std::thread> threads;
   std::vector<int> failures(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
