@@ -13,6 +13,9 @@
 // so every call runs serially on the caller. batch_compiled_mt passes the
 // whole corpus in one call, whose lane groups shard over the process-wide
 // engine pool ("engine_parallelism" threads, the caller included).
+// served_sorter passes it in one McSorter::sort_batch_flat call on the same
+// network: the engine the serving stack runs, one compiled 2-sort cell per
+// comparator instead of the elaborated program.
 //
 // Every engine runs the same input corpus and must produce the same output
 // checksum ("engines_agree": true) — a built-in differential smoke test.
@@ -44,7 +47,8 @@ struct EngineResult {
   }
 };
 
-std::uint64_t fnv1a_word(std::uint64_t h, const Word& w) {
+template <typename Trits>
+std::uint64_t fnv1a_word(std::uint64_t h, const Trits& w) {
   for (const Trit t : w) {
     h ^= static_cast<std::uint64_t>(t) + 1;
     h *= 0x100000001b3ULL;
@@ -186,6 +190,22 @@ int main(int argc, char** argv) {
     const BatchEvaluator be(nl);
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (const Word& w : be.run(corpus)) h = fnv1a_word(h, w);
+    return h;
+  }));
+
+  results.push_back(run_engine("served_sorter", n_vectors, [&] {
+    const McSorter sorter(BuiltNetwork{net}, bits);
+    const std::size_t width = sorter.shape().trits();
+    std::vector<Trit> in;
+    in.reserve(n_vectors * width);
+    for (const Word& w : corpus) in.insert(in.end(), w.begin(), w.end());
+    std::vector<Trit> out(in.size());
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    if (!sorter.sort_batch_flat(in, out).ok()) return ~h;
+    const std::span<const Trit> sorted(out);
+    for (std::size_t v = 0; v < n_vectors; ++v) {
+      h = fnv1a_word(h, sorted.subspan(v * width, width));
+    }
     return h;
   }));
 

@@ -16,7 +16,7 @@
 namespace mcsn {
 namespace {
 
-/// The pool every multi-group BatchEvaluator::run_flat shards onto:
+/// The pool every multi-group run_flat shards onto (run_lane_groups):
 /// hardware_parallelism() - 1 workers plus the calling thread, started on
 /// first use. Deliberately never destroyed, so a thread still inside
 /// run_flat while static destructors run never reaches a dead pool.
@@ -278,22 +278,32 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl) {
   return p;
 }
 
-void BatchEvaluator::run_flat(std::span<const Trit> inputs,
-                              std::span<Trit> outputs) const {
-  using Backend = Packed256Backend;
+namespace {
+
+using Backend = Packed256Backend;
+
+/// The lane-group loop behind both evaluators' run_flat. `inputs` holds
+/// N vectors of `width` trits and `outputs` receives N vectors of `outs`
+/// trits. Each shard builds one engine with make_engine(), which exposes
+/// inputs() (the `width` values a group is packed into), run() and
+/// output_lane(o, lane). A one-group call runs on the caller. A call with
+/// G > 1 groups shards them over min(G, hardware_parallelism()) threads:
+/// the caller plus engine_pool(). Shards write disjoint rows.
+template <class MakeEngine>
+void run_lane_groups(const char* who, std::span<const Trit> inputs,
+                     std::span<Trit> outputs, std::size_t width,
+                     std::size_t outs, const MakeEngine& make_engine) {
   constexpr std::size_t kLanes = Backend::kLanes;
-  const std::size_t width = prog_.input_count();
-  const std::size_t outs = prog_.output_count();
   if (width == 0 || inputs.size() % width != 0) {
     throw std::invalid_argument(
-        "BatchEvaluator::run_flat: " + std::to_string(inputs.size()) +
+        std::string(who) + ": " + std::to_string(inputs.size()) +
         " input trits are not a whole number of " + std::to_string(width) +
         "-trit input vectors");
   }
   const std::size_t n = inputs.size() / width;
   if (outputs.size() != n * outs) {
     throw std::invalid_argument(
-        "BatchEvaluator::run_flat: output buffer of " +
+        std::string(who) + ": output buffer of " +
         std::to_string(outputs.size()) + " trits, want " +
         std::to_string(n * outs) + " for " + std::to_string(n) +
         " vectors");
@@ -301,11 +311,10 @@ void BatchEvaluator::run_flat(std::span<const Trit> inputs,
   if (n == 0) return;
   const std::size_t groups = (n + kLanes - 1) / kLanes;
 
-  // One shard runs every stride-th lane group through its own executor.
-  // Shards may run concurrently on pool threads; they write disjoint rows.
+  // One shard runs every stride-th lane group through its own engine.
   const auto shard = [&](std::size_t first_group, std::size_t stride) {
-    CompiledExecutor<Backend> exec(prog_);
-    std::vector<Backend::Value> packed(width);
+    auto engine = make_engine();
+    const std::span<Backend::Value> packed = engine.inputs();
     for (std::size_t g = first_group; g < groups; g += stride) {
       const std::size_t base = g * kLanes;
       const int active = static_cast<int>(std::min(kLanes, n - base));
@@ -317,12 +326,12 @@ void BatchEvaluator::run_flat(std::span<const Trit> inputs,
               inputs[(base + static_cast<std::size_t>(lane)) * width + i]);
         }
       }
-      exec.run(packed);
+      engine.run();
       for (int lane = 0; lane < active; ++lane) {
         Trit* const row =
             outputs.data() + (base + static_cast<std::size_t>(lane)) * outs;
         for (std::size_t o = 0; o < outs; ++o) {
-          row[o] = exec.output_lane(o, lane);
+          row[o] = engine.output_lane(o, lane);
         }
       }
     }
@@ -335,6 +344,131 @@ void BatchEvaluator::run_flat(std::span<const Trit> inputs,
   ThreadPool& pool = engine_pool();
   const std::size_t shards = std::min(groups, pool.parallelism());
   pool.run_and_wait(shards, [&](std::size_t t) { shard(t, shards); });
+}
+
+/// BatchEvaluator's engine: the whole program, run on a packed input array.
+class ProgramEngine {
+ public:
+  explicit ProgramEngine(const CompiledProgram& prog)
+      : exec_(prog), packed_(prog.input_count()) {}
+
+  std::span<Backend::Value> inputs() noexcept { return packed_; }
+  void run() { exec_.run(packed_); }
+  [[nodiscard]] Trit output_lane(std::size_t o, int lane) const {
+    return exec_.output_lane(o, lane);
+  }
+
+ private:
+  CompiledExecutor<Backend> exec_;
+  std::vector<Backend::Value> packed_;
+};
+
+/// CellNetworkEvaluator's engine: the channel-major state array, one value
+/// per channel bit, and the rails of one cell.
+class CellNetworkEngine {
+ public:
+  using Channels = CellNetworkEvaluator::Channels;
+
+  CellNetworkEngine(const CompiledProgram& cell, std::size_t bits,
+                    std::size_t channels,
+                    std::span<const Channels> comparators)
+      : cell_(cell),
+        bits_(bits),
+        comparators_(comparators),
+        rails_(2 * cell.slot_count()),
+        state_(channels * bits) {
+    for (const CompiledProgram::ConstInit& c : cell.const_inits()) {
+      load(c.slot, Backend::splat(c.value));
+    }
+  }
+
+  std::span<Backend::Value> inputs() noexcept { return state_; }
+
+  void run() noexcept {
+    const std::span<const std::uint32_t> in_slots = cell_.input_slots();
+    const std::span<const std::uint32_t> out_rails = cell_.output_rails();
+    for (const Channels& cmp : comparators_) {
+      Backend::Value* const lo = state_.data() + cmp.lo * bits_;
+      Backend::Value* const hi = state_.data() + cmp.hi * bits_;
+      // Cell inputs: g[0, B) is channel lo, h[0, B) channel hi.
+      for (std::size_t k = 0; k < bits_; ++k) {
+        load(in_slots[k], lo[k]);
+        load(in_slots[bits_ + k], hi[k]);
+      }
+      rail_kernel::run_ops(rails_.data(), cell_.ops().data(),
+                           cell_.form_runs());
+      // Cell outputs: max[0, B) goes to channel hi, min[0, B) to lo.
+      for (std::size_t k = 0; k < bits_; ++k) {
+        hi[k] = read(out_rails[k]);
+        lo[k] = read(out_rails[bits_ + k]);
+      }
+    }
+  }
+
+  [[nodiscard]] Trit output_lane(std::size_t o, int lane) const noexcept {
+    return state_[o].lane(lane);
+  }
+
+ private:
+  void load(std::uint32_t slot, const Backend::Value& v) noexcept {
+    if (slot == CompiledProgram::kNoSlot) return;
+    rails_[2 * slot] = v.can0;
+    rails_[2 * slot + 1] = v.can1;
+  }
+
+  /// The value on rail r: r is its can0 rail and r ^ 1 its can1 rail, so
+  /// an odd (complemented) output rail swaps its slot's two rails.
+  [[nodiscard]] Backend::Value read(std::uint32_t r) const noexcept {
+    return {rails_[r], rails_[r ^ 1u]};
+  }
+
+  const CompiledProgram& cell_;
+  std::size_t bits_;
+  std::span<const Channels> comparators_;
+  std::vector<Backend::Rail> rails_;
+  std::vector<Backend::Value> state_;
+};
+
+}  // namespace
+
+void BatchEvaluator::run_flat(std::span<const Trit> inputs,
+                              std::span<Trit> outputs) const {
+  run_lane_groups("BatchEvaluator::run_flat", inputs, outputs,
+                  prog_.input_count(), prog_.output_count(),
+                  [this] { return ProgramEngine(prog_); });
+}
+
+CellNetworkEvaluator::CellNetworkEvaluator(const Netlist& cell,
+                                           std::size_t channels,
+                                           std::vector<Channels> comparators)
+    : cell_(CompiledProgram::compile(cell)),
+      bits_(cell_.input_count() / 2),
+      channels_(channels),
+      comparators_(std::move(comparators)) {
+  if (bits_ == 0 || cell_.input_count() != 2 * bits_ ||
+      cell_.output_count() != 2 * bits_) {
+    throw std::invalid_argument(
+        "CellNetworkEvaluator: a 2-sort cell has 2B inputs and 2B outputs, "
+        "got " + std::to_string(cell_.input_count()) + " and " +
+        std::to_string(cell_.output_count()));
+  }
+  for (const Channels& c : comparators_) {
+    if (c.lo == c.hi || c.lo >= channels_ || c.hi >= channels_) {
+      throw std::invalid_argument(
+          "CellNetworkEvaluator: comparator (" + std::to_string(c.lo) + ", " +
+          std::to_string(c.hi) + ") is not two distinct channels below " +
+          std::to_string(channels_));
+    }
+  }
+}
+
+void CellNetworkEvaluator::run_flat(std::span<const Trit> inputs,
+                                    std::span<Trit> outputs) const {
+  run_lane_groups("CellNetworkEvaluator::run_flat", inputs, outputs,
+                  width(), width(), [this] {
+                    return CellNetworkEngine(cell_, bits_, channels_,
+                                             comparators_);
+                  });
 }
 
 std::vector<Word> BatchEvaluator::run(std::span<const Word> inputs) const {

@@ -58,10 +58,19 @@
 // maximal one-form stretches, and the executor dispatches once per stretch.
 //
 // One CompiledProgram serves every backend width: the 64-lane PackedTrit
-// backend and the 256-lane PackedTrit256 backend. BatchEvaluator packs any
-// number of input vectors into 256-lane groups. A call with one group runs
-// on the caller; a call with several shards them over one process-wide
-// engine pool (see BatchEvaluator).
+// backend and the 256-lane PackedTrit256 backend. Two evaluators pack any
+// number of input vectors into 256-lane groups, and share one lane-group
+// loop: a call with one group runs on the caller; a call with several
+// shards them over one process-wide engine pool (see BatchEvaluator).
+//
+//   * BatchEvaluator runs the program of one whole netlist. It serves
+//     arbitrary netlists: benches, equivalence and containment checks, and
+//     the replay of a sorter's elaborated netlist.
+//   * CellNetworkEvaluator runs a comparator network whose comparators are
+//     all one 2-sort(B) cell: it keeps the cell's program and the
+//     comparator list, and runs the cell once per comparator over a
+//     channel-major state array. McSorter serves every shape through it,
+//     so a shape build compiles one cell, not the elaborated network.
 
 #include <array>
 #include <cassert>
@@ -386,6 +395,53 @@ class BatchEvaluator {
 
  private:
   CompiledProgram prog_;
+};
+
+/// Evaluates a comparator network of one compiled 2-sort(B) cell. The cell
+/// netlist has inputs g[0, B) then h[0, B) and outputs max[0, B) then
+/// min[0, B), the port order of make_sort2 (ckt/sort2.hpp). An input
+/// vector is one round: channels x B trits, channel-major. Per 256-lane
+/// group, run_flat packs the round into a state array of channels x B
+/// values, then runs the cell once per comparator, in list order: it reads
+/// channel `lo` as g and `hi` as h and writes min back to `lo` and max to
+/// `hi`. That is the netlist elaborate_network stamps, one cell copy per
+/// comparator, and the same function bit for bit. Memory per call is the
+/// state array plus the cell's slots, 64 B per value each. Thread-safe.
+class CellNetworkEvaluator {
+ public:
+  /// One comparator: the channels the cell reads as g and h.
+  struct Channels {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+  };
+
+  /// Compiles `cell` once. Throws std::invalid_argument unless it has 2B
+  /// inputs and 2B outputs for some B >= 1, and every comparator names two
+  /// distinct channels below `channels`.
+  CellNetworkEvaluator(const Netlist& cell, std::size_t channels,
+                       std::vector<Channels> comparators);
+
+  /// Trits per round: channels x B.
+  [[nodiscard]] std::size_t width() const noexcept {
+    return channels_ * bits_;
+  }
+  /// The compiled 2-sort(B) cell every comparator runs.
+  [[nodiscard]] const CompiledProgram& cell() const noexcept { return cell_; }
+  [[nodiscard]] std::span<const Channels> comparators() const noexcept {
+    return comparators_;
+  }
+
+  /// `inputs` holds N rounds back to back (N x width() trits) and the
+  /// sorted rounds are written to `outputs` in the same layout. Throws
+  /// std::invalid_argument unless inputs.size() is a whole number of
+  /// rounds and outputs.size() equals it.
+  void run_flat(std::span<const Trit> inputs, std::span<Trit> outputs) const;
+
+ private:
+  CompiledProgram cell_;
+  std::size_t bits_ = 0;
+  std::size_t channels_ = 0;
+  std::vector<Channels> comparators_;
 };
 
 }  // namespace mcsn

@@ -113,28 +113,33 @@ class Sort2Cell {
 
 }  // namespace
 
+std::size_t elaborated_node_count(const ComparatorNetwork& net,
+                                  std::size_t bits, std::size_t cell_nodes) {
+  const std::size_t inputs = static_cast<std::size_t>(net.channels()) * bits;
+  const std::size_t comparators = net.size();
+  constexpr std::size_t kMaxNodes = std::numeric_limits<NodeId>::max();
+  if (inputs > kMaxNodes ||
+      (comparators > 0 && cell_nodes > (kMaxNodes - inputs) / comparators)) {
+    throw std::length_error(
+        net.name() + " over " + std::to_string(bits) + "-bit channels needs " +
+        std::to_string(inputs) + " inputs + " + std::to_string(comparators) +
+        " comparators x " + std::to_string(cell_nodes) +
+        " cell nodes, more than NodeId can index (" +
+        std::to_string(kMaxNodes) + ")");
+  }
+  return inputs + comparators * cell_nodes;
+}
+
 Netlist elaborate_network(const ComparatorNetwork& net, std::size_t bits,
                           const Sort2Builder& builder,
                           const std::string& name) {
   std::string nl_name =
       name.empty() ? net.name() + "_b" + std::to_string(bits) : name;
   Sort2Cell cell(builder, bits);
-  const std::size_t inputs = static_cast<std::size_t>(net.channels()) * bits;
-  const std::size_t comparators = net.size();
-  constexpr std::size_t kMaxNodes = std::numeric_limits<NodeId>::max();
-  if (inputs > kMaxNodes || (comparators > 0 && cell.node_count() >
-                                                    (kMaxNodes - inputs) /
-                                                        comparators)) {
-    throw std::length_error(
-        "elaborate_network: " + nl_name + " needs " +
-        std::to_string(inputs) + " inputs + " + std::to_string(comparators) +
-        " comparators x " + std::to_string(cell.node_count()) +
-        " cell nodes, more than NodeId can index (" +
-        std::to_string(kMaxNodes) + ")");
-  }
+  const std::size_t nodes = elaborated_node_count(net, bits, cell.node_count());
 
   Netlist nl(std::move(nl_name));
-  nl.reserve(inputs + comparators * cell.node_count());
+  nl.reserve(nodes);
   std::vector<Bus> channel(static_cast<std::size_t>(net.channels()));
   for (std::size_t c = 0; c < channel.size(); ++c) {
     channel[c] = nl.add_input_bus("ch" + std::to_string(c), bits);

@@ -42,12 +42,21 @@ using Sort2Builder =
 /// array is allocated, which is reserved at exactly that size.
 ///
 /// Throws std::length_error, before allocating the node array, when that
-/// count exceeds what NodeId can index, and std::invalid_argument when the
-/// builder returns buses of another width or adds primary inputs or
-/// outputs.
+/// count exceeds what NodeId can index (see elaborated_node_count), and
+/// std::invalid_argument when the builder returns buses of another width or
+/// adds primary inputs or outputs.
 [[nodiscard]] Netlist elaborate_network(const ComparatorNetwork& net,
                                         std::size_t bits,
                                         const Sort2Builder& builder,
                                         const std::string& name = {});
+
+/// The node count of `net` elaborated over B-bit channels with a 2-sort
+/// cell of `cell_nodes` nodes past its 2B pins: channels x B inputs plus
+/// comparators x cell_nodes. Throws std::length_error when that exceeds
+/// what NodeId can index. elaborate_network checks it before allocating;
+/// McSorter checks it without elaborating, so it refuses exactly the
+/// shapes whose netlist() could not be built.
+std::size_t elaborated_node_count(const ComparatorNetwork& net,
+                                  std::size_t bits, std::size_t cell_nodes);
 
 }  // namespace mcsn

@@ -57,7 +57,7 @@ struct ServeOptions {
   int workers = 1;
   /// Lane-group target per batch; 256 fills one wide engine pass. Larger
   /// values span several lane groups per flush, sharded over the engine
-  /// pool (see BatchEvaluator); smaller trade throughput for latency. At
+  /// pool (see CellNetworkEvaluator); smaller trade throughput for latency. At
   /// most kMaxBatchRounds, the bound on one batch.
   std::size_t max_lanes = 256;
   /// Max time a request waits for lane-mates before a partial flush.

@@ -54,12 +54,13 @@ SorterPool::Result SorterPool::build_sorter(int channels,
   try {
     return std::make_shared<const McSorter>(std::move(*built), bits, opt_);
   } catch (const std::bad_alloc&) {
-    // A legal-but-huge shape can exhaust memory during elaboration; that
-    // is a resource condition (possibly transient), not a caller error.
+    // A legal-but-huge shape can exhaust memory while its network is
+    // built; that is a resource condition (possibly transient), not a
+    // caller error.
     return Status::resource_exhausted("sorter build failed: out of memory");
   } catch (const std::length_error& e) {
-    // A netlist too large for NodeId to index, refused by elaboration
-    // before it allocates the node array.
+    // A shape whose netlist() NodeId could not index, refused from its
+    // node count before any netlist is elaborated.
     return Status::resource_exhausted(std::string("sorter build failed: ") +
                                       e.what());
   } catch (const std::invalid_argument& e) {

@@ -1,12 +1,13 @@
 #pragma once
 // Bounded LRU cache of compiled sorters keyed by request shape
-// (channels, bits). Elaborating and compiling a sorter costs milliseconds
-// to seconds — done once per shape, then every micro-batch of that shape
-// reuses the same program. With arbitrary-shape serving (nets/compose/)
-// the shape space is unbounded, so the pool is a cache, not a registry:
-// `capacity` bounds the number of compiled programs kept resident and the
-// least-recently-used *idle* shape is evicted when a new shape would
-// exceed it (capacity 0 = unbounded, the historical behavior).
+// (channels, bits). Building a sorter (its network plus one compiled
+// 2-sort(B) cell) costs up to a few milliseconds — done once per shape,
+// then every micro-batch of that shape reuses the same sorter. With
+// arbitrary-shape serving (nets/compose/) the shape space is unbounded, so
+// the pool is a cache, not a registry: `capacity` bounds the number of
+// sorters kept resident and the least-recently-used *idle* shape is
+// evicted when a new shape would exceed it (capacity 0 = unbounded, the
+// historical behavior).
 //
 // Idle means built and referenced by nobody outside the cache: an entry
 // whose sorter is held by an in-flight batch group or a queued shard is
@@ -20,14 +21,15 @@
 // requests for *other* shapes are never stalled by an in-flight build.
 // Construction failures are reported as StatusOr (kInvalidArgument for
 // degenerate shapes, kUnimplemented beyond the configured construction
-// bound, kResourceExhausted for a netlist too large for NodeId or an
-// allocation failure, kInternal for other build failures) — never as
+// bound, kResourceExhausted for a shape whose elaborated netlist NodeId
+// could not index, checked without elaborating, or an allocation failure,
+// kInternal for other build failures) — never as
 // exceptions escaping into a serve worker.
 //
 // With a registry, the pool publishes one labeled series family per shape
 // (pool_batches_total / pool_rounds_total / pool_execute_ns, all labeled
 // {channels="C",bits="B"}), a pool_build_ns gauge per shape (one-shot
-// compile cost), the cache series pool_hits_total / pool_misses_total /
+// build cost), the cache series pool_hits_total / pool_misses_total /
 // pool_evictions_total, and the pool_shapes / pool_capacity gauges.
 
 #include <cstddef>

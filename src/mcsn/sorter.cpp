@@ -34,6 +34,30 @@ Sort2Options effective_sort2(const McSorterOptions& opt,
   return sort2;
 }
 
+// The 2-sort(B) cell every comparator of `net` runs. Refuses, with
+// std::length_error, a shape whose elaborated netlist NodeId could not
+// index, so netlist() and stats() work on every sorter that exists.
+Netlist budgeted_cell(const ComparatorNetwork& net, std::size_t bits,
+                      const Sort2Options& sort2) {
+  Netlist cell = make_sort2(bits, sort2);
+  elaborated_node_count(net, bits, cell.node_count() - cell.inputs().size());
+  return cell;
+}
+
+// The network's comparators in elaboration order: layer by layer.
+std::vector<CellNetworkEvaluator::Channels> comparator_list(
+    const ComparatorNetwork& net) {
+  std::vector<CellNetworkEvaluator::Channels> list;
+  list.reserve(net.size());
+  for (const auto& layer : net.layers()) {
+    for (const Comparator& cmp : layer) {
+      list.push_back({static_cast<std::uint32_t>(cmp.lo),
+                      static_cast<std::uint32_t>(cmp.hi)});
+    }
+  }
+  return list;
+}
+
 std::string shape_str(SortShape s) {
   return std::to_string(s.channels) + "x" + std::to_string(s.bits);
 }
@@ -123,8 +147,9 @@ McSorter::McSorter(BuiltNetwork built, std::size_t bits,
       bits_(bits),
       network_(std::move(built.network)),
       sort2_(effective_sort2(opt, built.sort2_topology)),
-      // The elaborated netlist is a temporary: it is freed once compiled.
-      batch_(netlist()) {}
+      engine_(budgeted_cell(network_, bits_, sort2_),
+              static_cast<std::size_t>(channels_), comparator_list(network_)) {
+}
 
 Netlist McSorter::netlist() const {
   return elaborate_network(network_, bits_, sort2_builder(sort2_));
@@ -145,7 +170,7 @@ Status McSorter::sort_batch_flat(std::span<const Trit> in,
         "output buffer of " + std::to_string(out.size()) +
         " trits does not match input of " + std::to_string(in.size()));
   }
-  batch_.run_flat(in, out);
+  engine_.run_flat(in, out);
   return Status();
 }
 

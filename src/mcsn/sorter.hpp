@@ -1,9 +1,10 @@
 #pragma once
 // High-level facade: an n-channel, B-bit metastability-containing sorter.
 //
-// Wraps network selection, elaboration, evaluation and containment
-// accounting behind a value-semantic class, so downstream users can sort
-// vectors of (possibly marginal) Gray code measurements in two lines:
+// Wraps network selection, the compiled 2-sort(B) cell every comparator
+// runs, evaluation and containment accounting behind a value-semantic
+// class, so downstream users can sort vectors of (possibly marginal) Gray
+// code measurements in two lines:
 //
 //   McSorter sorter(10, 8);                       // 10 channels, 8 bits
 //   std::vector<Word> sorted = sorter.sort(measurements);
@@ -47,10 +48,10 @@ struct McSorterOptions {
 
 class McSorter {
  public:
-  /// Builds the network, elaborates it into a netlist, compiles that and
-  /// frees the netlist. Throws std::invalid_argument for a degenerate or
-  /// unbuildable shape, and std::length_error when the netlist would have
-  /// more nodes than NodeId can index (see elaborate_network).
+  /// Builds the network and compiles one 2-sort(B) cell; it elaborates no
+  /// netlist. Throws std::invalid_argument for a degenerate or unbuildable
+  /// shape, and std::length_error when netlist() would have more nodes
+  /// than NodeId can index (see elaborated_node_count).
   McSorter(int channels, std::size_t bits, const McSorterOptions& opt = {});
 
   /// Constructs from an already-built network (see NetworkBuilder) —
@@ -62,14 +63,20 @@ class McSorter {
   [[nodiscard]] int channels() const noexcept { return channels_; }
   [[nodiscard]] std::size_t bits() const noexcept { return bits_; }
 
-  /// The gate-level netlist the sorter's program was compiled from,
+  /// The gate-level netlist of the network: one 2-sort(B) cell per
+  /// comparator. It computes what the sorter serves, bit for bit, but is
   /// elaborated afresh on every call: a sorter keeps only its network and
-  /// its compiled program, not the netlist. Bind the result to a local
-  /// before iterating over it.
+  /// its compiled cell. Bind the result to a local before iterating over
+  /// it.
   [[nodiscard]] Netlist netlist() const;
 
   [[nodiscard]] const ComparatorNetwork& network() const noexcept {
     return network_;
+  }
+
+  /// The served engine: the compiled cell and the comparator list.
+  [[nodiscard]] const CellNetworkEvaluator& engine() const noexcept {
+    return engine_;
   }
 
   /// Gate-level report under the default (paper-calibrated) library.
@@ -117,8 +124,8 @@ class McSorter {
   [[nodiscard]] std::vector<std::uint64_t> sort_values(
       const std::vector<std::uint64_t>& values) const;
 
-  /// Sorts many measurement rounds in one pass through the compiled batch
-  /// engine (256-lane packing; several groups shard, see BatchEvaluator).
+  /// Sorts many measurement rounds in one pass through the served engine
+  /// (256-lane packing; several groups shard, see CellNetworkEvaluator).
   /// Each round is a vector of channels() B-bit words; results come back
   /// round-aligned. Flattens once into a contiguous buffer for
   /// sort_batch_flat, then splits the flat results back into Words.
@@ -135,7 +142,7 @@ class McSorter {
   std::size_t bits_;
   ComparatorNetwork network_;
   Sort2Options sort2_;  // the 2-sort every comparator is elaborated into
-  BatchEvaluator batch_;
+  CellNetworkEvaluator engine_;
 };
 
 }  // namespace mcsn

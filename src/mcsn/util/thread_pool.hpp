@@ -13,8 +13,8 @@
 // rethrows the first task exception.
 //
 // The pool is safe to share between concurrent callers: batches are queued
-// FIFO and each caller only blocks on its own batch. BatchEvaluator shards
-// lane groups over one such pool per process.
+// FIFO and each caller only blocks on its own batch. The evaluators in
+// netlist/compile.hpp shard lane groups over one such pool per process.
 
 #include <condition_variable>
 #include <cstddef>
@@ -54,7 +54,7 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& task);
 
   /// max(1, std::thread::hardware_concurrency): the parallelism of the
-  /// engine pool BatchEvaluator shards onto.
+  /// engine pool the evaluators shard onto.
   [[nodiscard]] static std::size_t hardware_parallelism() noexcept;
 
   /// Process-wide count of threads ever started by any ThreadPool. Tests

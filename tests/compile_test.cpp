@@ -483,6 +483,66 @@ TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
       << "BatchEvaluator::run must not construct threads per call";
 }
 
+// The cell engine copies each cell output back from its rail r as the
+// pair (r, r ^ 1), so an output read through an inverter (an odd rail)
+// swaps can0 and can1, and it materializes the cell's constants once per
+// shard. No 2-sort(B) construction has either, so this cell is built by
+// hand: each bit's max and min read their gates through inverters, and
+// min also reads a tie-high cell. Its network must match the elaborated
+// one on two lane groups of arbitrary trits.
+TEST(Compile, CellNetworkEvaluatorMatchesElaborationWithInvertedOutputs) {
+  const Sort2Builder inverted = [](Netlist& nl, const Bus& g, const Bus& h) {
+    const NodeId one = nl.constant(true);
+    BusPair out;
+    for (std::size_t k = 0; k < g.size(); ++k) {
+      out.max.push_back(nl.inv(nl.nor2(g[k], h[k])));
+      out.min.push_back(nl.inv(nl.nand2(nl.and2(g[k], one), h[k])));
+    }
+    return out;
+  };
+  constexpr std::size_t kBits = 2;
+  Netlist cell("inverted_cell");
+  const Bus g = cell.add_input_bus("g", kBits);
+  const Bus h = cell.add_input_bus("h", kBits);
+  const BusPair out = inverted(cell, g, h);
+  cell.mark_output_bus(out.max, "max");
+  cell.mark_output_bus(out.min, "min");
+
+  const ComparatorNetwork net = optimal_7();
+  std::vector<CellNetworkEvaluator::Channels> comparators;
+  for (const auto& layer : net.layers()) {
+    for (const Comparator& c : layer) {
+      comparators.push_back({static_cast<std::uint32_t>(c.lo),
+                             static_cast<std::uint32_t>(c.hi)});
+    }
+  }
+  const CellNetworkEvaluator engine(cell, 7, comparators);
+  const std::span<const std::uint32_t> rails = engine.cell().output_rails();
+  ASSERT_TRUE(std::all_of(rails.begin(), rails.end(),
+                          [](std::uint32_t r) { return (r & 1u) == 1u; }));
+  ASSERT_FALSE(engine.cell().const_inits().empty());
+
+  const BatchEvaluator elaborated(elaborate_network(net, kBits, inverted));
+  Xoshiro256 rng(77);
+  std::vector<Trit> in(300 * engine.width());
+  for (Trit& t : in) t = trit_from_index(static_cast<int>(rng.below(3)));
+  std::vector<Trit> served(in.size());
+  std::vector<Trit> want(in.size());
+  engine.run_flat(in, served);
+  elaborated.run_flat(in, want);
+  EXPECT_EQ(served, want);
+
+  // A cell must have 2B inputs and 2B outputs, and a comparator two
+  // distinct channels of the network.
+  EXPECT_THROW(CellNetworkEvaluator(cell, 1, {{0, 0}}), std::invalid_argument);
+  EXPECT_THROW(CellNetworkEvaluator(cell, 7, {{3, 7}}), std::invalid_argument);
+  EXPECT_THROW(CellNetworkEvaluator(elaborate_network(net, 1, inverted), 7, {}),
+               std::invalid_argument);
+  std::vector<Trit> short_out(engine.width() - 1);
+  EXPECT_THROW(engine.run_flat(std::span(in).first(engine.width()), short_out),
+               std::invalid_argument);
+}
+
 TEST(Compile, SortValuesBatchRoundTrips) {
   McSorter sorter(4, 6);
   const std::vector<std::vector<std::uint64_t>> rounds = {

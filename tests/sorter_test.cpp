@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "mcsn/core/gray.hpp"
 #include "mcsn/core/valid.hpp"
@@ -217,6 +219,47 @@ TEST(McSorter, IntegerEntryPointsRejectBitsOver64) {
 // the array until allocation fails.
 TEST(McSorter, RefusesNetlistsNodeIdCannotIndex) {
   EXPECT_THROW(McSorter(4096, 1024), std::length_error);
+}
+
+// The served engine runs one compiled 2-sort(B) cell per comparator over
+// a channel-major state array. It must compute the elaborated netlist bit
+// for bit: on random trits, so 0, 1 and M all appear, not only valid
+// strings; on one round, a partial group, a group and one more round, and
+// three sharded groups; with the paper's cell, AOI cells and the sklansky
+// cell smallest_depth selects. Its op count is the elaborated program's:
+// nothing crosses cells, so cell ops x comparators.
+TEST(McSorter, ServedEngineMatchesElaboratedNetlist) {
+  std::pair<const char*, McSorterOptions> options[3];
+  options[0].first = "default";
+  options[1].first = "aoi_cells";
+  options[1].second.sort2.style = OpStyle::aoi_cells;
+  options[2].first = "smallest_depth";
+  options[2].second.policy = BuildPolicy::smallest_depth;
+  const std::pair<int, std::size_t> shapes[] = {
+      {1, 3}, {2, 1}, {3, 2}, {7, 5}, {10, 8}, {10, 16}, {24, 8}, {64, 16}};
+  constexpr std::size_t kRounds[] = {1, 255, 257, 600};
+  Xoshiro256 rng(21);
+  for (const auto& [name, opt] : options) {
+    for (const auto& [channels, bits] : shapes) {
+      const McSorter sorter(channels, bits, opt);
+      const BatchEvaluator elaborated(sorter.netlist());
+      const std::string shape = std::to_string(channels) + "x" +
+                                std::to_string(bits) + " " + name;
+      const CellNetworkEvaluator& engine = sorter.engine();
+      EXPECT_EQ(engine.cell().live_gate_count() * engine.comparators().size(),
+                elaborated.program().live_gate_count())
+          << shape;
+      for (const std::size_t rounds : kRounds) {
+        std::vector<Trit> in(rounds * sorter.shape().trits());
+        for (Trit& t : in) t = static_cast<Trit>(rng.below(3));
+        std::vector<Trit> served(in.size());
+        std::vector<Trit> want(in.size());
+        ASSERT_TRUE(sorter.sort_batch_flat(in, served).ok());
+        elaborated.run_flat(in, want);
+        ASSERT_EQ(served, want) << shape << ", " << rounds << " rounds";
+      }
+    }
+  }
 }
 
 TEST(McSorter, AoiOptionPropagates) {

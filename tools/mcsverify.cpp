@@ -2,11 +2,15 @@
 // every network the repo can build: the paper catalog, the generator
 // families, and composed/PPC elaborations under every 2-sort builder and
 // PPC topology, each compiled once into the one program form compile()
-// produces. Every program gets both passes: the structural checks and the
-// exact replay against the netlist it was compiled from.
+// produces. Next to them it compiles the served cells: make_sort2(B) at
+// every swept width under every MC Sort2Options (each PPC topology, with
+// simple gates and with AOI cells), the one program McSorter runs per
+// comparator. Every program gets both passes: the structural checks and
+// the exact replay against the netlist it was compiled from.
 //
 //   tool_mcsverify                 full sweep (CI default)
-//   tool_mcsverify --quick         catalog networks at 4 bits only
+//   tool_mcsverify --quick         catalog networks and served cells at
+//                                  4 bits only
 //   tool_mcsverify --bits 1,8      override the bit widths swept
 //   tool_mcsverify --filter ppc    only configurations whose name matches
 //   tool_mcsverify --mutate        also run the seeded mutation self-test
@@ -96,6 +100,18 @@ std::vector<NamedBuilder> sweep_builders(bool quick) {
   builders.push_back({"date17", sort2_date17_style_builder()});
   builders.push_back({"bincomp", bincomp_builder()});
   return builders;
+}
+
+/// Every 2-sort option McSorter can serve: each PPC topology, with simple
+/// gates and with AOI cells.
+std::vector<std::pair<std::string, Sort2Options>> served_cell_options() {
+  std::vector<std::pair<std::string, Sort2Options>> options;
+  for (const PpcTopology topo : kAllPpcTopologies) {
+    const std::string topo_name(ppc_topology_name(topo));
+    options.push_back({"mc-" + topo_name, {topo, OpStyle::simple_gates}});
+    options.push_back({"mc-aoi-" + topo_name, {topo, OpStyle::aoi_cells}});
+  }
+  return options;
 }
 
 /// Ops address rails: slot s is the rail 2 * s.
@@ -312,35 +328,51 @@ int main(int argc, char** argv) {
   const std::vector<NamedBuilder> builders = sweep_builders(quick);
 
   std::size_t checked = 0;
+  std::size_t cells = 0;
   std::size_t failures = 0;
+  // Compiles the netlist make_netlist() returns and runs both passes on
+  // the program. Returns false when the filter skips `name`.
+  const auto check = [&](const std::string& name, const auto& make_netlist) {
+    if (!filter.empty() && name.find(filter) == std::string::npos) {
+      return false;
+    }
+    const Netlist nl = make_netlist();
+    const CompiledProgram prog = CompiledProgram::compile(nl);
+    Status s = verify_ir(prog);
+    if (s.ok()) s = verify_netlist_replay(prog, nl);
+    ++checked;
+    if (!s.ok()) {
+      ++failures;
+      std::fprintf(stderr, "FAIL %s: %s\n", name.c_str(),
+                   s.to_string().c_str());
+    } else if (verbose) {
+      std::printf("ok   %s (%zu slots, %zu ops, %zu levels)\n", name.c_str(),
+                  prog.slot_count(), prog.ops().size(), prog.level_count());
+    }
+    return true;
+  };
   for (const NamedNetwork& net : nets) {
     for (const NamedBuilder& builder : builders) {
       for (const std::size_t b : bits) {
-        const std::string base =
-            net.name + "/" + builder.name + "/b" + std::to_string(b);
-        if (!filter.empty() && base.find(filter) == std::string::npos) {
-          continue;
-        }
-        const Netlist nl = elaborate_network(net.net, b, builder.builder);
-        const CompiledProgram prog = CompiledProgram::compile(nl);
-        Status s = verify_ir(prog);
-        if (s.ok()) s = verify_netlist_replay(prog, nl);
-        ++checked;
-        if (!s.ok()) {
-          ++failures;
-          std::fprintf(stderr, "FAIL %s: %s\n", base.c_str(),
-                       s.to_string().c_str());
-        } else if (verbose) {
-          std::printf("ok   %s (%zu slots, %zu ops, %zu levels)\n",
-                      base.c_str(), prog.slot_count(), prog.ops().size(),
-                      prog.level_count());
-        }
+        check(net.name + "/" + builder.name + "/b" + std::to_string(b), [&] {
+          return elaborate_network(net.net, b, builder.builder);
+        });
+      }
+    }
+  }
+  for (const auto& [name, opt] : served_cell_options()) {
+    for (const std::size_t b : bits) {
+      if (check("cell/" + name + "/b" + std::to_string(b),
+                [&] { return make_sort2(b, opt); })) {
+        ++cells;
       }
     }
   }
 
-  std::printf("mcsverify: %zu compiled programs checked, %zu failed\n",
-              checked, failures);
+  std::printf(
+      "mcsverify: %zu compiled programs checked (%zu served cells), %zu "
+      "failed\n",
+      checked, cells, failures);
   int rc = failures == 0 ? 0 : 1;
   if (checked == 0) {
     std::fprintf(stderr, "mcsverify: no program matched the sweep%s%s\n",
