@@ -1,30 +1,10 @@
 #include "mcsn/nets/compose/builder.hpp"
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "mcsn/nets/compose/compose.hpp"
 
 namespace mcsn {
-
-std::string_view build_policy_name(BuildPolicy policy) noexcept {
-  switch (policy) {
-    case BuildPolicy::smallest_size: return "smallest_size";
-    case BuildPolicy::smallest_depth: return "smallest_depth";
-    case BuildPolicy::auto_select: return "auto";
-  }
-  return "?";
-}
-
-std::string_view build_route_name(BuildRoute route) noexcept {
-  switch (route) {
-    case BuildRoute::catalog: return "catalog";
-    case BuildRoute::composed: return "composed";
-    case BuildRoute::ppc: return "ppc";
-  }
-  return "?";
-}
 
 StatusOr<BuiltNetwork> NetworkBuilder::build(int channels) const {
   if (channels < 1) {
@@ -39,53 +19,10 @@ StatusOr<BuiltNetwork> NetworkBuilder::build(int channels) const {
         std::to_string(opt_.max_channels) +
         " (raise max_channels to serve this shape)");
   }
-
-  const PpcTopology sort2 = opt_.policy == BuildPolicy::smallest_depth
-                                ? PpcTopology::sklansky
-                                : PpcTopology::ladner_fischer;
-
-  // n <= 10: the catalog is optimal in both measures, so every policy
-  // lands there; the policy only picks the 10-channel variant.
-  if (channels <= 10) {
-    const bool prefer_depth =
-        opt_.policy == BuildPolicy::auto_select
-            ? opt_.prefer_depth
-            : opt_.policy == BuildPolicy::smallest_depth;
-    return BuiltNetwork{composed_sort_network(channels, prefer_depth),
-                        BuildRoute::catalog, sort2};
-  }
-
-  // Candidate routes for composite n. serial is excluded (quadratic size,
-  // reference only); kogge_stone/han_carlson cones are unrealizable.
-  const bool leaf_depth = opt_.policy == BuildPolicy::auto_select
-                              ? opt_.prefer_depth
-                              : opt_.policy == BuildPolicy::smallest_depth;
-  struct Candidate {
-    ComparatorNetwork net;
-    BuildRoute route;
-  };
-  std::vector<Candidate> candidates;
-  candidates.push_back(
-      {composed_sort_network(channels, leaf_depth), BuildRoute::composed});
-  candidates.push_back(
-      {ppc_sort_network(channels, PpcTopology::ladner_fischer),
-       BuildRoute::ppc});
-  candidates.push_back(
-      {ppc_sort_network(channels, PpcTopology::sklansky), BuildRoute::ppc});
-
-  const bool depth_first = opt_.policy == BuildPolicy::smallest_depth;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < candidates.size(); ++i) {
-    const ComparatorNetwork& a = candidates[i].net;
-    const ComparatorNetwork& b = candidates[best].net;
-    const auto key = [depth_first](const ComparatorNetwork& n) {
-      return depth_first ? std::pair{n.depth(), n.size()}
-                         : std::pair{n.size(), n.depth()};
-    };
-    if (key(a) < key(b)) best = i;
-  }
-  return BuiltNetwork{std::move(candidates[best].net),
-                      candidates[best].route, sort2};
+  // The composition is never larger or deeper than ppc_sort_network under
+  // ladner_fischer or sklansky (compose_test pins this up to 4096), so no
+  // other route is built for comparison.
+  return BuiltNetwork{composed_sort_network(channels, /*prefer_depth=*/false)};
 }
 
 }  // namespace mcsn

@@ -1,8 +1,9 @@
 #include "mcsn/nets/compose/compose.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -13,49 +14,42 @@ namespace mcsn {
 
 namespace {
 
-// Merges two sorted channel runs given as explicit channel-index lists.
-// Invariants maintained by every call: each list is strictly increasing
-// and every channel of `a` precedes every channel of `b` — so the
-// concatenation Z = a ++ b is the output order, and the cleanup pairs
-// below always land on Z-adjacent channels.
+// Channel k of a merge list: `n1` channels s1, s1 + d, ... followed by
+// channels s2, s2 + d, ... (two stride-d progressions back to back).
+int list_at(int s1, int n1, int s2, int d, int k) {
+  return k < n1 ? s1 + k * d : s2 + (k - n1) * d;
+}
+
+// Merges two sorted channel runs a = (sa, sa + d, ...; na channels) and
+// b = (sb, sb + d, ...; nb channels). Every channel of a precedes every
+// channel of b, so the concatenation Z = a ++ b is the output order, and
+// the cleanup pairs below always land on Z-adjacent channels.
 //
 // Classic odd-even recursion generalized to arbitrary |a|, |b|: merge the
 // odd-indexed elements of both runs, merge the even-indexed elements,
 // then one cleanup layer of compare-exchanges between even-merge output i
-// and odd-merge output i+1 (Knuth TAOCP vol. 3, 5.3.4).
-void oe_merge_lists(std::vector<Comparator>& seq, const std::vector<int>& a,
-                    const std::vector<int>& b) {
-  if (a.empty() || b.empty()) return;
-  if (a.size() == 1 && b.size() == 1) {
-    seq.push_back({a[0], b[0]});
+// and odd-merge output i+1 (Knuth TAOCP vol. 3, 5.3.4). Both halves of a
+// run are again progressions of stride 2d, so no list is materialized.
+void oe_merge(std::vector<Comparator>& seq, int sa, int na, int sb, int nb,
+              int d) {
+  if (na == 0 || nb == 0) return;
+  if (na == 1 && nb == 1) {
+    seq.push_back({sa, sb});
     return;
   }
-  std::vector<int> a_odd, a_even, b_odd, b_even;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    (i % 2 == 0 ? a_odd : a_even).push_back(a[i]);
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    (i % 2 == 0 ? b_odd : b_even).push_back(b[i]);
-  }
-  oe_merge_lists(seq, a_odd, b_odd);
-  oe_merge_lists(seq, a_even, b_even);
+  const int odd_a = (na + 1) / 2;  // a[0], a[2], ...
+  const int odd_b = (nb + 1) / 2;
+  const int even_a = na / 2;  // a[1], a[3], ...
+  const int even_b = nb / 2;
+  oe_merge(seq, sa, odd_a, sb, odd_b, 2 * d);
+  oe_merge(seq, sa + d, even_a, sb + d, even_b, 2 * d);
 
-  std::vector<int> odd = std::move(a_odd);
-  odd.insert(odd.end(), b_odd.begin(), b_odd.end());
-  std::vector<int> even = std::move(a_even);
-  even.insert(even.end(), b_even.begin(), b_even.end());
-  const std::size_t pairs = std::min(even.size(), odd.size() - 1);
-  for (std::size_t i = 0; i < pairs; ++i) {
-    const int x = even[i];
-    const int y = odd[i + 1];
+  const int pairs = std::min(even_a + even_b, odd_a + odd_b - 1);
+  for (int i = 0; i < pairs; ++i) {
+    const int x = list_at(sa + d, even_a, sb + d, 2 * d, i);
+    const int y = list_at(sa, odd_a, sb, 2 * d, i + 1);
     seq.push_back({std::min(x, y), std::max(x, y)});
   }
-}
-
-std::vector<int> run_channels(int base, int count) {
-  std::vector<int> channels(static_cast<std::size_t>(count));
-  std::iota(channels.begin(), channels.end(), base);
-  return channels;
 }
 
 void check_channels(const char* who, int channels) {
@@ -83,11 +77,28 @@ ComparatorNetwork catalog_leaf(int n, bool prefer_depth) {
   return {};
 }
 
-void append_shifted(std::vector<Comparator>& seq, const ComparatorNetwork& net,
-                    int base) {
-  for (const Comparator& c : net.flattened()) {
-    seq.push_back({c.lo + base, c.hi + base});
-  }
+// The catalog leaves' comparators in layer order, flattened once per
+// process: slot n for n <= 9, slots 10 and 11 for the size- and
+// depth-optimal 10-channel networks.
+const std::vector<Comparator>& flat_leaf(int n, bool prefer_depth) {
+  static const std::array<std::vector<Comparator>, 12> leaves = [] {
+    std::array<std::vector<Comparator>, 12> flat;
+    for (int k = 1; k <= 10; ++k) flat[k] = catalog_leaf(k, false).flattened();
+    flat[11] = catalog_leaf(10, true).flattened();
+    return flat;
+  }();
+  return leaves[n == 10 && prefer_depth ? 11 : n];
+}
+
+// An empty sequence with room for an odd-even merge sort of `channels`:
+// at most n * k * (k + 1) / 4 comparators, k = ceil(log2 n) (Batcher's
+// bound), so building one takes a single allocation.
+std::vector<Comparator> sort_sequence(int channels) {
+  const std::size_t n = static_cast<std::size_t>(channels);
+  const std::size_t k = std::bit_width(n - 1);
+  std::vector<Comparator> seq;
+  seq.reserve(n * k * (k + 1) / 4);
+  return seq;
 }
 
 // Sorts [base, base + n): catalog leaf for n <= 10, otherwise recurse on
@@ -96,7 +107,9 @@ void emit_composed(std::vector<Comparator>& seq, int base, int n,
                    bool prefer_depth) {
   if (n <= 1) return;
   if (n <= 10) {
-    append_shifted(seq, catalog_leaf(n, prefer_depth), base);
+    for (const Comparator& c : flat_leaf(n, prefer_depth)) {
+      seq.push_back({c.lo + base, c.hi + base});
+    }
     return;
   }
   const int left = n / 2;
@@ -111,8 +124,7 @@ void emit_composed(std::vector<Comparator>& seq, int base, int n,
 void append_odd_even_merge(std::vector<Comparator>& seq, int base, int left,
                            int right) {
   assert(base >= 0 && left >= 1 && right >= 1);
-  oe_merge_lists(seq, run_channels(base, left),
-                 run_channels(base + left, right));
+  oe_merge(seq, base, left, base + left, right, 1);
 }
 
 ComparatorNetwork odd_even_merge_network(int left, int right) {
@@ -130,7 +142,7 @@ ComparatorNetwork odd_even_merge_network(int left, int right) {
 ComparatorNetwork composed_sort_network(int channels, bool prefer_depth) {
   check_channels("composed_sort_network", channels);
   if (channels <= 10) return catalog_leaf(channels, prefer_depth);
-  std::vector<Comparator> seq;
+  std::vector<Comparator> seq = sort_sequence(channels);
   emit_composed(seq, 0, channels, prefer_depth);
   return ComparatorNetwork::from_flat(
       "composed-" + std::to_string(channels) + (prefer_depth ? "d" : "s"),
@@ -175,7 +187,7 @@ ComparatorNetwork ppc_sort_network(int channels, PpcTopology topo) {
         "in-place comparator network (supported: ladner_fischer, sklansky, "
         "serial)");
   }
-  std::vector<Comparator> seq;
+  std::vector<Comparator> seq = sort_sequence(channels);
   switch (topo) {
     case PpcTopology::ladner_fischer: {
       // Bottom-up pairing tree over runs (the ladner_fischer final-prefix

@@ -2,7 +2,9 @@
 // Arbitrary-n construction of metastability-containing sorting networks.
 //
 // The paper's catalog stops at 10 channels; production traffic has a long
-// tail of shapes. Two construction routes cover any channel count:
+// tail of shapes. Two construction routes cover any channel count; the
+// served one (NetworkBuilder) is composed_sort_network, which is never
+// larger or deeper than the PPC route (pinned in compose_test):
 //
 //   * composed_sort_network — classic recursive odd-even merge composition:
 //     split the channels in half, sort each half recursively, and merge
@@ -47,7 +49,8 @@ void append_odd_even_merge(std::vector<Comparator>& seq, int base, int left,
 
 /// Recursive odd-even merge composition over the optimal catalog leaves
 /// (n <= 10 returns the catalog network itself). `prefer_depth` picks the
-/// 10-channel leaf variant (depth_optimal_10 vs size_optimal_10).
+/// 10-channel leaf variant (depth_optimal_10 vs size_optimal_10; the
+/// builder serves size_optimal_10).
 [[nodiscard]] ComparatorNetwork composed_sort_network(int channels,
                                                       bool prefer_depth = true);
 

@@ -9,15 +9,27 @@ namespace mcsn {
 
 ComparatorNetwork ComparatorNetwork::from_flat(
     std::string name, int channels, const std::vector<Comparator>& seq) {
-  std::vector<std::vector<Comparator>> layers;
-  std::vector<std::size_t> busy_until(channels, 0);  // first free layer
-  for (const Comparator& c : seq) {
-    const std::size_t layer = std::max(busy_until[c.lo], busy_until[c.hi]);
-    if (layer == layers.size()) layers.emplace_back();
-    layers[layer].push_back(c);
+  // Pass 1 counts each layer's comparators; pass 2 repeats the assignment
+  // and fills layers reserved at exactly those sizes, in sequence order.
+  std::vector<std::uint32_t> busy_until(channels, 0);  // first free layer
+  const auto assign = [&busy_until](const Comparator& c) {
+    const std::uint32_t layer = std::max(busy_until[c.lo], busy_until[c.hi]);
     busy_until[c.lo] = layer + 1;
     busy_until[c.hi] = layer + 1;
+    return layer;
+  };
+  std::vector<std::size_t> layer_size;
+  for (const Comparator& c : seq) {
+    const std::uint32_t layer = assign(c);
+    if (layer == layer_size.size()) layer_size.push_back(0);
+    ++layer_size[layer];
   }
+  std::vector<std::vector<Comparator>> layers(layer_size.size());
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    layers[l].reserve(layer_size[l]);
+  }
+  std::fill(busy_until.begin(), busy_until.end(), 0);
+  for (const Comparator& c : seq) layers[assign(c)].push_back(c);
   return ComparatorNetwork(std::move(name), channels, std::move(layers));
 }
 
@@ -36,15 +48,18 @@ std::vector<Comparator> ComparatorNetwork::flattened() const {
   return seq;
 }
 
-bool ComparatorNetwork::well_formed() const noexcept {
-  for (const auto& layer : layers_) {
-    std::uint32_t used = 0;
-    for (const Comparator& c : layer) {
+bool ComparatorNetwork::well_formed() const {
+  // used[c] holds 1 + the index of the last layer that touched channel c.
+  std::vector<std::size_t> used(
+      static_cast<std::size_t>(std::max(channels_, 0)));
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    for (const Comparator& c : layers_[l]) {
       if (c.lo < 0 || c.hi >= channels_ || c.lo >= c.hi) return false;
-      const std::uint32_t bits =
-          (std::uint32_t{1} << c.lo) | (std::uint32_t{1} << c.hi);
-      if ((used & bits) != 0) return false;
-      used |= bits;
+      std::size_t& lo = used[static_cast<std::size_t>(c.lo)];
+      std::size_t& hi = used[static_cast<std::size_t>(c.hi)];
+      if (lo == l + 1 || hi == l + 1) return false;
+      lo = l + 1;
+      hi = l + 1;
     }
   }
   return true;

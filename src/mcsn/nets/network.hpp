@@ -31,7 +31,8 @@ class ComparatorNetwork {
 
   /// Builds a layered network from a flat comparator sequence with greedy
   /// ASAP layering (a comparator joins the earliest layer after the last
-  /// layer touching either of its channels).
+  /// layer touching either of its channels). Within a layer, comparators
+  /// keep their sequence order.
   [[nodiscard]] static ComparatorNetwork from_flat(
       std::string name, int channels, const std::vector<Comparator>& seq);
 
@@ -52,7 +53,7 @@ class ComparatorNetwork {
   [[nodiscard]] std::vector<Comparator> flattened() const;
 
   /// Channels in range, lo < hi, and no channel used twice within a layer.
-  [[nodiscard]] bool well_formed() const noexcept;
+  [[nodiscard]] bool well_formed() const;
 
   /// Applies the network to a vector of values under `less` (stable sort
   /// semantics per comparator: swap iff v[hi] < v[lo]).

@@ -25,15 +25,6 @@ BuiltNetwork build_or_throw(int channels, std::size_t bits,
   return std::move(*built);
 }
 
-Sort2Options effective_sort2(const McSorterOptions& opt,
-                             PpcTopology suggested) {
-  Sort2Options sort2 = opt.sort2;
-  // smallest_depth is a whole-stack promise: the comparator network *and*
-  // the 2-sort's internal prefix tree go depth-minimal.
-  if (opt.policy == BuildPolicy::smallest_depth) sort2.topology = suggested;
-  return sort2;
-}
-
 // The 2-sort(B) cell every comparator of `net` runs. Refuses, with
 // std::length_error, a shape whose elaborated netlist NodeId could not
 // index, so netlist() and stats() work on every sorter that exists.
@@ -135,7 +126,7 @@ auto values_request(SortShape shape) {
 }  // namespace
 
 NetworkBuilderOptions builder_options(const McSorterOptions& opt) noexcept {
-  return NetworkBuilderOptions{opt.policy, opt.prefer_depth, opt.max_channels};
+  return NetworkBuilderOptions{opt.max_channels};
 }
 
 McSorter::McSorter(int channels, std::size_t bits, const McSorterOptions& opt)
@@ -146,7 +137,7 @@ McSorter::McSorter(BuiltNetwork built, std::size_t bits,
     : channels_(checked_shape(built.network.channels(), bits)),
       bits_(bits),
       network_(std::move(built.network)),
-      sort2_(effective_sort2(opt, built.sort2_topology)),
+      sort2_(opt.sort2),
       engine_(budgeted_cell(network_, bits_, sort2_),
               static_cast<std::size_t>(channels_), comparator_list(network_)) {
 }

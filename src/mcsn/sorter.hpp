@@ -22,22 +22,17 @@
 namespace mcsn {
 
 struct McSorterOptions {
-  /// Catalog tie-break under auto_select where two optima differ (n = 10):
-  /// prefer minimal depth (true) or minimal comparator count (false).
-  bool prefer_depth = true;
-  /// Network construction policy (nets/compose/builder.hpp): any channel
-  /// count is servable — n <= 10 uses the optimal catalog, larger n picks
-  /// between recursive odd-even composition over the catalog leaves and
-  /// the PPC construction. smallest_depth also switches the 2-sort's
-  /// internal PPC topology to the depth-minimal sklansky cone, overriding
-  /// sort2.topology.
-  BuildPolicy policy = BuildPolicy::auto_select;
   /// Channel bound forwarded to NetworkBuilder: construction beyond this
   /// is refused (kUnimplemented through the pool, std::invalid_argument
   /// from the constructor) instead of compiling unboundedly large
   /// programs on demand.
   int max_channels = 4096;
-  Sort2Options sort2;
+  /// The 2-sort(B) cell every comparator runs. The engine pays per op, not
+  /// per level, so serving uses the serial prefix (B - 2 ⋄M blocks, the
+  /// fewest) instead of Sort2Options' default Ladner–Fischer: the same
+  /// ternary function (bdd_test proves it for B <= 16) with 25% fewer ops
+  /// at B = 16.
+  Sort2Options sort2{PpcTopology::serial, OpStyle::simple_gates};
 };
 
 /// The NetworkBuilder configuration McSorter derives from its options —

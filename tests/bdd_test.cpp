@@ -103,6 +103,20 @@ TEST(FormalEquiv, Sort2TopologiesFormallyTernaryEquivalent) {
   EXPECT_GT(res.bdd_nodes, 0u);
 }
 
+// The cell McSorter serves (serial prefix, McSorterOptions' default) is
+// the paper's Ladner-Fischer 2-sort(B) as a ternary function, proven for
+// every width up to 16.
+TEST(FormalEquiv, ServedSerialSort2IsThePapersFunction) {
+  for (std::size_t bits = 1; bits <= 16; ++bits) {
+    FormalEquivOptions opt;
+    opt.var_order = interleaved_order(bits);
+    const FormalEquivResult res = check_equivalence_formal(
+        make_sort2(bits), make_sort2(bits, {PpcTopology::serial}), opt);
+    EXPECT_TRUE(res.equivalent)
+        << "B=" << bits << " " << (res.witness ? res.witness->str() : "");
+  }
+}
+
 TEST(FormalEquiv, OptimizedSort2FormallyEquivalent) {
   const std::size_t bits = 8;
   const Netlist nl = make_sort2(bits);

@@ -340,9 +340,9 @@ TEST(Compile, McSorterProgramsAreOneAnd2Run) {
     std::size_t levels;
     std::size_t slots;
   } shapes[] = {
-      {10, 8, 4030, 48, 439},
-      {24, 8, 16510, 69, 1278},
-      {64, 16, 170502, 135, 6937},  // composed
+      {10, 8, 3074, 45, 379},  // 29 comparators x 106-op serial cells
+      {24, 8, 13462, 60, 1122},
+      {64, 16, 127062, 105, 5734},  // composed
   };
   for (const auto& shape : shapes) {
     SCOPED_TRACE(std::to_string(shape.channels) + "x" +

@@ -1,6 +1,6 @@
 // The arbitrary-shape construction routes (nets/compose/): generalized
 // odd-even merge, recursive composition over the optimal catalog leaves,
-// the PPC construction, and the NetworkBuilder policy/status surface.
+// the PPC construction, and the NetworkBuilder route/status surface.
 //
 // Verification ladder, weakest to strongest:
 //   1. 0-1 principle exhaustively (n <= 16) and the merge variant for
@@ -92,6 +92,127 @@ TEST(Compose, AppendOddEvenMergeRelocatesByBase) {
   ASSERT_EQ(seq, shifted);
 }
 
+// --- the allocation-free merge emits the list recursion's sequences --------
+
+// Test-local reference: the odd-even merge recursion over explicit
+// channel lists, each sublist allocated (the library indexes them as
+// progressions).
+void ref_merge(std::vector<Comparator>& seq, const std::vector<int>& a,
+               const std::vector<int>& b) {
+  if (a.empty() || b.empty()) return;
+  if (a.size() == 1 && b.size() == 1) {
+    seq.push_back({a[0], b[0]});
+    return;
+  }
+  std::vector<int> a_odd, a_even, b_odd, b_even;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    (i % 2 == 0 ? a_odd : a_even).push_back(a[i]);
+  }
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    (i % 2 == 0 ? b_odd : b_even).push_back(b[i]);
+  }
+  ref_merge(seq, a_odd, b_odd);
+  ref_merge(seq, a_even, b_even);
+  std::vector<int> odd = a_odd;
+  odd.insert(odd.end(), b_odd.begin(), b_odd.end());
+  std::vector<int> even = a_even;
+  even.insert(even.end(), b_even.begin(), b_even.end());
+  for (std::size_t i = 0; i < std::min(even.size(), odd.size() - 1); ++i) {
+    const int x = even[i];
+    const int y = odd[i + 1];
+    seq.push_back({std::min(x, y), std::max(x, y)});
+  }
+}
+
+std::vector<int> channel_run(int base, int count) {
+  std::vector<int> run(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) run[static_cast<std::size_t>(i)] = base + i;
+  return run;
+}
+
+// The reference compositions' flat sequences for every n <= max_n,
+// bottom up: catalog leaves for n <= 10, beyond that both halves (the
+// right one shifted) followed by ref_merge of the two runs.
+std::vector<std::vector<Comparator>> ref_composed(int max_n,
+                                                  bool prefer_depth) {
+  std::vector<std::vector<Comparator>> seqs(
+      static_cast<std::size_t>(max_n) + 1);
+  for (int n = 1; n <= max_n; ++n) {
+    std::vector<Comparator>& seq = seqs[static_cast<std::size_t>(n)];
+    if (n <= 10) {
+      seq = composed_sort_network(n, prefer_depth).flattened();
+      continue;
+    }
+    const int left = n / 2;
+    seq = seqs[static_cast<std::size_t>(left)];
+    for (const Comparator& c : seqs[static_cast<std::size_t>(n - left)]) {
+      seq.push_back({c.lo + left, c.hi + left});
+    }
+    ref_merge(seq, channel_run(0, left), channel_run(left, n - left));
+  }
+  return seqs;
+}
+
+// Plain greedy ASAP layering, one push_back at a time.
+std::vector<std::vector<Comparator>> ref_asap(
+    int channels, const std::vector<Comparator>& seq) {
+  std::vector<std::vector<Comparator>> layers;
+  std::vector<std::size_t> busy_until(static_cast<std::size_t>(channels), 0);
+  for (const Comparator& c : seq) {
+    const std::size_t layer =
+        std::max(busy_until[static_cast<std::size_t>(c.lo)],
+                 busy_until[static_cast<std::size_t>(c.hi)]);
+    if (layer == layers.size()) layers.emplace_back();
+    layers[layer].push_back(c);
+    busy_until[static_cast<std::size_t>(c.lo)] = layer + 1;
+    busy_until[static_cast<std::size_t>(c.hi)] = layer + 1;
+  }
+  return layers;
+}
+
+TEST(Compose, MergeEmitsTheListRecursionsSequence) {
+  for (int p = 1; p <= 48; ++p) {
+    for (int q = 1; q <= 48; ++q) {
+      std::vector<Comparator> got;
+      append_odd_even_merge(got, 3, p, q);
+      std::vector<Comparator> want;
+      ref_merge(want, channel_run(3, p), channel_run(3 + p, q));
+      ASSERT_EQ(got, want) << p << "+" << q;
+    }
+  }
+}
+
+TEST(Compose, ComposedEmitsTheListRecursionsSequenceTo512) {
+  for (const bool prefer_depth : {true, false}) {
+    const std::vector<std::vector<Comparator>> seqs =
+        ref_composed(512, prefer_depth);
+    for (int n = 11; n <= 512; ++n) {
+      // Equal layers, comparator for comparator, mean equal flattened
+      // sequences: the order the served engine runs.
+      ASSERT_EQ(composed_sort_network(n, prefer_depth).layers(),
+                ref_asap(n, seqs[static_cast<std::size_t>(n)]))
+          << n << (prefer_depth ? "d" : "s");
+    }
+  }
+}
+
+TEST(Compose, FromFlatMatchesPlainAsapLayering) {
+  Xoshiro256 rng(1010);
+  for (int channels = 2; channels <= 40; ++channels) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<Comparator> seq(rng.below(200));
+      for (Comparator& c : seq) {
+        const int a = static_cast<int>(rng.below(channels));
+        const int b = static_cast<int>(rng.below(channels - 1));
+        c = {std::min(a, b + (b >= a)), std::max(a, b + (b >= a))};
+      }
+      ASSERT_EQ(ComparatorNetwork::from_flat("f", channels, seq).layers(),
+                ref_asap(channels, seq))
+          << channels << " channels, trial " << trial;
+    }
+  }
+}
+
 TEST(Compose, ComposedSortsAllBinaryTo16) {
   for (int n = 1; n <= 16; ++n) {
     for (const bool prefer_depth : {true, false}) {
@@ -103,6 +224,16 @@ TEST(Compose, ComposedSortsAllBinaryTo16) {
     }
   }
   EXPECT_THROW(composed_sort_network(0), std::invalid_argument);
+}
+
+TEST(Compose, ComposedIsWellFormedBeyond32Channels) {
+  for (const int n : {33, 64, 1024}) {
+    for (const bool prefer_depth : {true, false}) {
+      const ComparatorNetwork net = composed_sort_network(n, prefer_depth);
+      SCOPED_TRACE(net.name());
+      EXPECT_TRUE(net.well_formed());
+    }
+  }
 }
 
 TEST(Compose, PpcSortsAllBinaryTo16) {
@@ -210,21 +341,24 @@ void check_sorter_differential(McSorter& sorter, std::uint64_t seed,
 
 TEST(Compose, ComposedSorterDifferentialRandomAndMetastableTo32) {
   for (int n = 2; n <= 32; ++n) {
-    McSorter sorter(n, 4);  // auto_select: catalog <= 10, composed beyond
+    McSorter sorter(n, 4);  // catalog <= 10, composed beyond
     check_sorter_differential(sorter, 9000u + static_cast<std::uint64_t>(n),
                               8);
   }
 }
 
-TEST(Compose, DepthPolicySorterDifferentialTo32) {
-  // smallest_depth also switches the 2-sort elaboration to the sklansky
-  // cone, so this exercises the other gate-level topology end to end.
-  McSorterOptions opt;
-  opt.policy = BuildPolicy::smallest_depth;
-  for (const int n : {6, 11, 13, 17, 24, 32}) {
-    McSorter sorter(n, 4, opt);
-    check_sorter_differential(sorter, 9100u + static_cast<std::uint64_t>(n),
-                              8);
+TEST(Compose, OtherCellsSorterDifferentialTo32) {
+  // The served cell is the serial prefix; the paper's ladner_fischer and
+  // the depth-minimal sklansky cone sort the same rounds end to end.
+  for (const PpcTopology topo :
+       {PpcTopology::ladner_fischer, PpcTopology::sklansky}) {
+    McSorterOptions opt;
+    opt.sort2.topology = topo;
+    for (const int n : {6, 11, 13, 17, 24, 32}) {
+      McSorter sorter(n, 4, opt);
+      check_sorter_differential(sorter,
+                                9100u + static_cast<std::uint64_t>(n), 8);
+    }
   }
 }
 
@@ -232,10 +366,7 @@ TEST(Compose, PpcSorterDifferentialRandomAndMetastableTo32) {
   for (const PpcTopology topo :
        {PpcTopology::ladner_fischer, PpcTopology::sklansky}) {
     for (const int n : {5, 11, 17, 24, 32}) {
-      BuiltNetwork built;
-      built.network = ppc_sort_network(n, topo);
-      built.route = BuildRoute::ppc;
-      McSorter sorter(std::move(built), 4);
+      McSorter sorter(BuiltNetwork{ppc_sort_network(n, topo)}, 4);
       check_sorter_differential(sorter,
                                 9200u + static_cast<std::uint64_t>(n), 6);
     }
@@ -365,7 +496,7 @@ TEST(Compose, AllBackendsMatchLegacyOnComposedNetworks) {
 }
 
 TEST(Compose, AllBackendsMatchLegacyOnComposed64x16) {
-  // The served 64-channel, 16-bit shape (221k live gates, 150 levels),
+  // The served 64-channel, 16-bit shape (127,062 live gates),
   // where slot reuse packs the most values per slot: random ternary
   // vectors plus measurement rounds from the valid strings, about half of
   // them metastable. The rank-order check then pins the sorted result.
@@ -390,7 +521,7 @@ TEST(Compose, AllBackendsMatchLegacyOnComposed64x16) {
   check_sorter_differential(sorter, 9300u, 4);
 }
 
-// --- NetworkBuilder policy / status surface ---------------------------------
+// --- NetworkBuilder route / status surface ----------------------------------
 
 TEST(NetworkBuilder, MapsDegenerateAndOversizedShapesToStatus) {
   NetworkBuilderOptions opt;
@@ -414,46 +545,43 @@ TEST(NetworkBuilder, MapsDegenerateAndOversizedShapesToStatus) {
   EXPECT_TRUE(at_bound->network.sorts_all_binary());
 }
 
-TEST(NetworkBuilder, RoutesCatalogBelowElevenChannels) {
+TEST(NetworkBuilder, ServesCatalogBelowElevenChannels) {
   const NetworkBuilder builder;
   for (int n = 1; n <= 10; ++n) {
     const StatusOr<BuiltNetwork> built = builder.build(n);
     ASSERT_TRUE(built.ok());
-    EXPECT_EQ(built->route, BuildRoute::catalog) << n;
-    EXPECT_EQ(built->network.channels(), n);
+    EXPECT_EQ(built->network.layers(),
+              composed_sort_network(n, /*prefer_depth=*/false).layers())
+        << n;
   }
-  // Auto-select keeps the exact historical catalog picks.
   EXPECT_EQ(builder.build(4)->network.size(), 5u);
   EXPECT_EQ(builder.build(9)->network.size(), 25u);
-  EXPECT_EQ(builder.build(10)->network.depth(), 7u);
+  // The served engine pays per comparator: the 29-comparator network, not
+  // the 31-comparator depth-7 one.
+  EXPECT_EQ(builder.build(10)->network.size(), 29u);
 }
 
-TEST(NetworkBuilder, PolicyPicksSizeOrDepthChampion) {
-  NetworkBuilderOptions size_opt;
-  size_opt.policy = BuildPolicy::smallest_size;
-  NetworkBuilderOptions depth_opt;
-  depth_opt.policy = BuildPolicy::smallest_depth;
-  for (const int n : {11, 17, 24, 32}) {
-    const BuiltNetwork by_size = *NetworkBuilder(size_opt).build(n);
-    const BuiltNetwork by_depth = *NetworkBuilder(depth_opt).build(n);
-    EXPECT_LE(by_size.network.size(), by_depth.network.size()) << n;
-    EXPECT_LE(by_depth.network.depth(), by_size.network.depth()) << n;
-    EXPECT_NE(by_size.route, BuildRoute::catalog);
-    // The 1911.00267 depth lever: smallest_depth pushes the sklansky cone
-    // down into the 2-sort elaboration; other policies keep the paper's
-    // ladner_fischer.
-    EXPECT_EQ(by_depth.sort2_topology, PpcTopology::sklansky);
-    EXPECT_EQ(by_size.sort2_topology, PpcTopology::ladner_fischer);
+// The builder serves the composition without building the PPC routes for
+// comparison: it is never larger and never deeper than either.
+TEST(NetworkBuilder, ComposedRouteBeatsPpcRoutes) {
+  const NetworkBuilder builder;  // max_channels 4096
+  std::vector<int> shapes;
+  for (int n = 11; n <= 1024; ++n) shapes.push_back(n);
+  for (const int n : {2047, 2048, 2049, 4095, 4096}) shapes.push_back(n);
+  for (const int n : shapes) {
+    const StatusOr<BuiltNetwork> built = builder.build(n);
+    ASSERT_TRUE(built.ok()) << n;
+    const ComparatorNetwork& composed = built->network;
+    ASSERT_TRUE(composed.well_formed()) << n;
+    for (const PpcTopology topo :
+         {PpcTopology::ladner_fischer, PpcTopology::sklansky}) {
+      const ComparatorNetwork ppc = ppc_sort_network(n, topo);
+      SCOPED_TRACE(ppc.name());
+      ASSERT_TRUE(ppc.well_formed());
+      ASSERT_LE(composed.size(), ppc.size());
+      ASSERT_LE(composed.depth(), ppc.depth());
+    }
   }
-}
-
-TEST(NetworkBuilder, NamesPoliciesAndRoutes) {
-  EXPECT_EQ(build_policy_name(BuildPolicy::smallest_size), "smallest_size");
-  EXPECT_EQ(build_policy_name(BuildPolicy::smallest_depth), "smallest_depth");
-  EXPECT_EQ(build_policy_name(BuildPolicy::auto_select), "auto");
-  EXPECT_EQ(build_route_name(BuildRoute::catalog), "catalog");
-  EXPECT_EQ(build_route_name(BuildRoute::composed), "composed");
-  EXPECT_EQ(build_route_name(BuildRoute::ppc), "ppc");
 }
 
 }  // namespace

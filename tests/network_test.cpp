@@ -35,6 +35,17 @@ TEST(Network, WellFormedRejectsBadComparators) {
   EXPECT_TRUE(ComparatorNetwork("t", 4, {{{0, 1}, {2, 3}}}).well_formed());
 }
 
+// Channels 32 and up are tracked like any other: no channel index is used
+// as a shift count into a fixed-width mask.
+TEST(Network, WellFormedBeyond32Channels) {
+  EXPECT_FALSE(ComparatorNetwork("t", 40, {{{1, 35}, {35, 39}}})
+                   .well_formed());  // channel 35 twice in one layer
+  EXPECT_TRUE(
+      ComparatorNetwork("t", 40, {{{0, 1}, {32, 33}}}).well_formed());
+  EXPECT_TRUE(ComparatorNetwork("t", 40, {{{1, 35}}, {{35, 39}}})
+                  .well_formed());  // the same pair in two layers
+}
+
 TEST(Network, MaskSortedPredicate) {
   EXPECT_TRUE(mask_sorted(0b0000, 4));
   EXPECT_TRUE(mask_sorted(0b1000, 4));

@@ -246,12 +246,12 @@ TEST(SorterPool, OversizedShapeComesBackUnimplemented) {
   EXPECT_TRUE(pool.acquire(16, 4).ok());  // at the bound is fine
 }
 
-// A shape whose netlist NodeId cannot index (4096x1024: about 4.4 x 10^9
-// nodes) is refused by elaboration before it allocates the node array,
+// A shape whose netlist NodeId cannot index (4096x2048: about 6.0 x 10^9
+// nodes) is refused from its node count before anything is elaborated,
 // and the pool reports it as a resource condition.
 TEST(SorterPool, NetlistBeyondNodeIdIsResourceExhausted) {
   SorterPool pool;
-  const auto result = pool.acquire(4096, 1024);
+  const auto result = pool.acquire(4096, 2048);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(result.status().message().find("NodeId"), std::string::npos)
@@ -797,7 +797,7 @@ TEST(SortService, RequestApiFailsViaStatusNotExceptions) {
 // kResourceExhausted from admission, and the service keeps serving.
 TEST(SortService, ShapeBeyondNodeIdFailsWithResourceExhausted) {
   SortService service;
-  const SortShape huge{4096, 1024};
+  const SortShape huge{4096, 2048};
   StatusOr<SortRequest> request =
       SortRequest::own(huge, std::vector<Trit>(huge.trits(), Trit::zero));
   ASSERT_TRUE(request.ok()) << request.status().to_string();

@@ -13,22 +13,19 @@
 
 #include "mcsn/core/gray.hpp"
 #include "mcsn/core/valid.hpp"
+#include "mcsn/nets/catalog.hpp"
 #include "mcsn/util/rng.hpp"
 
 namespace mcsn {
 namespace {
 
 TEST(McSorter, PicksOptimalCatalogNetworks) {
-  McSorterOptions depth_opt;
-  depth_opt.prefer_depth = true;
-  McSorterOptions size_opt;
-  size_opt.prefer_depth = false;
-
   EXPECT_EQ(McSorter(4, 4).network().size(), 5u);
   EXPECT_EQ(McSorter(7, 4).network().size(), 16u);
   EXPECT_EQ(McSorter(9, 4).network().size(), 25u);
-  EXPECT_EQ(McSorter(10, 4, depth_opt).network().depth(), 7u);
-  EXPECT_EQ(McSorter(10, 4, size_opt).network().size(), 29u);
+  // Ten channels: the size-optimal network, since the engine pays per
+  // comparator (the depth-7 one has 31).
+  EXPECT_EQ(McSorter(10, 4).network().layers(), size_optimal_10().layers());
   // Non-catalog size: Batcher.
   EXPECT_TRUE(McSorter(6, 4).network().sorts_all_binary());
 }
@@ -212,29 +209,32 @@ TEST(McSorter, IntegerEntryPointsRejectBitsOver64) {
   EXPECT_EQ(sorted[1], hi);
 }
 
-// 4096x1024 passes SortShape::validate and max_channels, but its netlist
-// would hold 139,263 comparators x 31,595-gate cells, about 4.4 x 10^9
-// nodes: more than NodeId can index. Construction refuses it with
-// std::length_error before allocating the node array, instead of growing
-// the array until allocation fails.
+// 4096x2048 passes SortShape::validate and max_channels, but its netlist
+// would hold 139,263 comparators x 42,979-gate serial cells, about
+// 6.0 x 10^9 nodes: more than NodeId can index. Construction refuses it
+// with std::length_error before allocating the node array, instead of
+// growing the array until allocation fails.
 TEST(McSorter, RefusesNetlistsNodeIdCannotIndex) {
-  EXPECT_THROW(McSorter(4096, 1024), std::length_error);
+  EXPECT_THROW(McSorter(4096, 2048), std::length_error);
 }
 
 // The served engine runs one compiled 2-sort(B) cell per comparator over
 // a channel-major state array. It must compute the elaborated netlist bit
 // for bit: on random trits, so 0, 1 and M all appear, not only valid
 // strings; on one round, a partial group, a group and one more round, and
-// three sharded groups; with the paper's cell, AOI cells and the sklansky
-// cell smallest_depth selects. Its op count is the elaborated program's:
-// nothing crosses cells, so cell ops x comparators.
+// three sharded groups; with the served serial cell, AOI cells, the
+// depth-minimal sklansky cell and the paper's ladner_fischer cell. Its op
+// count is the elaborated program's: nothing crosses cells, so cell ops x
+// comparators.
 TEST(McSorter, ServedEngineMatchesElaboratedNetlist) {
-  std::pair<const char*, McSorterOptions> options[3];
+  std::pair<const char*, McSorterOptions> options[4];
   options[0].first = "default";
   options[1].first = "aoi_cells";
   options[1].second.sort2.style = OpStyle::aoi_cells;
-  options[2].first = "smallest_depth";
-  options[2].second.policy = BuildPolicy::smallest_depth;
+  options[2].first = "sklansky";
+  options[2].second.sort2.topology = PpcTopology::sklansky;
+  options[3].first = "ladner_fischer";
+  options[3].second.sort2.topology = PpcTopology::ladner_fischer;
   const std::pair<int, std::size_t> shapes[] = {
       {1, 3}, {2, 1}, {3, 2}, {7, 5}, {10, 8}, {10, 16}, {24, 8}, {64, 16}};
   constexpr std::size_t kRounds[] = {1, 255, 257, 600};
