@@ -29,7 +29,6 @@
 #include "mcsn/core/valid.hpp"
 #include "mcsn/core/word.hpp"
 #include "mcsn/ckt/bincomp.hpp"
-#include "mcsn/ckt/extrema.hpp"
 #include "mcsn/ckt/ops.hpp"
 #include "mcsn/ckt/ppc.hpp"
 #include "mcsn/ckt/sort2.hpp"
@@ -42,7 +41,6 @@
 #include "mcsn/netlist/equiv.hpp"
 #include "mcsn/netlist/eval.hpp"
 #include "mcsn/netlist/eventsim.hpp"
-#include "mcsn/netlist/liberty.hpp"
 #include "mcsn/netlist/library.hpp"
 #include "mcsn/netlist/netlist.hpp"
 #include "mcsn/netlist/opt.hpp"

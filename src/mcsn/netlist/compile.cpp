@@ -367,16 +367,13 @@ class ProgramEngine {
 /// per channel bit, and the rails of one cell.
 class CellNetworkEngine {
  public:
-  using Channels = CellNetworkEvaluator::Channels;
-
   CellNetworkEngine(const CompiledProgram& cell, std::size_t bits,
-                    std::size_t channels,
-                    std::span<const Channels> comparators)
+                    const ComparatorNetwork& network)
       : cell_(cell),
         bits_(bits),
-        comparators_(comparators),
+        network_(network),
         rails_(2 * cell.slot_count()),
-        state_(channels * bits) {
+        state_(static_cast<std::size_t>(network.channels()) * bits) {
     for (const CompiledProgram::ConstInit& c : cell.const_inits()) {
       load(c.slot, Backend::splat(c.value));
     }
@@ -387,20 +384,24 @@ class CellNetworkEngine {
   void run() noexcept {
     const std::span<const std::uint32_t> in_slots = cell_.input_slots();
     const std::span<const std::uint32_t> out_rails = cell_.output_rails();
-    for (const Channels& cmp : comparators_) {
-      Backend::Value* const lo = state_.data() + cmp.lo * bits_;
-      Backend::Value* const hi = state_.data() + cmp.hi * bits_;
-      // Cell inputs: g[0, B) is channel lo, h[0, B) channel hi.
-      for (std::size_t k = 0; k < bits_; ++k) {
-        load(in_slots[k], lo[k]);
-        load(in_slots[bits_ + k], hi[k]);
-      }
-      rail_kernel::run_ops(rails_.data(), cell_.ops().data(),
-                           cell_.form_runs());
-      // Cell outputs: max[0, B) goes to channel hi, min[0, B) to lo.
-      for (std::size_t k = 0; k < bits_; ++k) {
-        hi[k] = read(out_rails[k]);
-        lo[k] = read(out_rails[bits_ + k]);
+    for (const std::vector<Comparator>& layer : network_.layers()) {
+      for (const Comparator& cmp : layer) {
+        Backend::Value* const lo =
+            state_.data() + static_cast<std::size_t>(cmp.lo) * bits_;
+        Backend::Value* const hi =
+            state_.data() + static_cast<std::size_t>(cmp.hi) * bits_;
+        // Cell inputs: g[0, B) is channel lo, h[0, B) channel hi.
+        for (std::size_t k = 0; k < bits_; ++k) {
+          load(in_slots[k], lo[k]);
+          load(in_slots[bits_ + k], hi[k]);
+        }
+        rail_kernel::run_ops(rails_.data(), cell_.ops().data(),
+                             cell_.form_runs());
+        // Cell outputs: max[0, B) goes to channel hi, min[0, B) to lo.
+        for (std::size_t k = 0; k < bits_; ++k) {
+          hi[k] = read(out_rails[k]);
+          lo[k] = read(out_rails[bits_ + k]);
+        }
       }
     }
   }
@@ -424,7 +425,7 @@ class CellNetworkEngine {
 
   const CompiledProgram& cell_;
   std::size_t bits_;
-  std::span<const Channels> comparators_;
+  const ComparatorNetwork& network_;
   std::vector<Backend::Rail> rails_;
   std::vector<Backend::Value> state_;
 };
@@ -439,12 +440,10 @@ void BatchEvaluator::run_flat(std::span<const Trit> inputs,
 }
 
 CellNetworkEvaluator::CellNetworkEvaluator(const Netlist& cell,
-                                           std::size_t channels,
-                                           std::vector<Channels> comparators)
+                                           ComparatorNetwork network)
     : cell_(CompiledProgram::compile(cell)),
       bits_(cell_.input_count() / 2),
-      channels_(channels),
-      comparators_(std::move(comparators)) {
+      network_(std::move(network)) {
   if (bits_ == 0 || cell_.input_count() != 2 * bits_ ||
       cell_.output_count() != 2 * bits_) {
     throw std::invalid_argument(
@@ -452,13 +451,9 @@ CellNetworkEvaluator::CellNetworkEvaluator(const Netlist& cell,
         "got " + std::to_string(cell_.input_count()) + " and " +
         std::to_string(cell_.output_count()));
   }
-  for (const Channels& c : comparators_) {
-    if (c.lo == c.hi || c.lo >= channels_ || c.hi >= channels_) {
-      throw std::invalid_argument(
-          "CellNetworkEvaluator: comparator (" + std::to_string(c.lo) + ", " +
-          std::to_string(c.hi) + ") is not two distinct channels below " +
-          std::to_string(channels_));
-    }
+  if (!network_.well_formed()) {
+    throw std::invalid_argument("CellNetworkEvaluator: network '" +
+                                network_.name() + "' is not well formed");
   }
 }
 
@@ -466,8 +461,7 @@ void CellNetworkEvaluator::run_flat(std::span<const Trit> inputs,
                                     std::span<Trit> outputs) const {
   run_lane_groups("CellNetworkEvaluator::run_flat", inputs, outputs,
                   width(), width(), [this] {
-                    return CellNetworkEngine(cell_, bits_, channels_,
-                                             comparators_);
+                    return CellNetworkEngine(cell_, bits_, network_);
                   });
 }
 

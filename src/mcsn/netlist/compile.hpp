@@ -67,10 +67,10 @@
 //     arbitrary netlists: benches, equivalence and containment checks, and
 //     the replay of a sorter's elaborated netlist.
 //   * CellNetworkEvaluator runs a comparator network whose comparators are
-//     all one 2-sort(B) cell: it keeps the cell's program and the
-//     comparator list, and runs the cell once per comparator over a
-//     channel-major state array. McSorter serves every shape through it,
-//     so a shape build compiles one cell, not the elaborated network.
+//     all one 2-sort(B) cell: it owns the cell's program and the network,
+//     and runs the cell once per comparator over a channel-major state
+//     array. McSorter serves every shape through it, so a shape build
+//     compiles one cell, not the elaborated network.
 
 #include <array>
 #include <cassert>
@@ -84,6 +84,7 @@
 #include "mcsn/core/word.hpp"
 #include "mcsn/netlist/cell.hpp"
 #include "mcsn/netlist/netlist.hpp"
+#include "mcsn/nets/network.hpp"
 
 namespace mcsn {
 
@@ -402,33 +403,28 @@ class BatchEvaluator {
 /// min[0, B), the port order of make_sort2 (ckt/sort2.hpp). An input
 /// vector is one round: channels x B trits, channel-major. Per 256-lane
 /// group, run_flat packs the round into a state array of channels x B
-/// values, then runs the cell once per comparator, in list order: it reads
-/// channel `lo` as g and `hi` as h and writes min back to `lo` and max to
-/// `hi`. That is the netlist elaborate_network stamps, one cell copy per
-/// comparator, and the same function bit for bit. Memory per call is the
+/// values, then runs the cell once per comparator, layer by layer: it
+/// reads channel `lo` as g and `hi` as h and writes min back to `lo` and
+/// max to `hi`. That is the netlist elaborate_network stamps, one cell
+/// copy per comparator, and the same function bit for bit. Memory per call is the
 /// state array plus the cell's slots, 64 B per value each. Thread-safe.
 class CellNetworkEvaluator {
  public:
-  /// One comparator: the channels the cell reads as g and h.
-  struct Channels {
-    std::uint32_t lo = 0;
-    std::uint32_t hi = 0;
-  };
-
-  /// Compiles `cell` once. Throws std::invalid_argument unless it has 2B
-  /// inputs and 2B outputs for some B >= 1, and every comparator names two
-  /// distinct channels below `channels`.
-  CellNetworkEvaluator(const Netlist& cell, std::size_t channels,
-                       std::vector<Channels> comparators);
+  /// Compiles `cell` once and keeps `network`. Throws
+  /// std::invalid_argument unless the cell has 2B inputs and 2B outputs
+  /// for some B >= 1 and the network is well formed
+  /// (ComparatorNetwork::well_formed).
+  CellNetworkEvaluator(const Netlist& cell, ComparatorNetwork network);
 
   /// Trits per round: channels x B.
   [[nodiscard]] std::size_t width() const noexcept {
-    return channels_ * bits_;
+    return static_cast<std::size_t>(network_.channels()) * bits_;
   }
   /// The compiled 2-sort(B) cell every comparator runs.
   [[nodiscard]] const CompiledProgram& cell() const noexcept { return cell_; }
-  [[nodiscard]] std::span<const Channels> comparators() const noexcept {
-    return comparators_;
+  /// The network whose comparators the cell runs.
+  [[nodiscard]] const ComparatorNetwork& network() const noexcept {
+    return network_;
   }
 
   /// `inputs` holds N rounds back to back (N x width() trits) and the
@@ -440,8 +436,7 @@ class CellNetworkEvaluator {
  private:
   CompiledProgram cell_;
   std::size_t bits_ = 0;
-  std::size_t channels_ = 0;
-  std::vector<Channels> comparators_;
+  ComparatorNetwork network_;
 };
 
 }  // namespace mcsn

@@ -19,16 +19,12 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/un.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include "mcsn/serve/net/conn_fsm.hpp"
 #include "mcsn/serve/net/detail.hpp"
@@ -68,45 +64,36 @@ void set_nodelay(int fd) {
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
-// --- poller abstraction -----------------------------------------------------
+// --- poller -----------------------------------------------------------------
 
-struct PollEvent {
-  int fd = -1;
-  bool readable = false;
-  bool writable = false;
-  /// Error/hangup: handled through the read path (read() observes the
-  /// failure or EOF), so it is folded into `readable`.
-  bool error = false;
-};
-
-/// Readiness-notification backend: epoll where available, poll(2) as the
-/// portable fallback. Level-triggered semantics in both (the loop re-reads
-/// until EAGAIN anyway, and level-triggered EPOLLOUT is disarmed the moment
-/// the write queue empties).
-class Poller {
+/// One loop's epoll instance, level-triggered (the loop re-reads until
+/// EAGAIN anyway, and level-triggered EPOLLOUT is disarmed the moment the
+/// write queue empties).
+class Epoll {
  public:
-  virtual ~Poller() = default;
-  [[nodiscard]] virtual Status add(int fd, bool rd, bool wr) = 0;
-  virtual void set(int fd, bool rd, bool wr) = 0;
-  virtual void remove(int fd) = 0;
-  /// Blocks up to timeout_ms (-1 = forever), appends ready fds to `out`.
-  [[nodiscard]] virtual Status wait(int timeout_ms,
-                                    std::vector<PollEvent>& out) = 0;
-};
+  struct Event {
+    int fd = -1;
+    bool readable = false;
+    bool writable = false;
+    /// Error/hangup: handled through the read path (read() observes the
+    /// failure or EOF), so it is folded into `readable`.
+    bool error = false;
+  };
 
-#if defined(__linux__)
-class EpollPoller final : public Poller {
- public:
+  Epoll() = default;
+  Epoll(const Epoll&) = delete;
+  Epoll& operator=(const Epoll&) = delete;
+  ~Epoll() {
+    if (epfd_ >= 0) ::close(epfd_);
+  }
+
   [[nodiscard]] Status init() {
     epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epfd_ < 0) return Status::unavailable(errno_text("epoll_create1"));
     return Status();
   }
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
 
-  Status add(int fd, bool rd, bool wr) override {
+  [[nodiscard]] Status add(int fd, bool rd, bool wr) {
     epoll_event ev = make_event(fd, rd, wr);
     if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
       return Status::unavailable(errno_text("epoll_ctl(ADD)"));
@@ -114,16 +101,15 @@ class EpollPoller final : public Poller {
     return Status();
   }
 
-  void set(int fd, bool rd, bool wr) override {
+  void set(int fd, bool rd, bool wr) {
     epoll_event ev = make_event(fd, rd, wr);
     (void)::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
   }
 
-  void remove(int fd) override {
-    (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  void remove(int fd) { (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  Status wait(int timeout_ms, std::vector<PollEvent>& out) override {
+  /// Blocks up to timeout_ms (-1 = forever), appends ready fds to `out`.
+  Status wait(int timeout_ms, std::vector<Event>& out) {
     epoll_event events[64];
     const int n = ::epoll_wait(epfd_, events, 64, timeout_ms);
     if (n < 0) {
@@ -131,7 +117,7 @@ class EpollPoller final : public Poller {
       return Status::unavailable(errno_text("epoll_wait"));
     }
     for (int i = 0; i < n; ++i) {
-      PollEvent e;
+      Event e;
       e.fd = events[i].data.fd;
       e.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
       e.readable = (events[i].events & EPOLLIN) != 0 || e.error;
@@ -151,76 +137,6 @@ class EpollPoller final : public Poller {
 
   int epfd_ = -1;
 };
-#endif  // __linux__
-
-class PollPoller final : public Poller {
- public:
-  [[nodiscard]] Status init() { return Status(); }
-
-  Status add(int fd, bool rd, bool wr) override {
-    index_[fd] = fds_.size();
-    fds_.push_back(pollfd{fd, interest(rd, wr), 0});
-    return Status();
-  }
-
-  void set(int fd, bool rd, bool wr) override {
-    const auto it = index_.find(fd);
-    if (it != index_.end()) fds_[it->second].events = interest(rd, wr);
-  }
-
-  void remove(int fd) override {
-    const auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const std::size_t pos = it->second;
-    index_.erase(it);
-    if (pos + 1 != fds_.size()) {
-      fds_[pos] = fds_.back();
-      index_[fds_[pos].fd] = pos;
-    }
-    fds_.pop_back();
-  }
-
-  Status wait(int timeout_ms, std::vector<PollEvent>& out) override {
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return Status();
-      return Status::unavailable(errno_text("poll"));
-    }
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      PollEvent e;
-      e.fd = p.fd;
-      e.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      e.readable = (p.revents & POLLIN) != 0 || e.error;
-      e.writable = (p.revents & POLLOUT) != 0;
-      out.push_back(e);
-    }
-    return Status();
-  }
-
- private:
-  static short interest(bool rd, bool wr) {
-    return static_cast<short>((rd ? POLLIN : 0) | (wr ? POLLOUT : 0));
-  }
-
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, std::size_t> index_;
-};
-
-std::unique_ptr<Poller> make_poller(bool force_poll, Status& status) {
-#if defined(__linux__)
-  if (!force_poll) {
-    auto epoll = std::make_unique<EpollPoller>();
-    status = epoll->init();
-    return epoll;
-  }
-#else
-  (void)force_poll;
-#endif
-  auto poll = std::make_unique<PollPoller>();
-  status = poll->init();
-  return poll;
-}
 
 // --- connection state -------------------------------------------------------
 
@@ -313,9 +229,9 @@ struct SocketServer::Impl {
   /// across all loops — the max_connections quantity.
   std::atomic<std::size_t> open_conns{0};
 
-  /// Round-robin cursor for shared-acceptor dispatch. Only the loop
-  /// owning a dispatch listener (always loop 0) touches it, so it needs
-  /// no synchronization.
+  /// Round-robin cursor for handing accepted fds to loops. Only loop 0,
+  /// which owns every listener, touches it, so it needs no
+  /// synchronization.
   std::size_t rr_next = 0;
 
   /// Stage-latency histograms in the service's registry (shared across
@@ -331,21 +247,14 @@ struct SocketServer::Impl {
 
   // --- one event loop -------------------------------------------------------
 
-  struct Listener {
-    int fd = -1;
-    /// Round-robin accepted fds across all loops instead of adopting them
-    /// locally (shared-acceptor mode; always set for the UDS listener
-    /// when loops > 1, never for per-loop SO_REUSEPORT listeners).
-    bool dispatch = false;
-  };
-
   struct Loop {
     Impl* srv = nullptr;
     std::size_t index = 0;
 
-    std::unique_ptr<Poller> poller;
+    Epoll poller;
     int wake_rd = -1;
-    std::vector<Listener> listeners;
+    /// Listening sockets; only loop 0 has any.
+    std::vector<int> listeners;
     std::thread thread;
 
     std::unordered_map<int, std::shared_ptr<Connection>> conns;
@@ -376,29 +285,29 @@ struct SocketServer::Impl {
     Counter* fsm_violations = nullptr;
 
     [[nodiscard]] bool owns_listener(int fd) const {
-      return std::any_of(listeners.begin(), listeners.end(),
-                         [fd](const Listener& l) { return l.fd == fd; });
+      return std::find(listeners.begin(), listeners.end(), fd) !=
+             listeners.end();
     }
 
     // --- event loop ---------------------------------------------------------
 
     void run() {
-      std::vector<PollEvent> events;
+      std::vector<Epoll::Event> events;
       std::optional<Clock::time_point> drain_deadline;
       bool accepting = true;
       for (;;) {
         events.clear();
-        (void)poller->wait(poll_timeout_ms(), events);
+        (void)poller.wait(poll_timeout_ms(), events);
         const Clock::time_point now = Clock::now();
 
         if (listener_muted_until && now >= *listener_muted_until) {
           listener_muted_until.reset();
           if (accepting) {
-            for (const Listener& l : listeners) poller->set(l.fd, true, false);
+            for (const int fd : listeners) poller.set(fd, true, false);
           }
         }
 
-        for (const PollEvent& ev : events) {
+        for (const Epoll::Event& ev : events) {
           if (ev.fd == wake_rd) {
             drain_wake_pipe();
           } else if (owns_listener(ev.fd)) {
@@ -406,7 +315,7 @@ struct SocketServer::Impl {
           } else if (const auto it = conns.find(ev.fd); it != conns.end()) {
             const std::shared_ptr<Connection>& conn = it->second;
             if (ev.error) {
-              // EPOLLHUP/POLLERR: the peer is gone in both directions, so
+              // EPOLLHUP/EPOLLERR: the peer is gone in both directions, so
               // owed responses have no reader. (A half-close arrives as a
               // plain readable event with read() == 0 instead.)
               schedule_close(*conn);
@@ -433,9 +342,9 @@ struct SocketServer::Impl {
         if (srv->stopping.load(std::memory_order_relaxed)) {
           if (accepting) {
             accepting = false;
-            for (const Listener& l : listeners) {
-              poller->remove(l.fd);
-              ::close(l.fd);
+            for (const int fd : listeners) {
+              poller.remove(fd);
+              ::close(fd);
             }
             listeners.clear();
             drain_deadline = now + srv->opt.drain_timeout;
@@ -473,11 +382,11 @@ struct SocketServer::Impl {
 
     // --- accept path --------------------------------------------------------
 
+    /// Accepts every pending connection on `listen_fd` (loop 0 only) and
+    /// hands the fds round-robin to every loop, this one included. The
+    /// socket_accepted_total count lands where an fd is adopted, so each
+    /// loop's accepted and closed counts describe the same connections.
     void accept_ready(int listen_fd, Clock::time_point now) {
-      bool dispatch = false;
-      for (const Listener& l : listeners) {
-        if (l.fd == listen_fd) dispatch = l.dispatch;
-      }
       for (;;) {
         const int fd = ::accept(listen_fd, nullptr, nullptr);
         if (fd < 0) {
@@ -486,16 +395,19 @@ struct SocketServer::Impl {
               errno == ENOMEM) {
             // Out of fds/memory: the pending connection stays in the
             // backlog, so the level-triggered listener would re-fire every
-            // wait() and spin the loop hot. Mute this loop's listeners for
-            // a sweep interval and retry once resources may have freed.
-            for (const Listener& l : listeners) poller->set(l.fd, false, false);
+            // wait() and spin the loop hot. Mute the listeners for a sweep
+            // interval and retry once resources may have freed.
+            for (const int listener : listeners) {
+              poller.set(listener, false, false);
+            }
             listener_muted_until = now + std::chrono::milliseconds(kSweepMs);
           }
           return;  // EAGAIN, or a transient accept failure: wait for the
                    // next readiness notification either way
         }
         // Reserve a connection slot before any handoff so the cap holds
-        // across loops (REUSEPORT accepts race; fetch_add keeps it exact).
+        // across loops: handed-off fds close on other loops, so the count
+        // is shared and fetch_add keeps it exact.
         if (srv->open_conns.fetch_add(1, std::memory_order_relaxed) >=
             srv->opt.max_connections) {
           srv->open_conns.fetch_sub(1, std::memory_order_relaxed);
@@ -514,34 +426,31 @@ struct SocketServer::Impl {
           (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &srv->opt.sndbuf,
                              sizeof srv->opt.sndbuf);
         }
-        accepted->add();
-        if (dispatch) {
-          Loop* target = srv->next_dispatch_target();
-          if (target != this) {
-            // Hand the fd to its loop through the handoff inbox; the
-            // target adopts it on its next iteration. All socket options
-            // are already applied, so the target never touches a racing
-            // syscall path.
-            std::lock_guard lock(target->sink->mu);
-            target->sink->adopted.push_back(fd);
-            wake_locked(*target->sink);
-            continue;
-          }
+        if (Loop* target = srv->next_dispatch_target(); target != this) {
+          // Hand the fd to its loop through the handoff inbox; the target
+          // adopts it on its next iteration. All socket options are
+          // already applied, so the target never touches a racing
+          // syscall path.
+          std::lock_guard lock(target->sink->mu);
+          target->sink->adopted.push_back(fd);
+          wake_locked(*target->sink);
+          continue;
         }
         adopt(fd, now);
       }
     }
 
     /// Registers an accepted (slot-reserved, option-applied) fd with this
-    /// loop. On failure the slot is returned.
+    /// loop and counts it accepted here. On failure the slot is returned.
     void adopt(int fd, Clock::time_point now) {
       auto conn = std::make_shared<Connection>(fd);
       conn->last_activity = now;
-      if (!poller->add(fd, true, false).ok()) {
+      if (!poller.add(fd, true, false).ok()) {
         srv->open_conns.fetch_sub(1, std::memory_order_relaxed);
         ::close(fd);
         return;
       }
+      accepted->add();
       conns.emplace(fd, std::move(conn));
     }
 
@@ -556,6 +465,7 @@ struct SocketServer::Impl {
       for (const int fd : fds) {
         if (!accepting) {
           srv->open_conns.fetch_sub(1, std::memory_order_relaxed);
+          accepted->add();
           closed->add();
           ::close(fd);
           continue;
@@ -885,7 +795,7 @@ struct SocketServer::Impl {
       if (rd != conn.want_read || wr != conn.want_write) {
         conn.want_read = rd;
         conn.want_write = wr;
-        poller->set(conn.fd, rd, wr);
+        poller.set(conn.fd, rd, wr);
       }
     }
 
@@ -903,7 +813,7 @@ struct SocketServer::Impl {
         fsm_violations->add(conn.fsm.violations());
       }
       pending_close.push_back(conn.fd);
-      poller->remove(conn.fd);
+      poller.remove(conn.fd);
       conn.fd = -1;
     }
 
@@ -956,9 +866,8 @@ struct SocketServer::Impl {
         &reg.counter("socket_fsm_violations_total", labels);
   }
 
-  /// Next loop for shared-acceptor dispatch (called only from the loop
-  /// that owns a dispatch listener, so rr_next is effectively
-  /// single-threaded).
+  /// Next loop for an accepted fd (called only from loop 0, which owns
+  /// every listener, so rr_next is effectively single-threaded).
   Loop* next_dispatch_target() {
     Loop* target = loops[rr_next % loops.size()].get();
     ++rr_next;
@@ -985,9 +894,7 @@ struct SocketServer::Impl {
       loop->srv = this;
       loop->index = i;
       register_loop_series(*loop, reg);
-      Status poller_status;
-      loop->poller = make_poller(opt.force_poll, poller_status);
-      if (!poller_status.ok()) return poller_status;
+      if (Status s = loop->poller.init(); !s.ok()) return s;
       int pipe_fds[2];
       if (::pipe(pipe_fds) < 0) return Status::unavailable(errno_text("pipe"));
       loop->wake_rd = pipe_fds[0];
@@ -1005,11 +912,11 @@ struct SocketServer::Impl {
     if (Status s = open_listeners(); !s.ok()) return s;
 
     for (const std::unique_ptr<Loop>& loop : loops) {
-      if (Status s = loop->poller->add(loop->wake_rd, true, false); !s.ok()) {
+      if (Status s = loop->poller.add(loop->wake_rd, true, false); !s.ok()) {
         return s;
       }
-      for (const Listener& l : loop->listeners) {
-        if (Status s = loop->poller->add(l.fd, true, false); !s.ok()) return s;
+      for (const int fd : loop->listeners) {
+        if (Status s = loop->poller.add(fd, true, false); !s.ok()) return s;
       }
     }
     for (const std::unique_ptr<Loop>& loop : loops) {
@@ -1019,55 +926,23 @@ struct SocketServer::Impl {
     return Status();
   }
 
+  /// Every listener lives on loop 0, which hands accepted fds to the
+  /// other loops (see accept_ready).
   Status open_listeners() {
-    const std::size_t n = loops.size();
     if (opt.listen_tcp) {
-      bool reuseport = false;
-#if defined(__linux__)
-      reuseport = n > 1 && !opt.force_acceptor;
-#endif
-      sockaddr_storage bound{};
-      socklen_t bound_len = 0;
-      int family = AF_UNSPEC;
-      int first_fd = -1;
-      if (Status s = open_first_tcp_listener(reuseport, first_fd, bound,
-                                             bound_len, family);
-          !s.ok()) {
-        return s;
-      }
-      if (reuseport) {
-        // One listener per loop, all bound to the (now concrete) same
-        // address: the kernel spreads accepts across them.
-        loops[0]->listeners.push_back(Listener{first_fd, false});
-        for (std::size_t i = 1; i < n; ++i) {
-          int fd = -1;
-          if (Status s = open_sibling_tcp_listener(
-                  family, reinterpret_cast<const sockaddr*>(&bound), bound_len,
-                  fd);
-              !s.ok()) {
-            return s;
-          }
-          loops[i]->listeners.push_back(Listener{fd, false});
-        }
-      } else {
-        // Single listener on loop 0; with several loops it round-robins
-        // accepted fds instead of serving them itself.
-        loops[0]->listeners.push_back(Listener{first_fd, n > 1});
-      }
+      int fd = -1;
+      if (Status s = open_tcp_listener(fd); !s.ok()) return s;
+      loops[0]->listeners.push_back(fd);
     }
     if (!opt.unix_path.empty()) {
       int fd = -1;
       if (Status s = open_unix_listener(fd); !s.ok()) return s;
-      // SO_REUSEPORT does not load-balance AF_UNIX accepts, so the UDS
-      // listener always lives on loop 0 and dispatches.
-      loops[0]->listeners.push_back(Listener{fd, n > 1});
+      loops[0]->listeners.push_back(fd);
     }
     return Status();
   }
 
-  Status open_first_tcp_listener(bool reuseport, int& out_fd,
-                                 sockaddr_storage& bound, socklen_t& bound_len,
-                                 int& family) {
+  Status open_tcp_listener(int& out_fd) {
     addrinfo hints{};
     hints.ai_family = AF_UNSPEC;
     hints.ai_socktype = SOCK_STREAM;
@@ -1089,11 +964,6 @@ struct SocketServer::Impl {
       }
       int one = 1;
       (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-#if defined(SO_REUSEPORT)
-      if (reuseport) {
-        (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
-      }
-#endif
       set_cloexec(fd);
       Status s = set_nonblocking(fd);
       if (s.ok() && ::bind(fd, ai->ai_addr, ai->ai_addrlen) < 0) {
@@ -1103,7 +973,8 @@ struct SocketServer::Impl {
         s = Status::unavailable(errno_text("listen"));
       }
       if (s.ok()) {
-        bound_len = sizeof bound;
+        sockaddr_storage bound{};
+        socklen_t bound_len = sizeof bound;
         if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound),
                           &bound_len) < 0) {
           s = Status::unavailable(errno_text("getsockname"));
@@ -1115,7 +986,6 @@ struct SocketServer::Impl {
       }
       if (s.ok()) {
         out_fd = fd;
-        family = ai->ai_family;
         ::freeaddrinfo(found);
         return Status();
       }
@@ -1124,34 +994,6 @@ struct SocketServer::Impl {
     }
     ::freeaddrinfo(found);
     return last;
-  }
-
-  /// A further SO_REUSEPORT listener bound to the exact address the first
-  /// one resolved to (concrete port included, so port == 0 requests all
-  /// land on the same ephemeral port).
-  Status open_sibling_tcp_listener(int family, const sockaddr* addr,
-                                   socklen_t addr_len, int& out_fd) {
-    const int fd = ::socket(family, SOCK_STREAM, 0);
-    if (fd < 0) return Status::unavailable(errno_text("socket"));
-    int one = 1;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-#if defined(SO_REUSEPORT)
-    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
-#endif
-    set_cloexec(fd);
-    Status s = set_nonblocking(fd);
-    if (s.ok() && ::bind(fd, addr, addr_len) < 0) {
-      s = Status::unavailable(errno_text("bind(reuseport sibling)"));
-    }
-    if (s.ok() && ::listen(fd, opt.backlog) < 0) {
-      s = Status::unavailable(errno_text("listen"));
-    }
-    if (!s.ok()) {
-      ::close(fd);
-      return s;
-    }
-    out_fd = fd;
-    return Status();
   }
 
   Status open_unix_listener(int& out_fd) {
@@ -1234,7 +1076,7 @@ struct SocketServer::Impl {
       }
       // If start() failed before the loop threads spawned, the listeners
       // (when they got as far as existing) are still ours to close.
-      for (const Listener& l : loop->listeners) ::close(l.fd);
+      for (const int fd : loop->listeners) ::close(fd);
       loop->listeners.clear();
     }
     if (!uds_bound_path.empty()) {

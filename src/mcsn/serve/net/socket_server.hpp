@@ -3,10 +3,8 @@
 // sort service.
 //
 // Accepts connections on non-blocking listening sockets and runs them on
-// one or more single-threaded event loops (epoll on Linux, poll(2)
-// everywhere — the fallback is also selectable at runtime for testing).
-// Each connection carries the length-prefixed wire frames of
-// serve/wire.hpp:
+// one or more single-threaded epoll event loops (Linux only). Each
+// connection carries the length-prefixed wire frames of serve/wire.hpp:
 //
 //   client                         server
 //   ------ request frame  ------>  incremental decode (try_parse_frame on a
@@ -31,11 +29,10 @@
 // respect per-connection ordering and flow control.
 //
 // Scaling: SocketOptions::loops spins up N event-loop threads, each with
-// its own poller instance, self-pipe and connection table. On Linux the
-// TCP listener is replicated per loop with SO_REUSEPORT (the kernel
-// load-balances accepts); everywhere else — and always for the UNIX-domain
-// listener — loop 0 owns the listener and round-robins accepted fds to the
-// other loops through their wake pipes. A connection is pinned to one loop
+// its own epoll instance, self-pipe and connection table. Loop 0 owns
+// every listener, TCP and UNIX-domain alike, and with several loops hands
+// accepted fds round-robin to all of them (itself included) through each
+// loop's handoff inbox and wake pipe. A connection is pinned to one loop
 // for life, so all per-connection ordering and flow-control invariants
 // hold exactly as in the single-loop case.
 //
@@ -98,9 +95,9 @@ struct SocketOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
-  /// Event-loop threads. Each loop has its own poller, self-pipe and
-  /// connection table; see the header comment for how accepted
-  /// connections are spread across loops.
+  /// Event-loop threads. Each loop has its own epoll instance, self-pipe
+  /// and connection table; loop 0 accepts for all of them and hands
+  /// connections out round-robin.
   int loops = 1;
   /// Also listen on this UNIX-domain socket path ("" = no UDS listener).
   /// A stale socket file at the path is unlinked on start; the bound path
@@ -109,12 +106,6 @@ struct SocketOptions {
   /// Serve TCP. Disable for a UDS-only server (unix_path must then be
   /// set); port() reports 0 when no TCP listener exists.
   bool listen_tcp = true;
-  /// Use the shared-acceptor round-robin dispatch even where per-loop
-  /// SO_REUSEPORT listeners are available (Linux, loops > 1). Gives
-  /// deterministic round-robin placement — the kernel's REUSEPORT
-  /// load-balancing is hash-based — at the cost of funneling all TCP
-  /// accepts through loop 0.
-  bool force_acceptor = false;
   /// listen(2) backlog.
   int backlog = 128;
   /// Concurrent-connection cap across all loops; excess accepts are
@@ -139,9 +130,6 @@ struct SocketOptions {
   /// memory per slow-reading connection, and makes write backpressure
   /// deterministic in tests.
   int sndbuf = 0;
-  /// Use the portable poll(2) loop even where epoll is available (the
-  /// fallback path is exercised in tests on every platform this way).
-  bool force_poll = false;
 
   /// Test-only fault hooks (soak harness, adversarial tests). All off by
   /// default; production callers never set these.
@@ -185,9 +173,8 @@ class SocketServer {
   /// from a service completion.
   void stop();
 
-  /// The bound TCP port (useful with SocketOptions::port == 0; with
-  /// loops > 1 on Linux every SO_REUSEPORT listener shares this one
-  /// port). 0 when TCP is disabled. Valid after a successful start().
+  /// The bound TCP port (useful with SocketOptions::port == 0). 0 when TCP
+  /// is disabled. Valid after a successful start().
   [[nodiscard]] std::uint16_t port() const noexcept;
 
   /// Event loops actually running (== SocketOptions::loops after a

@@ -25,28 +25,15 @@ BuiltNetwork build_or_throw(int channels, std::size_t bits,
   return std::move(*built);
 }
 
-// The 2-sort(B) cell every comparator of `net` runs. Refuses, with
+// The served engine: `net` run through the 2-sort(B) cell. Refuses, with
 // std::length_error, a shape whose elaborated netlist NodeId could not
-// index, so netlist() and stats() work on every sorter that exists.
-Netlist budgeted_cell(const ComparatorNetwork& net, std::size_t bits,
-                      const Sort2Options& sort2) {
-  Netlist cell = make_sort2(bits, sort2);
+// index, so netlist() and stats() work on every sorter that exists. The
+// budget is checked here, before the network moves into the engine.
+CellNetworkEvaluator served_engine(ComparatorNetwork net, std::size_t bits,
+                                   const Sort2Options& sort2) {
+  const Netlist cell = make_sort2(bits, sort2);
   elaborated_node_count(net, bits, cell.node_count() - cell.inputs().size());
-  return cell;
-}
-
-// The network's comparators in elaboration order: layer by layer.
-std::vector<CellNetworkEvaluator::Channels> comparator_list(
-    const ComparatorNetwork& net) {
-  std::vector<CellNetworkEvaluator::Channels> list;
-  list.reserve(net.size());
-  for (const auto& layer : net.layers()) {
-    for (const Comparator& cmp : layer) {
-      list.push_back({static_cast<std::uint32_t>(cmp.lo),
-                      static_cast<std::uint32_t>(cmp.hi)});
-    }
-  }
-  return list;
+  return CellNetworkEvaluator(cell, std::move(net));
 }
 
 std::string shape_str(SortShape s) {
@@ -136,14 +123,11 @@ McSorter::McSorter(BuiltNetwork built, std::size_t bits,
                    const McSorterOptions& opt)
     : channels_(checked_shape(built.network.channels(), bits)),
       bits_(bits),
-      network_(std::move(built.network)),
       sort2_(opt.sort2),
-      engine_(budgeted_cell(network_, bits_, sort2_),
-              static_cast<std::size_t>(channels_), comparator_list(network_)) {
-}
+      engine_(served_engine(std::move(built.network), bits, opt.sort2)) {}
 
 Netlist McSorter::netlist() const {
-  return elaborate_network(network_, bits_, sort2_builder(sort2_));
+  return elaborate_network(network(), bits_, sort2_builder(sort2_));
 }
 
 CircuitStats McSorter::stats() const { return compute_stats(netlist()); }

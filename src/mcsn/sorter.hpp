@@ -65,11 +65,12 @@ class McSorter {
   /// it.
   [[nodiscard]] Netlist netlist() const;
 
+  /// The comparator network, as the served engine holds it.
   [[nodiscard]] const ComparatorNetwork& network() const noexcept {
-    return network_;
+    return engine_.network();
   }
 
-  /// The served engine: the compiled cell and the comparator list.
+  /// The served engine: the compiled cell and the network.
   [[nodiscard]] const CellNetworkEvaluator& engine() const noexcept {
     return engine_;
   }
@@ -135,7 +136,6 @@ class McSorter {
  private:
   int channels_;
   std::size_t bits_;
-  ComparatorNetwork network_;
   Sort2Options sort2_;  // the 2-sort every comparator is elaborated into
   CellNetworkEvaluator engine_;
 };

@@ -509,14 +509,8 @@ TEST(Compile, CellNetworkEvaluatorMatchesElaborationWithInvertedOutputs) {
   cell.mark_output_bus(out.min, "min");
 
   const ComparatorNetwork net = optimal_7();
-  std::vector<CellNetworkEvaluator::Channels> comparators;
-  for (const auto& layer : net.layers()) {
-    for (const Comparator& c : layer) {
-      comparators.push_back({static_cast<std::uint32_t>(c.lo),
-                             static_cast<std::uint32_t>(c.hi)});
-    }
-  }
-  const CellNetworkEvaluator engine(cell, 7, comparators);
+  const CellNetworkEvaluator engine(cell, net);
+  ASSERT_EQ(engine.network().layers(), net.layers());
   const std::span<const std::uint32_t> rails = engine.cell().output_rails();
   ASSERT_TRUE(std::all_of(rails.begin(), rails.end(),
                           [](std::uint32_t r) { return (r & 1u) == 1u; }));
@@ -532,11 +526,16 @@ TEST(Compile, CellNetworkEvaluatorMatchesElaborationWithInvertedOutputs) {
   elaborated.run_flat(in, want);
   EXPECT_EQ(served, want);
 
-  // A cell must have 2B inputs and 2B outputs, and a comparator two
-  // distinct channels of the network.
-  EXPECT_THROW(CellNetworkEvaluator(cell, 1, {{0, 0}}), std::invalid_argument);
-  EXPECT_THROW(CellNetworkEvaluator(cell, 7, {{3, 7}}), std::invalid_argument);
-  EXPECT_THROW(CellNetworkEvaluator(elaborate_network(net, 1, inverted), 7, {}),
+  // A cell must have 2B inputs and 2B outputs, and the network must be
+  // well formed: every comparator two distinct channels of the network.
+  EXPECT_THROW(CellNetworkEvaluator(cell, ComparatorNetwork("", 1, {{{0, 0}}})),
+               std::invalid_argument);
+  EXPECT_THROW(CellNetworkEvaluator(cell, ComparatorNetwork("", 7, {{{3, 7}}})),
+               std::invalid_argument);
+  EXPECT_THROW(
+      CellNetworkEvaluator(cell, ComparatorNetwork("", 7, {{{-1, 3}}})),
+      std::invalid_argument);
+  EXPECT_THROW(CellNetworkEvaluator(elaborate_network(net, 1, inverted), net),
                std::invalid_argument);
   std::vector<Trit> short_out(engine.width() - 1);
   EXPECT_THROW(engine.run_flat(std::span(in).first(engine.width()), short_out),

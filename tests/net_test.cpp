@@ -1,8 +1,9 @@
 // The TCP front-end: loopback round-trip parity against the direct flat
 // batch engine, concurrent pipelined clients with interleaved responses,
 // byte-split and coalesced frame delivery, malformed-frame teardown (error
-// frame then close), graceful drain on stop, the poll(2) fallback loop and
-// idle-timeout reaping.
+// frame then close), graceful drain on stop, idle-timeout reaping, and
+// several event loops behind loop 0's shared acceptor (placement and
+// per-loop accounting).
 
 #include <gtest/gtest.h>
 
@@ -614,30 +615,6 @@ TEST(SocketServer, StopDrainsPendingResponses) {
   EXPECT_FALSE(eof.ok());
 }
 
-TEST(SocketServer, PollFallbackRoundTrips) {
-  const SortShape shape{4, 4};
-  Xoshiro256 rng(23);
-  std::vector<std::vector<Trit>> rounds;
-  for (int i = 0; i < 32; ++i) rounds.push_back(random_flat(rng, shape));
-  const std::vector<std::vector<Trit>> expect = expected_sorted(shape, rounds);
-
-  net::SocketOptions sopt;
-  sopt.force_poll = true;
-  Loopback loop(sopt, fast_flush());
-  net::SortClient client = loop.client();
-  for (const std::vector<Trit>& r : rounds) {
-    StatusOr<SortRequest> request = SortRequest::view(shape, r);
-    ASSERT_TRUE(request.ok());
-    ASSERT_TRUE(client.send(*request).ok());
-  }
-  for (std::size_t i = 0; i < rounds.size(); ++i) {
-    StatusOr<SortResponse> response = client.receive();
-    ASSERT_TRUE(response.ok());
-    ASSERT_TRUE(response->status.ok());
-    EXPECT_EQ(response->payload, expect[i]);
-  }
-}
-
 TEST(SocketServer, IdleConnectionsAreReaped) {
   net::SocketOptions sopt;
   sopt.idle_timeout = std::chrono::milliseconds(50);
@@ -684,17 +661,15 @@ TEST(SocketServer, StopIsIdempotentAndClosesClients) {
 // --- multi-loop -------------------------------------------------------------
 
 TEST(SocketServer, MultiLoopPipelinedClientsSpreadAndAgree) {
-  // Three event loops behind the shared acceptor (force_acceptor gives
-  // deterministic round-robin placement; kernel REUSEPORT balancing is
-  // hash-based and can't be asserted on). Six pipelined clients land two
-  // per loop, and every response must still arrive in per-connection send
-  // order, bit-identical to the direct engine path.
+  // Three event loops behind loop 0's shared acceptor, which places
+  // connections round-robin. Six pipelined clients land two per loop, and
+  // every response must still arrive in per-connection send order,
+  // bit-identical to the direct engine path.
   const SortShape shape{4, 5};
   constexpr int kClients = 6;
   constexpr int kPerClient = 48;
   net::SocketOptions sopt;
   sopt.loops = 3;
-  sopt.force_acceptor = true;
   Loopback loop(sopt, fast_flush());
   ASSERT_EQ(loop.server->loop_count(), 3u);
 
@@ -750,36 +725,6 @@ TEST(SocketServer, MultiLoopPipelinedClientsSpreadAndAgree) {
   EXPECT_EQ(summed, requests);
 }
 
-TEST(SocketServer, MultiLoopListenersShareOneEphemeralPort) {
-  // loops > 1 without force_acceptor: on Linux this replicates the TCP
-  // listener per loop with SO_REUSEPORT — every sibling must end up on
-  // the same kernel-chosen ephemeral port, and clients connecting to that
-  // one port round-trip regardless of which loop's listener wins the
-  // accept. (Elsewhere this degrades to the shared acceptor; the client
-  // contract is identical.)
-  const SortShape shape{4, 4};
-  net::SocketOptions sopt;
-  sopt.loops = 2;
-  Loopback loop(sopt, fast_flush());
-  ASSERT_EQ(loop.server->loop_count(), 2u);
-  ASSERT_NE(loop.server->port(), 0);
-
-  Xoshiro256 rng(41);
-  for (int c = 0; c < 8; ++c) {
-    const std::vector<Trit> round = random_flat(rng, shape);
-    const std::vector<std::vector<Trit>> expect =
-        expected_sorted(shape, {round});
-    net::SortClient client = loop.client();
-    StatusOr<SortRequest> request = SortRequest::view(shape, round);
-    ASSERT_TRUE(request.ok());
-    StatusOr<SortResponse> response = client.sort(*request);
-    ASSERT_TRUE(response.ok()) << response.status().to_string();
-    ASSERT_TRUE(response->status.ok());
-    EXPECT_EQ(response->payload, expect[0]);
-  }
-  EXPECT_EQ(loop.counter("socket_accepted_total"), 8u);
-}
-
 TEST(SocketServer, MultiLoopGracefulStopDrainsEveryLoop) {
   // Owed responses pending on BOTH loops when stop() lands (wide flush
   // window keeps the batches unflushed): the drain must flush every
@@ -791,8 +736,7 @@ TEST(SocketServer, MultiLoopGracefulStopDrainsEveryLoop) {
   const std::vector<std::vector<Trit>> expect = expected_sorted(shape, rounds);
 
   net::SocketOptions sopt;
-  sopt.loops = 2;
-  sopt.force_acceptor = true;  // deterministic: client 1 -> loop 0, 2 -> 1
+  sopt.loops = 2;  // round-robin: client 1 -> loop 0, client 2 -> loop 1
   ServeOptions vopt;
   vopt.flush_window = std::chrono::milliseconds(20);
   Loopback loop(sopt, vopt);
@@ -1020,9 +964,9 @@ TEST(SocketServer, UnixDomainParityWithTcpIncludingMetastable) {
 }
 
 TEST(SocketServer, UnixDomainBatchAndMultiLoopDispatch) {
-  // AF_UNIX has no REUSEPORT load balancing, so with several loops the
-  // UDS listener lives on loop 0 and hands accepted fds round-robin to
-  // the others — batch frames included.
+  // With several loops the UDS listener lives on loop 0, like the TCP
+  // one, and hands accepted fds round-robin to every loop — batch frames
+  // included.
   const SortShape shape{4, 4};
   constexpr std::size_t kRounds = 24;
   Xoshiro256 rng(67);
@@ -1063,6 +1007,47 @@ TEST(SocketServer, UnixDomainBatchAndMultiLoopDispatch) {
                 loop.counter("socket_requests_total", {{"loop", "0"}}),
             0u);
   EXPECT_GT(loop.counter("socket_requests_total", {{"loop", "1"}}), 0u);
+}
+
+TEST(SocketServer, MultiLoopCountsEachConnectionOnItsOwnLoop) {
+  // Loop 0 accepts on both listeners and hands every other connection to
+  // loop 1, whichever transport it came in on. Eight sequential clients
+  // alternate TCP and UDS, so each loop serves four. Each loop counts a
+  // connection accepted where it adopts it, so after stop() every loop's
+  // accepted count equals its closed count: none is counted on loop 0
+  // and closed on loop 1.
+  const SortShape shape{4, 4};
+  const std::string path = fresh_uds_path();
+  net::SocketOptions sopt;
+  sopt.loops = 2;
+  sopt.unix_path = path;
+  Loopback loop(sopt, fast_flush());
+  ASSERT_EQ(loop.server->loop_count(), 2u);
+  ASSERT_NE(loop.server->port(), 0);
+
+  Xoshiro256 rng(41);
+  for (int c = 0; c < 8; ++c) {
+    const std::vector<Trit> round = random_flat(rng, shape);
+    StatusOr<net::SortClient> client =
+        c % 2 == 0 ? net::SortClient::connect("127.0.0.1", loop.server->port())
+                   : net::SortClient::connect_unix(path);
+    ASSERT_TRUE(client.ok()) << client.status().to_string();
+    StatusOr<SortRequest> request = SortRequest::view(shape, round);
+    ASSERT_TRUE(request.ok());
+    StatusOr<SortResponse> response = client->sort(*request);
+    ASSERT_TRUE(response.ok()) << response.status().to_string();
+    ASSERT_TRUE(response->status.ok());
+    EXPECT_EQ(response->payload, expected_sorted(shape, {round})[0]);
+  }
+  loop.server->stop();
+  for (const char* l : {"0", "1"}) {
+    EXPECT_EQ(loop.counter("socket_accepted_total", {{"loop", l}}), 4u)
+        << "loop " << l;
+    EXPECT_EQ(loop.counter("socket_closed_total", {{"loop", l}}), 4u)
+        << "loop " << l;
+    EXPECT_EQ(loop.counter("socket_requests_total", {{"loop", l}}), 4u)
+        << "loop " << l;
+  }
 }
 
 TEST(SocketServer, UnixPathIsUnlinkedOnStopAndNonSocketRefused) {

@@ -246,7 +246,7 @@ TEST(McSorter, ServedEngineMatchesElaboratedNetlist) {
       const std::string shape = std::to_string(channels) + "x" +
                                 std::to_string(bits) + " " + name;
       const CellNetworkEvaluator& engine = sorter.engine();
-      EXPECT_EQ(engine.cell().live_gate_count() * engine.comparators().size(),
+      EXPECT_EQ(engine.cell().live_gate_count() * engine.network().size(),
                 elaborated.program().live_gate_count())
           << shape;
       for (const std::size_t rounds : kRounds) {

@@ -30,21 +30,21 @@
 //
 //   tool_sortd --listen PORT                      socket server mode:
 //     serves the same wire frames (BATCH frames included) over a
-//     non-blocking socket front-end (serve/net/socket_server.hpp — epoll
-//     on Linux, --poll forces the portable poll(2) loop). PORT 0 binds an
-//     ephemeral port; each bound endpoint is printed on stdout so scripts
-//     can scrape it: "listening on HOST:PORT" for TCP (the one shared port
-//     even with several SO_REUSEPORT listeners) and "listening on
-//     unix:PATH" for --listen-unix PATH (which also works without
-//     --listen, giving a UDS-only server). Serves until SIGINT/SIGTERM,
-//     then drains and dumps the observability document to stderr — the
-//     per-loop socket counters live in the same MetricsRegistry as the
-//     service series, so one document covers both. Socket knobs: --host H
-//     (default 127.0.0.1) --loops N (event-loop threads) --max-conns N
-//     --conn-inflight N (in rounds: a batch frame counts its round count)
-//     --idle-timeout-ms T. Unless --max-inflight is given explicitly, the
-//     service backpressure bound is raised to max-conns x conn-inflight so
-//     the event loops never block in submit().
+//     non-blocking socket front-end (serve/net/socket_server.hpp: epoll
+//     event loops, Linux only). PORT 0 binds an ephemeral port; each bound
+//     endpoint is printed on stdout so scripts can scrape it: "listening
+//     on HOST:PORT" for TCP and "listening on unix:PATH" for --listen-unix
+//     PATH (which also works without --listen, giving a UDS-only server).
+//     Serves until SIGINT/SIGTERM, then drains and dumps the
+//     observability document to stderr — the per-loop socket counters
+//     live in the same MetricsRegistry as the service series, so one
+//     document covers both. Socket knobs: --host H (default 127.0.0.1)
+//     --loops N (event-loop threads; loop 0 accepts and hands connections
+//     out round-robin) --max-conns N --conn-inflight N (in rounds: a batch
+//     frame counts its round count) --idle-timeout-ms T. Unless
+//     --max-inflight is given explicitly, the service backpressure bound
+//     is raised to max-conns x conn-inflight so the event loops never
+//     block in submit().
 //
 // Observability: every service mode (--stdin, --framed, --listen, load)
 // emits the same registry-rendered stats document on stderr when it
@@ -309,8 +309,7 @@ int run_listen(SortService& service, const net::SocketOptions& sopt) {
     return 2;
   }
   // Scrapable by scripts (and the CI smoke): one stdout line per bound
-  // endpoint. With SO_REUSEPORT the N TCP listeners share one port, so
-  // one line still identifies the whole TCP endpoint.
+  // endpoint. Loop 0 owns both listeners whatever --loops says.
   if (sopt.listen_tcp) {
     std::cout << "listening on " << sopt.host << ":" << server.port() << "\n";
   }
@@ -418,7 +417,7 @@ int usage() {
                " --decode-frames | --listen PORT | --listen-unix PATH]\n"
                "       server knobs: [--host H] [--loops N>=1]"
                " [--max-conns N>=1] [--conn-inflight N>=1]"
-               " [--idle-timeout-ms T>=0] [--poll]\n"
+               " [--idle-timeout-ms T>=0]\n"
                "       observability: [--metrics-format json|prometheus]"
                " [--stats-interval SECS>=0]  (SIGUSR1 dumps now)\n";
   return 2;
@@ -530,7 +529,6 @@ int main(int argc, char** argv) {
     sopt.max_inflight =
         conn_inflight < 0 ? 0 : static_cast<std::size_t>(conn_inflight);
     sopt.idle_timeout = std::chrono::milliseconds(idle_ms < 0 ? -1 : idle_ms);
-    sopt.force_poll = args.has("poll");
     if (Status s = sopt.validate(); !s.ok()) {
       std::cerr << "sortd: " << s.to_string() << "\n";
       return usage();
