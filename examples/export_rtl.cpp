@@ -11,9 +11,9 @@
 
 #include "mcsn/mcsn.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mcsn;
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"bits", "network", "no-opt", "out"});
   const std::size_t bits =
       static_cast<std::size_t>(args.get_long_or("bits", 16));
 
@@ -64,4 +64,9 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << path << "\n";
   }
   return 0;
+} catch (const mcsn::CliError& e) {
+  std::cerr << "export_rtl: " << e.what()
+            << "\nusage: example_export_rtl [--bits B] [--network NAME]"
+               " [--no-opt] [--out FILE]\n";
+  return 2;
 }

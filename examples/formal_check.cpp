@@ -26,15 +26,17 @@ std::optional<std::string> slurp(const std::string& path) {
   return ss.str();
 }
 
+int usage() {
+  std::cerr << "usage: formal_check [--semantics boolean|ternary] a.v b.v\n";
+  return 2;
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mcsn;
-  const CliArgs args(argc, argv);
-  if (args.positional().size() != 2) {
-    std::cerr << "usage: formal_check [--semantics boolean|ternary] a.v b.v\n";
-    return 2;
-  }
+  const CliArgs args(argc, argv, {"semantics"});
+  if (args.positional().size() != 2) return usage();
   Netlist circuits[2];
   for (int i = 0; i < 2; ++i) {
     const std::string& path = args.positional()[static_cast<std::size_t>(i)];
@@ -85,4 +87,7 @@ int main(int argc, char** argv) {
                  "input order\n";
     return 2;
   }
+} catch (const mcsn::CliError& e) {
+  std::cerr << "formal_check: " << e.what() << "\n";
+  return usage();
 }

@@ -10,9 +10,16 @@
 
 #include "mcsn/mcsn.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr const char* kUsage =
+    "usage: fsm_trace <word> <word>   (equal-width over 0/1/M)\n";
+
+}  // namespace
+
+int main(int argc, char** argv) try {
   using namespace mcsn;
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {});
 
   std::string gs = "0M10";
   std::string hs = "0110";
@@ -23,7 +30,7 @@ int main(int argc, char** argv) {
   const auto g = Word::parse(gs);
   const auto h = Word::parse(hs);
   if (!g || !h || g->size() != h->size() || g->empty()) {
-    std::cerr << "usage: fsm_trace <word> <word>   (equal-width over 0/1/M)\n";
+    std::cerr << kUsage;
     return 1;
   }
   if (!is_valid_string(*g) || !is_valid_string(*h)) {
@@ -55,4 +62,7 @@ int main(int argc, char** argv) {
               << ((smax == mx && smin == mn) ? "match" : "MISMATCH") << ")\n";
   }
   return 0;
+} catch (const mcsn::CliError& e) {
+  std::cerr << "fsm_trace: " << e.what() << "\n" << kUsage;
+  return 2;
 }

@@ -30,10 +30,23 @@
 #include "mcsn/serve/net/client.hpp"
 #include "mcsn/util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int usage() {
+  std::cerr << "usage: example_net_client --port P [--host H]"
+               " [--channels N] [--stats [--format json|prometheus]]\n"
+               "       example_net_client --unix PATH [--channels N]"
+               " [--stats [--format json|prometheus]]\n";
+  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) try {
   using namespace mcsn;
 
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv,
+                     {"host", "unix", "port", "channels", "stats", "format"});
   const std::string host = args.get_or("host", "127.0.0.1");
   const std::string unix_path = args.get_or("unix", "");
   const long port = args.get_long_or("port", 0);
@@ -43,10 +56,7 @@ int main(int argc, char** argv) {
   const long round_channels = args.get_long_or("channels", 6);
   if ((unix_path.empty() && (port < 1 || port > 65535)) ||
       round_channels < 2 || round_channels > 4096) {
-    std::cerr << "usage: example_net_client --port P [--host H]"
-                 " [--channels N]\n"
-                 "       example_net_client --unix PATH [--channels N]\n";
-    return 2;
+    return usage();
   }
 
   // 1. Connect. A SortClient is one blocking connection (TCP or AF_UNIX,
@@ -235,4 +245,7 @@ int main(int argc, char** argv) {
 
   std::cout << "OK\n";
   return 0;
+} catch (const mcsn::CliError& e) {
+  std::cerr << "example_net_client: " << e.what() << "\n";
+  return usage();
 }

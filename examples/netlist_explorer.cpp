@@ -30,11 +30,19 @@ void print_report(const mcsn::Netlist& nl) {
   std::cout << " [" << TextTable::num(rep.critical_delay, 1) << " ps]\n";
 }
 
+int usage() {
+  std::cerr << "usage: example_netlist_explorer [--circuit sort2|date17|"
+               "naive|bincomp] [--ppc TOPOLOGY] [--network NAME] [--bits B]"
+               " [--dot] [--vcd]\n";
+  return 2;
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mcsn;
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv,
+                     {"bits", "network", "circuit", "ppc", "dot", "vcd"});
   const std::size_t bits =
       static_cast<std::size_t>(args.get_long_or("bits", 8));
 
@@ -101,4 +109,7 @@ int main(int argc, char** argv) {
     write_vcd(std::cout, nl, sim);
   }
   return 0;
+} catch (const mcsn::CliError& e) {
+  std::cerr << "netlist_explorer: " << e.what() << "\n";
+  return usage();
 }

@@ -44,9 +44,9 @@ Measurement measure(double offset, std::size_t bits) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mcsn;
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"bits", "rounds", "seed"});
   const std::size_t bits =
       static_cast<std::size_t>(args.get_long_or("bits", 8));
   const long rounds = args.get_long_or("rounds", 1000);
@@ -115,4 +115,9 @@ int main(int argc, char** argv) {
   std::cout << "metastable output bits, binary: " << bin_poisoned_bits
             << " (uncontained spread)\n";
   return contained == marginal_rounds ? 0 : 1;
+} catch (const mcsn::CliError& e) {
+  std::cerr << "tdc_sorting: " << e.what()
+            << "\nusage: example_tdc_sorting [--rounds N] [--bits B]"
+               " [--seed S]\n";
+  return 2;
 }

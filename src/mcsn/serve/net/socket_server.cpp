@@ -43,18 +43,17 @@ using detail::kReadChunk;
 /// idle sweep can get without costing measurable wakeup load.
 constexpr int kSweepMs = 100;
 
-Status set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::unavailable(errno_text("fcntl(O_NONBLOCK)"));
-  }
-  return Status();
-}
+/// listen(2) backlog of every listener.
+constexpr int kListenBacklog = 128;
 
-void set_cloexec(int fd) {
-  const int flags = ::fcntl(fd, F_GETFD, 0);
-  if (flags >= 0) (void)::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
+/// How long stop() waits for owed responses to flush before force-closing
+/// the remaining connections.
+constexpr std::chrono::milliseconds kDrainTimeout{5000};
+
+/// Every socket the server creates is non-blocking and close-on-exec from
+/// birth: socket() and accept4() take these flags (pipe2() their O_ twins
+/// for the wake pipes), so no fd needs fcntl calls after it exists.
+constexpr int kFdFlags = SOCK_NONBLOCK | SOCK_CLOEXEC;
 
 void set_nodelay(int fd) {
   // Request/response frames are latency-sensitive and tiny; Nagle would
@@ -347,7 +346,7 @@ struct SocketServer::Impl {
               ::close(fd);
             }
             listeners.clear();
-            drain_deadline = now + srv->opt.drain_timeout;
+            drain_deadline = now + kDrainTimeout;
             // No new requests: stop reading everywhere, keep flushing.
             for (auto& [fd, conn] : conns) {
               conn->peer_eof = true;
@@ -388,7 +387,7 @@ struct SocketServer::Impl {
     /// loop's accepted and closed counts describe the same connections.
     void accept_ready(int listen_fd, Clock::time_point now) {
       for (;;) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
+        const int fd = ::accept4(listen_fd, nullptr, nullptr, kFdFlags);
         if (fd < 0) {
           if (errno == EINTR) continue;
           if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
@@ -415,12 +414,6 @@ struct SocketServer::Impl {
           ::close(fd);
           continue;
         }
-        if (Status s = set_nonblocking(fd); !s.ok()) {
-          srv->open_conns.fetch_sub(1, std::memory_order_relaxed);
-          ::close(fd);
-          continue;
-        }
-        set_cloexec(fd);
         set_nodelay(fd);
         if (srv->opt.sndbuf > 0) {
           (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &srv->opt.sndbuf,
@@ -896,16 +889,11 @@ struct SocketServer::Impl {
       register_loop_series(*loop, reg);
       if (Status s = loop->poller.init(); !s.ok()) return s;
       int pipe_fds[2];
-      if (::pipe(pipe_fds) < 0) return Status::unavailable(errno_text("pipe"));
+      if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) < 0) {
+        return Status::unavailable(errno_text("pipe2"));
+      }
       loop->wake_rd = pipe_fds[0];
       loop->sink->wake_fd = pipe_fds[1];
-      for (const int fd : pipe_fds) {
-        if (Status s = set_nonblocking(fd); !s.ok()) {
-          loops.push_back(std::move(loop));  // stop() still closes the pipe
-          return s;
-        }
-        set_cloexec(fd);
-      }
       loops.push_back(std::move(loop));
     }
 
@@ -957,19 +945,19 @@ struct SocketServer::Impl {
     }
     Status last = Status::unavailable("no usable address for " + opt.host);
     for (addrinfo* ai = found; ai != nullptr; ai = ai->ai_next) {
-      const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+      const int fd = ::socket(ai->ai_family, ai->ai_socktype | kFdFlags,
+                              ai->ai_protocol);
       if (fd < 0) {
         last = Status::unavailable(errno_text("socket"));
         continue;
       }
       int one = 1;
       (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-      set_cloexec(fd);
-      Status s = set_nonblocking(fd);
-      if (s.ok() && ::bind(fd, ai->ai_addr, ai->ai_addrlen) < 0) {
+      Status s;
+      if (::bind(fd, ai->ai_addr, ai->ai_addrlen) < 0) {
         s = Status::unavailable(errno_text("bind"));
       }
-      if (s.ok() && ::listen(fd, opt.backlog) < 0) {
+      if (s.ok() && ::listen(fd, kListenBacklog) < 0) {
         s = Status::unavailable(errno_text("listen"));
       }
       if (s.ok()) {
@@ -1011,18 +999,16 @@ struct SocketServer::Impl {
       }
       (void)::unlink(opt.unix_path.c_str());
     }
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | kFdFlags, 0);
     if (fd < 0) return Status::unavailable(errno_text("socket(AF_UNIX)"));
-    set_cloexec(fd);
-    Status s = set_nonblocking(fd);
     sa.sun_family = AF_UNIX;
     std::memcpy(sa.sun_path, opt.unix_path.c_str(), opt.unix_path.size());
-    if (s.ok() &&
-        ::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) < 0) {
+    Status s;
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) < 0) {
       s = Status::unavailable(errno_text("bind(unix_path)") + " (path " +
                               opt.unix_path + ")");
     }
-    if (s.ok() && ::listen(fd, opt.backlog) < 0) {
+    if (s.ok() && ::listen(fd, kListenBacklog) < 0) {
       s = Status::unavailable(errno_text("listen"));
     }
     if (!s.ok()) {
@@ -1109,18 +1095,11 @@ Status SocketOptions::validate() const {
     complain("unix_path longer than " +
              std::to_string(sizeof(sockaddr_un{}.sun_path) - 1) + " bytes");
   }
-  if (backlog < 1) {
-    complain("backlog must be >= 1 (got " + std::to_string(backlog) + ")");
-  }
   if (max_connections < 1) complain("max_connections must be >= 1 (got 0)");
   if (max_inflight < 1) complain("max_inflight must be >= 1 (got 0)");
   if (idle_timeout.count() < 0) {
     complain("idle_timeout must be >= 0 (got " +
              std::to_string(idle_timeout.count()) + "ms)");
-  }
-  if (drain_timeout.count() < 0) {
-    complain("drain_timeout must be >= 0 (got " +
-             std::to_string(drain_timeout.count()) + "ms)");
   }
   if (sndbuf < 0) {
     complain("sndbuf must be >= 0 (got " + std::to_string(sndbuf) + ")");

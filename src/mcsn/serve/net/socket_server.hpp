@@ -71,8 +71,9 @@
 //     the bad bytes is parsed.
 //
 // stop() stops accepting on every loop, lets every admitted request
-// complete and flushes every owed response (bounded by drain_timeout),
-// then closes all sockets and joins all loop threads.
+// complete and flushes every owed response (for at most 5 s, then the
+// remaining connections are force-closed), then closes all sockets and
+// joins all loop threads.
 //
 // The server provisions nothing on the service: callers should size
 // ServeOptions::max_inflight >= max_connections * max_inflight, or accept
@@ -106,8 +107,6 @@ struct SocketOptions {
   /// Serve TCP. Disable for a UDS-only server (unix_path must then be
   /// set); port() reports 0 when no TCP listener exists.
   bool listen_tcp = true;
-  /// listen(2) backlog.
-  int backlog = 128;
   /// Concurrent-connection cap across all loops; excess accepts are
   /// closed immediately.
   std::size_t max_connections = 256;
@@ -122,9 +121,6 @@ struct SocketOptions {
   /// with responses owed (a peer that stopped reading would otherwise
   /// pin its encoded backlog forever). Zero disables idle teardown.
   std::chrono::milliseconds idle_timeout{30000};
-  /// Bound on how long stop() waits for pending responses to flush before
-  /// force-closing the remaining connections.
-  std::chrono::milliseconds drain_timeout{5000};
   /// SO_SNDBUF for accepted connections, in bytes; 0 keeps the kernel
   /// default. Pinning it disables send-side autotuning — bounds kernel
   /// memory per slow-reading connection, and makes write backpressure
@@ -167,8 +163,8 @@ class SocketServer {
   /// for socket/bind/listen failures (with errno text). Call at most once.
   [[nodiscard]] Status start();
 
-  /// Stops accepting on every loop, drains owed responses (bounded by
-  /// drain_timeout), closes every socket and joins all loop threads.
+  /// Stops accepting on every loop, drains owed responses (for at most
+  /// 5 s), closes every socket and joins all loop threads.
   /// Idempotent; called by the destructor. Safe from any thread, but not
   /// from a service completion.
   void stop();

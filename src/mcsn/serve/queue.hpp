@@ -1,12 +1,12 @@
 #pragma once
-// Bounded MPMC queue for the streaming sort service: blocking push gives
-// producers backpressure, timed pop lets consumers double as flush timers,
-// and close() drains gracefully — items already queued are still handed out,
-// then pop returns nullopt.
+// Close-able MPMC work queue for the streaming sort service: push never
+// waits (the service bounds what can be queued at admission), timed pop
+// lets consumers double as flush timers, wake() interrupts one waiting
+// consumer without queueing anything, and close() drains gracefully —
+// items already queued are still handed out, then pop returns nullopt.
 
 #include <chrono>
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -15,69 +15,56 @@
 namespace mcsn {
 
 template <typename T>
-class BoundedQueue {
+class WorkQueue {
  public:
-  explicit BoundedQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+  WorkQueue() = default;
+  WorkQueue(const WorkQueue&) = delete;
+  WorkQueue& operator=(const WorkQueue&) = delete;
 
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  /// Blocks while the queue is full. Returns false (and drops `item`) if the
-  /// queue is or becomes closed before space frees up. Prefer
-  /// push_or_reclaim when the item must not be lost on refusal.
-  [[nodiscard]] bool push(T item) {
-    return !push_or_reclaim(std::move(item)).has_value();
-  }
-
-  /// Blocking push that hands `item` back instead of destroying it when the
-  /// queue is (or becomes) closed: nullopt on success, the unconsumed item
-  /// on refusal — so the caller can fail promises, log, or retry elsewhere.
-  [[nodiscard]] std::optional<T> push_or_reclaim(T item) {
-    std::unique_lock lock(mu_);
-    not_full_.wait(lock,
-                   [this] { return items_.size() < capacity_ || closed_; });
-    if (closed_) return std::optional<T>(std::move(item));
-    items_.push_back(std::move(item));
-    lock.unlock();
+  /// Never waits: nullopt when queued, or `item` handed back unconsumed
+  /// when the queue is closed, so the caller can fail promises, log, or
+  /// retry elsewhere instead of losing it.
+  [[nodiscard]] std::optional<T> push(T item) {
+    {
+      std::lock_guard lock(mu_);
+      if (closed_) return std::optional<T>(std::move(item));
+      items_.push_back(std::move(item));
+    }
     not_empty_.notify_one();
     return std::nullopt;
   }
 
-  /// Non-blocking push: false when full or closed (item dropped).
-  bool try_push(T item) {
+  /// Makes one pop()/pop_until() return nullopt early, as a timeout would,
+  /// once no item is left for it. Wakes coalesce, so they never pile up.
+  void wake() {
     {
       std::lock_guard lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
+      woken_ = true;
     }
     not_empty_.notify_one();
-    return true;
   }
 
-  /// Blocks until an item is available or the queue is closed and drained.
+  /// Blocks until an item is available, a wake(), or close-and-drain.
   std::optional<T> pop() {
     std::unique_lock lock(mu_);
-    not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
-    return take(lock);
+    not_empty_.wait(lock, [this] { return ready(); });
+    return take();
   }
 
   /// Like pop(), but gives up at `deadline`; nullopt on timeout too.
   std::optional<T> pop_until(std::chrono::steady_clock::time_point deadline) {
     std::unique_lock lock(mu_);
-    not_empty_.wait_until(lock, deadline,
-                          [this] { return !items_.empty() || closed_; });
-    return take(lock);
+    not_empty_.wait_until(lock, deadline, [this] { return ready(); });
+    return take();
   }
 
-  /// Stops producers (push returns false) and unblocks everyone. Consumers
+  /// Refuses further pushes and wakes every waiting consumer. Consumers
   /// still drain items queued before the close.
   void close() {
     {
       std::lock_guard lock(mu_);
       closed_ = true;
     }
-    not_full_.notify_all();
     not_empty_.notify_all();
   }
 
@@ -86,30 +73,29 @@ class BoundedQueue {
     return closed_;
   }
 
-  [[nodiscard]] std::size_t size() const {
+  /// True when no item is queued (a pending wake is not an item).
+  [[nodiscard]] bool empty() const {
     std::lock_guard lock(mu_);
-    return items_.size();
+    return items_.empty();
   }
 
-  [[nodiscard]] bool empty() const { return size() == 0; }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
  private:
-  std::optional<T> take(std::unique_lock<std::mutex>& lock) {
-    if (items_.empty()) return std::nullopt;  // timed out, or closed + drained
+  bool ready() const { return !items_.empty() || woken_ || closed_; }
+
+  std::optional<T> take() {
+    if (items_.empty()) {  // woken, timed out, or closed + drained
+      woken_ = false;
+      return std::nullopt;
+    }
     T item = std::move(items_.front());
     items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
     return item;
   }
 
   mutable std::mutex mu_;
-  std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> items_;
-  const std::size_t capacity_;
+  bool woken_ = false;
   bool closed_ = false;
 };
 

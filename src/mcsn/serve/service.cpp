@@ -15,7 +15,6 @@ ServeOptions sanitize(ServeOptions opt) {
   opt.workers = std::max(1, opt.workers);
   opt.max_lanes = std::clamp<std::size_t>(opt.max_lanes, 1, kMaxBatchRounds);
   opt.max_inflight = std::max<std::size_t>(1, opt.max_inflight);
-  opt.ready_capacity = std::max<std::size_t>(1, opt.ready_capacity);
   if (opt.flush_window < std::chrono::microseconds(0)) {
     opt.flush_window = std::chrono::microseconds(0);
   }
@@ -44,7 +43,6 @@ Status ServeOptions::validate() const {
              std::to_string(flush_window.count()) + "us)");
   }
   if (max_inflight < 1) complain("max_inflight must be >= 1 (got 0)");
-  if (ready_capacity < 1) complain("ready_capacity must be >= 1 (got 0)");
   if (sorter.max_channels < 1) {
     complain("sorter.max_channels must be >= 1 (got " +
              std::to_string(sorter.max_channels) + ")");
@@ -75,7 +73,6 @@ SortService::SortService(ServeOptions opt)
     : opt_(sanitize(std::move(opt))),
       pool_(opt_.sorter, opt_.registry.get(), opt_.pool_capacity),
       batcher_(opt_.max_lanes, opt_.flush_window, opt_.registry.get()),
-      ready_(opt_.ready_capacity),
       metrics_(*opt_.registry),
       proc_stats_(*opt_.registry) {
   // Warm the pool before traffic: first requests for the listed shapes
@@ -155,10 +152,10 @@ Status SortService::try_admit(SortRequest& request, SortCompletion& done) {
     // then sees the failure through its own completion.
     publish_ready(std::move(*added.full));
   } else if (added.window_started) {
-    // Wake a worker so it tracks the fresh shard's flush deadline; an empty
-    // group is the kick (workers skip it and recompute their deadline).
-    // Best-effort: with the queue full the workers are awake anyway.
-    ready_.try_push(BatchGroup{});
+    // Wake a worker so it recomputes its flush deadline, now that the
+    // batcher holds the fresh shard. Wakes coalesce in the queue, so a
+    // burst of fresh windows never queues more than one.
+    ready_.wake();
   }
   return Status();
 }
@@ -193,9 +190,9 @@ void SortService::stop() {
   }
   inflight_cv_.notify_all();  // abort submitters blocked on backpressure
   for (BatchGroup& group : batcher_.take_all()) {
-    // Blocks while full (workers are still draining). The queue isn't
-    // closed yet so the push should succeed, but a refusal must still fail
-    // the group's completions rather than strand every waiter.
+    // The queue isn't closed yet, so the push succeeds without waiting;
+    // a refusal would still fail the group's completions rather than
+    // strand every waiter.
     publish_ready(std::move(group));
   }
   ready_.close();
@@ -234,7 +231,6 @@ void SortService::worker_loop() {
 }
 
 void SortService::execute(BatchGroup group) {
-  if (group.requests.empty()) return;  // wake-up kick, not work
   const std::size_t n = group.requests.size();
   const std::size_t round_trits = group.sorter->shape().trits();
   // Request i occupies rounds(i) consecutive rounds of `flat`; all-single
@@ -375,14 +371,12 @@ std::string SortService::stats_prometheus() const {
 }
 
 void SortService::publish_ready(BatchGroup group) {
-  if (std::optional<BatchGroup> refused =
-          ready_.push_or_reclaim(std::move(group))) {
+  if (std::optional<BatchGroup> refused = ready_.push(std::move(group))) {
     fail_group(std::move(*refused), "SortService: batch queue closed");
   }
 }
 
 void SortService::fail_group(BatchGroup group, const char* reason) {
-  if (group.requests.empty()) return;
   std::size_t total_rounds = 0;
   for (PendingSort& pending : group.requests) {
     total_rounds += pending.request.rounds;

@@ -26,10 +26,10 @@
 // Latency/throughput trade-off is one knob: flush_window. A shard flushes
 // the moment it fills max_lanes lanes (no added latency under load); a
 // partial group waits at most ~2x flush_window before a worker sweeps it.
-// Backpressure: at most max_inflight admitted-but-unfinished requests;
-// beyond that submit() blocks. stop() (or the destructor) stops admission,
-// drains every pending request, completes all futures/callbacks, and joins
-// workers.
+// Backpressure has one point, admission: at most max_inflight admitted-
+// but-unfinished rounds; beyond that submit() blocks. stop() (or the
+// destructor) stops admission, drains every pending request, completes
+// all futures/callbacks, and joins workers.
 
 #include <atomic>
 #include <chrono>
@@ -62,12 +62,11 @@ struct ServeOptions {
   std::size_t max_lanes = 256;
   /// Max time a request waits for lane-mates before a partial flush.
   std::chrono::microseconds flush_window{200};
-  /// Backpressure bound: admitted-but-unfinished requests before submit()
-  /// blocks.
+  /// The one backpressure bound: admitted-but-unfinished rounds before
+  /// submit() blocks. It also bounds the flushed groups waiting for a
+  /// worker, since each holds at least one admitted round.
   std::size_t max_inflight = 4096;
-  /// Bound on flushed-but-not-yet-executed lane groups.
-  std::size_t ready_capacity = 64;
-  /// Knobs for pooled sorters (network choice, sort2 style).
+  /// Knobs for pooled sorters (the channel bound).
   McSorterOptions sorter;
 
   /// Bound on compiled shapes kept resident in the sorter pool (0 =
@@ -183,7 +182,11 @@ class SortService {
   ServeOptions opt_;
   SorterPool pool_;
   MicroBatcher batcher_;
-  BoundedQueue<BatchGroup> ready_;
+  /// Flushed lane groups, with no bound of its own: every queued group
+  /// holds at least one admitted request and admission stops at
+  /// max_inflight rounds, so it never holds more than max_inflight groups.
+  /// Wake-ups for fresh flush windows are not items; they coalesce.
+  WorkQueue<BatchGroup> ready_;
   ServiceMetrics metrics_;
   SlowRequestRing slow_ring_;
   /// process_rss_bytes / process_open_fds gauges, refreshed on every

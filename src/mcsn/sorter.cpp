@@ -25,13 +25,12 @@ BuiltNetwork build_or_throw(int channels, std::size_t bits,
   return std::move(*built);
 }
 
-// The served engine: `net` run through the 2-sort(B) cell. Refuses, with
-// std::length_error, a shape whose elaborated netlist NodeId could not
-// index, so netlist() and stats() work on every sorter that exists. The
-// budget is checked here, before the network moves into the engine.
-CellNetworkEvaluator served_engine(ComparatorNetwork net, std::size_t bits,
-                                   const Sort2Options& sort2) {
-  const Netlist cell = make_sort2(bits, sort2);
+// The served engine: `net` run through the kServedSort2 cell. Refuses,
+// with std::length_error, a shape whose elaborated netlist NodeId could
+// not index, so netlist() and stats() work on every sorter that exists.
+// The budget is checked here, before the network moves into the engine.
+CellNetworkEvaluator served_engine(ComparatorNetwork net, std::size_t bits) {
+  const Netlist cell = make_sort2(bits, kServedSort2);
   elaborated_node_count(net, bits, cell.node_count() - cell.inputs().size());
   return CellNetworkEvaluator(cell, std::move(net));
 }
@@ -120,14 +119,13 @@ McSorter::McSorter(int channels, std::size_t bits, const McSorterOptions& opt)
     : McSorter(build_or_throw(channels, bits, opt), bits, opt) {}
 
 McSorter::McSorter(BuiltNetwork built, std::size_t bits,
-                   const McSorterOptions& opt)
+                   const McSorterOptions& /*opt*/)
     : channels_(checked_shape(built.network.channels(), bits)),
       bits_(bits),
-      sort2_(opt.sort2),
-      engine_(served_engine(std::move(built.network), bits, opt.sort2)) {}
+      engine_(served_engine(std::move(built.network), bits)) {}
 
 Netlist McSorter::netlist() const {
-  return elaborate_network(network(), bits_, sort2_builder(sort2_));
+  return elaborate_network(network(), bits_, sort2_builder(kServedSort2));
 }
 
 CircuitStats McSorter::stats() const { return compute_stats(netlist()); }

@@ -21,18 +21,20 @@
 
 namespace mcsn {
 
+/// The 2-sort(B) cell every served comparator runs. The engine pays per
+/// op, not per level, so serving uses the serial prefix (B - 2 ⋄M blocks,
+/// the fewest) instead of Sort2Options' default Ladner–Fischer: the same
+/// ternary function (bdd_test proves it for B <= 16) with 25% fewer ops
+/// at B = 16.
+inline constexpr Sort2Options kServedSort2{PpcTopology::serial,
+                                           OpStyle::simple_gates};
+
 struct McSorterOptions {
   /// Channel bound forwarded to NetworkBuilder: construction beyond this
   /// is refused (kUnimplemented through the pool, std::invalid_argument
   /// from the constructor) instead of compiling unboundedly large
   /// programs on demand.
   int max_channels = 4096;
-  /// The 2-sort(B) cell every comparator runs. The engine pays per op, not
-  /// per level, so serving uses the serial prefix (B - 2 ⋄M blocks, the
-  /// fewest) instead of Sort2Options' default Ladner–Fischer: the same
-  /// ternary function (bdd_test proves it for B <= 16) with 25% fewer ops
-  /// at B = 16.
-  Sort2Options sort2{PpcTopology::serial, OpStyle::simple_gates};
 };
 
 /// The NetworkBuilder configuration McSorter derives from its options —
@@ -43,15 +45,16 @@ struct McSorterOptions {
 
 class McSorter {
  public:
-  /// Builds the network and compiles one 2-sort(B) cell; it elaborates no
-  /// netlist. Throws std::invalid_argument for a degenerate or unbuildable
+  /// Builds the network and compiles one kServedSort2 cell; it elaborates
+  /// no netlist. Throws std::invalid_argument for a degenerate or unbuildable
   /// shape, and std::length_error when netlist() would have more nodes
   /// than NodeId can index (see elaborated_node_count).
   McSorter(int channels, std::size_t bits, const McSorterOptions& opt = {});
 
   /// Constructs from an already-built network (see NetworkBuilder) —
   /// skips re-running construction when the caller has validated the
-  /// shape, e.g. the serving pool's Status-based path.
+  /// shape, e.g. the serving pool's Status-based path. `opt` only bounds
+  /// construction, which is already done, so it is unused here.
   McSorter(BuiltNetwork built, std::size_t bits,
            const McSorterOptions& opt = {});
 
@@ -136,7 +139,6 @@ class McSorter {
  private:
   int channels_;
   std::size_t bits_;
-  Sort2Options sort2_;  // the 2-sort every comparator is elaborated into
   CellNetworkEvaluator engine_;
 };
 

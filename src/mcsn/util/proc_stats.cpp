@@ -62,9 +62,7 @@ ProcStats read_proc_stats() {
 
 ProcStatsGauges::ProcStatsGauges(MetricsRegistry& registry)
     : rss_(&registry.gauge("process_rss_bytes")),
-      fds_(&registry.gauge("process_open_fds")) {
-  refresh();  // publish a first sample so the series never reads 0
-}
+      fds_(&registry.gauge("process_open_fds")) {}
 
 ProcStats ProcStatsGauges::refresh() const {
   ProcStats s = read_proc_stats();

@@ -39,12 +39,14 @@ struct ProcStats {
 /// Registers `process_rss_bytes` / `process_open_fds` gauges and updates
 /// them from read_proc_stats() on refresh(). The service calls refresh()
 /// before rendering a stats document, so every scrape carries a fresh
-/// sample without any background thread.
+/// sample without any background thread; a render is the only place the
+/// gauges are sampled.
 class ProcStatsGauges {
  public:
   /// Registers the two gauges (get-or-create: constructing twice against
-  /// one registry shares the series). Handles stay valid for the
-  /// registry's lifetime; the registry must outlive this object.
+  /// one registry shares the series) without sampling /proc: they read 0
+  /// until the first refresh(). Handles stay valid for the registry's
+  /// lifetime; the registry must outlive this object.
   explicit ProcStatsGauges(MetricsRegistry& registry);
 
   /// Samples and publishes; returns the sample for callers that also

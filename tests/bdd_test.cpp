@@ -11,6 +11,7 @@
 #include "mcsn/netlist/equiv.hpp"
 #include "mcsn/netlist/eval.hpp"
 #include "mcsn/netlist/opt.hpp"
+#include "mcsn/sorter.hpp"
 
 namespace mcsn {
 namespace {
@@ -103,15 +104,15 @@ TEST(FormalEquiv, Sort2TopologiesFormallyTernaryEquivalent) {
   EXPECT_GT(res.bdd_nodes, 0u);
 }
 
-// The cell McSorter serves (serial prefix, McSorterOptions' default) is
-// the paper's Ladner-Fischer 2-sort(B) as a ternary function, proven for
+// The cell McSorter serves (kServedSort2, the serial prefix) is the
+// paper's Ladner-Fischer 2-sort(B) as a ternary function, proven for
 // every width up to 16.
 TEST(FormalEquiv, ServedSerialSort2IsThePapersFunction) {
   for (std::size_t bits = 1; bits <= 16; ++bits) {
     FormalEquivOptions opt;
     opt.var_order = interleaved_order(bits);
     const FormalEquivResult res = check_equivalence_formal(
-        make_sort2(bits), make_sort2(bits, {PpcTopology::serial}), opt);
+        make_sort2(bits), make_sort2(bits, kServedSort2), opt);
     EXPECT_TRUE(res.equivalent)
         << "B=" << bits << " " << (res.witness ? res.witness->str() : "");
   }

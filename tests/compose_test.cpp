@@ -311,12 +311,12 @@ TEST(Compose, ComparatorDifferentialAgainstStdSortTo32) {
 // --- gate-level differential: random + metastable inputs to 32 -------------
 
 // Random measurement ranks — spanning fully-valid codewords and the
-// marginal (metastability-containing) strings between them — sorted by the
-// elaborated, compiled engine and checked against rank order.
-void check_sorter_differential(McSorter& sorter, std::uint64_t seed,
-                               int rounds) {
-  const int n = sorter.channels();
-  const std::size_t bits = sorter.bits();
+// marginal (metastability-containing) strings between them — sorted by a
+// compiled cell-network engine and checked against rank order.
+void check_engine_differential(const CellNetworkEvaluator& engine,
+                               std::uint64_t seed, int rounds) {
+  const int n = engine.network().channels();
+  const std::size_t bits = engine.width() / static_cast<std::size_t>(n);
   Xoshiro256 rng(seed);
   for (int round = 0; round < rounds; ++round) {
     std::vector<Word> in;
@@ -328,12 +328,15 @@ void check_sorter_differential(McSorter& sorter, std::uint64_t seed,
       ranks.push_back(r);
       in.push_back(valid_from_rank(r, bits));
     }
-    const std::vector<Word> out = sorter.sort(in);
+    const SortRequest request = SortRequest::from_words(in).value();
+    std::vector<Trit> flat(request.payload.size());
+    engine.run_flat(request.payload, flat);
+    const std::vector<Word> out = split_words(flat, bits);
     std::sort(ranks.begin(), ranks.end());
     for (int c = 0; c < n; ++c) {
       ASSERT_EQ(out[static_cast<std::size_t>(c)],
                 valid_from_rank(ranks[static_cast<std::size_t>(c)], bits))
-          << sorter.network().name() << " n=" << n << " round=" << round
+          << engine.network().name() << " n=" << n << " round=" << round
           << " c=" << c;
     }
   }
@@ -341,22 +344,21 @@ void check_sorter_differential(McSorter& sorter, std::uint64_t seed,
 
 TEST(Compose, ComposedSorterDifferentialRandomAndMetastableTo32) {
   for (int n = 2; n <= 32; ++n) {
-    McSorter sorter(n, 4);  // catalog <= 10, composed beyond
-    check_sorter_differential(sorter, 9000u + static_cast<std::uint64_t>(n),
-                              8);
+    const McSorter sorter(n, 4);  // catalog <= 10, composed beyond
+    check_engine_differential(sorter.engine(),
+                              9000u + static_cast<std::uint64_t>(n), 8);
   }
 }
 
-TEST(Compose, OtherCellsSorterDifferentialTo32) {
+TEST(Compose, OtherCellsEngineDifferentialTo32) {
   // The served cell is the serial prefix; the paper's ladner_fischer and
   // the depth-minimal sklansky cone sort the same rounds end to end.
   for (const PpcTopology topo :
        {PpcTopology::ladner_fischer, PpcTopology::sklansky}) {
-    McSorterOptions opt;
-    opt.sort2.topology = topo;
     for (const int n : {6, 11, 13, 17, 24, 32}) {
-      McSorter sorter(n, 4, opt);
-      check_sorter_differential(sorter,
+      const CellNetworkEvaluator engine(make_sort2(4, {topo}),
+                                        NetworkBuilder().build(n)->network);
+      check_engine_differential(engine,
                                 9100u + static_cast<std::uint64_t>(n), 8);
     }
   }
@@ -366,8 +368,8 @@ TEST(Compose, PpcSorterDifferentialRandomAndMetastableTo32) {
   for (const PpcTopology topo :
        {PpcTopology::ladner_fischer, PpcTopology::sklansky}) {
     for (const int n : {5, 11, 17, 24, 32}) {
-      McSorter sorter(BuiltNetwork{ppc_sort_network(n, topo)}, 4);
-      check_sorter_differential(sorter,
+      const McSorter sorter(BuiltNetwork{ppc_sort_network(n, topo)}, 4);
+      check_engine_differential(sorter.engine(),
                                 9200u + static_cast<std::uint64_t>(n), 6);
     }
   }
@@ -518,7 +520,7 @@ TEST(Compose, AllBackendsMatchLegacyOnComposed64x16) {
     corpus.push_back(std::move(round));
   }
   check_backends_against_node_walk(nl, corpus);
-  check_sorter_differential(sorter, 9300u, 4);
+  check_engine_differential(sorter.engine(), 9300u, 4);
 }
 
 // --- NetworkBuilder route / status surface ----------------------------------

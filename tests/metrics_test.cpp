@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "mcsn/serve/metrics.hpp"
+#include "mcsn/serve/service.hpp"
 #include "mcsn/util/metrics_registry.hpp"
 #include "mcsn/util/proc_stats.hpp"
 
@@ -342,6 +343,25 @@ TEST(ProcStats, FdCountTracksAnOpenedDescriptor) {
   EXPECT_EQ(read_proc_stats().open_fds, before);
 }
 #endif
+
+// Set-up does not sample /proc: a fresh ProcStatsGauges registers both
+// series at 0, and a stats render is what samples them.
+TEST(ProcStats, ConstructionRegistersAndARenderSamples) {
+  MetricsRegistry reg;
+  const ProcStatsGauges gauges(reg);
+  const std::string json = reg.json();
+  EXPECT_NE(json.find("\"process_rss_bytes\": 0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"process_open_fds\": 0"), std::string::npos) << json;
+
+#if defined(__linux__)
+  SortService service;
+  const std::string doc = service.stats_json();
+  const std::string key = "\"process_rss_bytes\": ";
+  const std::size_t at = doc.find(key);
+  ASSERT_NE(at, std::string::npos) << doc;
+  EXPECT_GT(std::stoll(doc.substr(at + key.size())), 0) << doc;
+#endif
+}
 
 TEST(ProcStats, GaugesPublishIntoRegistry) {
   MetricsRegistry reg;

@@ -632,13 +632,13 @@ TEST(SocketServer, StartValidatesOptionsAndRejectsReuse) {
   SortService service(vopt);
   net::SocketOptions bad;
   bad.max_connections = 0;
-  bad.backlog = 0;
+  bad.loops = 0;
   net::SocketServer broken(service, bad);
   const Status invalid = broken.start();
   ASSERT_FALSE(invalid.ok());
   EXPECT_EQ(invalid.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(invalid.message().find("max_connections"), std::string::npos);
-  EXPECT_NE(invalid.message().find("backlog"), std::string::npos);
+  EXPECT_NE(invalid.message().find("loops"), std::string::npos);
 
   net::SocketServer server(service, {});
   ASSERT_TRUE(server.start().ok());

@@ -1,4 +1,4 @@
-// The streaming sort service: bounded queue semantics, sorter pooling,
+// The streaming sort service: work queue semantics, sorter pooling,
 // micro-batcher flush rules, and — the load-bearing property — that any
 // interleaving of requests through the service yields results bit-identical
 // to a direct sort_batch of the same rounds.
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <iterator>
 #include <locale>
@@ -28,12 +29,16 @@
 
 namespace mcsn {
 
-/// White-box fault injection: closes the ready queue underneath a live
-/// service so tests can drive the refused-push path that no public API
-/// sequence reaches (the lifecycle lock orders real close() after drain).
+/// White-box access to the ready queue: closing it underneath a live
+/// service drives the refused-push path that no public API sequence
+/// reaches (the lifecycle lock orders real close() after drain), and
+/// reading whether it holds items shows what flushes pass through it.
 struct SortServiceTestPeer {
   static void close_ready_queue(SortService& service) {
     service.ready_.close();
+  }
+  static bool ready_queue_empty(const SortService& service) {
+    return service.ready_.empty();
   }
 };
 
@@ -107,105 +112,77 @@ PendingSort make_pending(Xoshiro256& rng, int channels, std::size_t bits,
   return pending;
 }
 
-// --- BoundedQueue -----------------------------------------------------------
+// --- WorkQueue --------------------------------------------------------------
 
-TEST(BoundedQueue, FifoAndDrainAfterClose) {
-  BoundedQueue<int> q(8);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
+TEST(WorkQueue, FifoAndDrainAfterClose) {
+  WorkQueue<int> q;
+  EXPECT_EQ(q.push(1), std::nullopt);
+  EXPECT_EQ(q.push(2), std::nullopt);
   q.close();
-  EXPECT_FALSE(q.push(3));  // refused after close...
+  EXPECT_EQ(q.push(3), 3);  // refused after close...
   EXPECT_EQ(q.pop(), 1);    // ...but queued items still drain
   EXPECT_EQ(q.pop(), 2);
   EXPECT_EQ(q.pop(), std::nullopt);
 }
 
-TEST(BoundedQueue, TryPushRefusesWhenFull) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_TRUE(q.try_push(3));
-}
-
-TEST(BoundedQueue, PushBlocksUntilConsumerFreesSpace) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(q.push(2));  // must block: capacity 1, queue full
-    pushed = true;
-  });
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(q.pop(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.pop(), 2);
-}
-
-TEST(BoundedQueue, PopUntilTimesOutOnEmpty) {
-  BoundedQueue<int> q(1);
+TEST(WorkQueue, PopUntilTimesOutOnEmpty) {
+  WorkQueue<int> q;
   const auto t0 = Clock::now();
   EXPECT_EQ(q.pop_until(t0 + 10ms), std::nullopt);
   EXPECT_GE(Clock::now() - t0, 10ms);
 }
 
-TEST(BoundedQueue, CloseUnblocksWaitingConsumer) {
-  BoundedQueue<int> q(1);
+TEST(WorkQueue, CloseUnblocksWaitingConsumer) {
+  WorkQueue<int> q;
   std::thread consumer([&] { EXPECT_EQ(q.pop(), std::nullopt); });
   std::this_thread::sleep_for(5ms);
   q.close();
   consumer.join();
 }
 
-TEST(BoundedQueue, CloseUnblocksAllBlockedProducers) {
-  // Several producers stuck in a blocking push on a full queue: close()
-  // must wake every one of them, each returning false, with no deadlock.
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(0));  // fill to capacity
-  constexpr int kProducers = 3;
-  std::atomic<int> refused{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      if (!q.push(100 + p)) ++refused;
-    });
-  }
-  std::this_thread::sleep_for(20ms);  // let them reach the full-queue wait
-  q.close();
-  for (std::thread& t : producers) t.join();
-  EXPECT_EQ(refused.load(), kProducers);
-  EXPECT_EQ(q.pop(), 0);  // pre-close item still drains
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, CapacityZeroClampsToOne) {
-  BoundedQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-  EXPECT_TRUE(q.try_push(1));   // one slot exists
-  EXPECT_FALSE(q.try_push(2));  // and only one
-  EXPECT_EQ(q.pop(), 1);
-}
-
-TEST(BoundedQueue, PopUntilWithExpiredDeadline) {
-  BoundedQueue<int> q(2);
+TEST(WorkQueue, PopUntilWithExpiredDeadline) {
+  WorkQueue<int> q;
   // Empty + already-expired deadline: immediate nullopt, no wait.
   const auto past = Clock::now() - 1h;
   const auto t0 = Clock::now();
   EXPECT_EQ(q.pop_until(past), std::nullopt);
   EXPECT_LT(Clock::now() - t0, 5s);  // returned promptly, no 1h hang
   // An available item is still handed out even though the deadline passed.
-  ASSERT_TRUE(q.push(7));
+  ASSERT_EQ(q.push(7), std::nullopt);
   EXPECT_EQ(q.pop_until(past), 7);
 }
 
-TEST(BoundedQueue, PushOrReclaimReturnsItemWhenClosed) {
-  BoundedQueue<std::string> q(2);
-  EXPECT_EQ(q.push_or_reclaim("kept"), std::nullopt);
+TEST(WorkQueue, WakesCoalesceIntoOneEarlyEmptyPop) {
+  WorkQueue<int> q;
+  std::thread consumer([&] { EXPECT_EQ(q.pop(), std::nullopt); });
+  std::this_thread::sleep_for(5ms);
+  q.wake();  // interrupts the blocked consumer
+  consumer.join();
+
+  q.wake();
+  q.wake();  // coalesces with the first: nothing is queued
+  EXPECT_TRUE(q.empty());
+  auto t0 = Clock::now();
+  EXPECT_EQ(q.pop_until(t0 + 5s), std::nullopt);
+  EXPECT_LT(Clock::now() - t0, 5s);  // returned at once
+  t0 = Clock::now();
+  EXPECT_EQ(q.pop_until(t0 + 10ms), std::nullopt);
+  EXPECT_GE(Clock::now() - t0, 10ms);  // no second wake: timed out
+
+  // Items go out before a pending wake, which then still ends a pop early.
+  q.wake();
+  ASSERT_EQ(q.push(7), std::nullopt);
+  EXPECT_EQ(q.pop_until(Clock::now() + 5s), 7);
+  t0 = Clock::now();
+  EXPECT_EQ(q.pop_until(t0 + 5s), std::nullopt);
+  EXPECT_LT(Clock::now() - t0, 5s);
+}
+
+TEST(WorkQueue, PushReturnsItemWhenClosed) {
+  WorkQueue<std::string> q;
+  EXPECT_EQ(q.push("kept"), std::nullopt);
   q.close();
-  const std::optional<std::string> back = q.push_or_reclaim("bounced");
+  const std::optional<std::string> back = q.push("bounced");
   ASSERT_TRUE(back.has_value());  // the item survives the refusal
   EXPECT_EQ(*back, "bounced");
   EXPECT_EQ(q.pop(), "kept");
@@ -895,12 +872,11 @@ TEST(ServeOptions, ValidateNamesEveryBadKnob) {
   opt.max_lanes = 0;
   opt.flush_window = std::chrono::microseconds(-5);
   opt.max_inflight = 0;
-  opt.ready_capacity = 0;
   const Status s = opt.validate();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  for (const char* knob : {"workers", "max_lanes", "flush_window",
-                           "max_inflight", "ready_capacity"}) {
+  for (const char* knob :
+       {"workers", "max_lanes", "flush_window", "max_inflight"}) {
     EXPECT_NE(s.message().find(knob), std::string::npos)
         << knob << " missing in: " << s.message();
   }
@@ -1041,6 +1017,115 @@ TEST(SortService, BoundedPoolChurnEvictsAndAnswersEveryRequest) {
   EXPECT_EQ(registry_counter(service, "serve_completed_total"),
             kCycles * channel_mix.size() * kBurst);
   EXPECT_EQ(registry_counter(service, "serve_failed_total"), 0u);
+}
+
+// Admission (max_inflight) is the service's one backpressure point: the
+// queue of flushed lane groups has no bound of its own. With one lane per
+// group and the only worker stalled inside a completion, 100 single-round
+// submits queue 100 groups while thousands of inflight slots are free, and
+// none of them may wait.
+TEST(SortService, SubmitNeverWaitsOnFlushedGroups) {
+  constexpr int kSubmits = 100;
+  std::promise<void> stalled;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> submitted{0};
+  std::atomic<int> completed{0};
+  Xoshiro256 rng(41);
+  std::vector<std::vector<Word>> rounds;
+  for (int i = 0; i <= kSubmits; ++i) rounds.push_back(random_round(rng, 4, 4));
+
+  ServeOptions opt;
+  opt.workers = 1;
+  opt.max_lanes = 1;
+  SortService service(opt);
+  std::future<void> worker_stalled = stalled.get_future();
+  service.submit(std::move(SortRequest::from_words(rounds[0]).value()),
+                 [&](SortResponse) {
+                   stalled.set_value();
+                   released.wait();
+                   ++completed;
+                 });
+  worker_stalled.wait();
+
+  std::thread producer([&] {
+    for (std::size_t i = 1; i < rounds.size(); ++i) {
+      service.submit(std::move(SortRequest::from_words(rounds[i]).value()),
+                     [&](SortResponse response) {
+                       EXPECT_TRUE(response.status.ok());
+                       ++completed;
+                     });
+      ++submitted;
+    }
+  });
+  const auto deadline = Clock::now() + 5s;
+  while (submitted.load() < kSubmits && Clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const int submitted_in_time = submitted.load();
+  release.set_value();
+  producer.join();
+  service.stop();
+  EXPECT_EQ(submitted_in_time, kSubmits);
+  EXPECT_EQ(completed.load(), kSubmits + 1);
+}
+
+// Window flushes never pass through the ready queue, and the wake-ups that
+// fresh flush windows send coalesce instead of queueing. Two shapes whose
+// groups only ever flush by window (flush_window 0, one request a shard):
+// each worker pass sweeps both shards, and their completions open two fresh
+// windows. Were each wake-up a queued item, a pass would take one of two
+// and the backlog would grow by one a pass, whatever max_inflight is.
+TEST(SortService, WindowWakeupsDoNotQueueUp) {
+  constexpr int kRequests = 200;  // per shape, each sent by its forerunner
+  constexpr int kShapes = 2;
+  Xoshiro256 rng(43);
+  std::vector<std::vector<std::vector<Word>>> rounds(kShapes);
+  for (int s = 0; s < kShapes; ++s) {
+    for (int i = 0; i < kRequests; ++i) {
+      rounds[s].push_back(random_round(rng, 4 + s, 4));
+    }
+  }
+
+  ServeOptions opt;
+  opt.workers = 1;
+  opt.flush_window = 0us;
+  SortService service(opt);
+  std::atomic<int> answered{0};
+  std::atomic<int> failed{0};
+  std::atomic<int> saw_queued{0};
+  std::promise<void> all_answered;
+  std::function<void(int, int)> send = [&](int s, int i) {
+    service.submit(
+        std::move(SortRequest::from_words(rounds[s][i]).value()),
+        [&, s, i](SortResponse response) {
+          if (!response.status.ok()) ++failed;
+          if (!SortServiceTestPeer::ready_queue_empty(service)) ++saw_queued;
+          if (i + 1 < kRequests) send(s, i + 1);
+          if (++answered == kShapes * kRequests) all_answered.set_value();
+        });
+  };
+
+  // Stall the only worker so both chains start in the same pass.
+  std::promise<void> stalled;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::future<void> worker_stalled = stalled.get_future();
+  service.submit(
+      std::move(SortRequest::from_words(random_round(rng, 3, 4)).value()),
+      [&](SortResponse) {
+        stalled.set_value();
+        released.wait();
+      });
+  worker_stalled.wait();
+  for (int s = 0; s < kShapes; ++s) send(s, 0);
+  release.set_value();
+
+  EXPECT_EQ(all_answered.get_future().wait_for(10s),
+            std::future_status::ready);
+  service.stop();  // before `send` and the promises go out of scope
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(saw_queued.load(), 0);
 }
 
 TEST(SortService, BackpressureBoundsInflight) {

@@ -218,58 +218,86 @@ TEST(McSorter, RefusesNetlistsNodeIdCannotIndex) {
   EXPECT_THROW(McSorter(4096, 2048), std::length_error);
 }
 
-// The served engine runs one compiled 2-sort(B) cell per comparator over
-// a channel-major state array. It must compute the elaborated netlist bit
-// for bit: on random trits, so 0, 1 and M all appear, not only valid
-// strings; on one round, a partial group, a group and one more round, and
-// three sharded groups; with the served serial cell, AOI cells, the
-// depth-minimal sklansky cell and the paper's ladner_fischer cell. Its op
-// count is the elaborated program's: nothing crosses cells, so cell ops x
-// comparators.
-TEST(McSorter, ServedEngineMatchesElaboratedNetlist) {
-  std::pair<const char*, McSorterOptions> options[4];
-  options[0].first = "default";
-  options[1].first = "aoi_cells";
-  options[1].second.sort2.style = OpStyle::aoi_cells;
-  options[2].first = "sklansky";
-  options[2].second.sort2.topology = PpcTopology::sklansky;
-  options[3].first = "ladner_fischer";
-  options[3].second.sort2.topology = PpcTopology::ladner_fischer;
-  const std::pair<int, std::size_t> shapes[] = {
-      {1, 3}, {2, 1}, {3, 2}, {7, 5}, {10, 8}, {10, 16}, {24, 8}, {64, 16}};
+// Runs `engine` and the elaborated netlist `nl` on random trits, so 0, 1
+// and M all appear, not only valid strings: on one round, a partial group,
+// a group and one more round, and three sharded groups. They must agree
+// bit for bit, and the engine's op count is the elaborated program's:
+// nothing crosses cells, so cell ops x comparators.
+void expect_engine_matches_netlist(const CellNetworkEvaluator& engine,
+                                   const Netlist& nl, const std::string& what,
+                                   Xoshiro256& rng) {
+  const BatchEvaluator elaborated(nl);
+  EXPECT_EQ(engine.cell().live_gate_count() * engine.network().size(),
+            elaborated.program().live_gate_count())
+      << what;
   constexpr std::size_t kRounds[] = {1, 255, 257, 600};
+  for (const std::size_t rounds : kRounds) {
+    std::vector<Trit> in(rounds * engine.width());
+    for (Trit& t : in) t = static_cast<Trit>(rng.below(3));
+    std::vector<Trit> served(in.size());
+    std::vector<Trit> want(in.size());
+    engine.run_flat(in, served);
+    elaborated.run_flat(in, want);
+    ASSERT_EQ(served, want) << what << ", " << rounds << " rounds";
+  }
+}
+
+constexpr std::pair<int, std::size_t> kEngineShapes[] = {
+    {1, 3}, {2, 1}, {3, 2}, {7, 5}, {10, 8}, {10, 16}, {24, 8}, {64, 16}};
+
+std::string shape_name(int channels, std::size_t bits) {
+  return std::to_string(channels) + "x" + std::to_string(bits);
+}
+
+// The served engine runs one compiled kServedSort2 cell per comparator
+// over a channel-major state array, and must compute netlist() bit for bit.
+TEST(McSorter, ServedEngineMatchesElaboratedNetlist) {
   Xoshiro256 rng(21);
-  for (const auto& [name, opt] : options) {
-    for (const auto& [channels, bits] : shapes) {
-      const McSorter sorter(channels, bits, opt);
-      const BatchEvaluator elaborated(sorter.netlist());
-      const std::string shape = std::to_string(channels) + "x" +
-                                std::to_string(bits) + " " + name;
-      const CellNetworkEvaluator& engine = sorter.engine();
-      EXPECT_EQ(engine.cell().live_gate_count() * engine.network().size(),
-                elaborated.program().live_gate_count())
-          << shape;
-      for (const std::size_t rounds : kRounds) {
-        std::vector<Trit> in(rounds * sorter.shape().trits());
-        for (Trit& t : in) t = static_cast<Trit>(rng.below(3));
-        std::vector<Trit> served(in.size());
-        std::vector<Trit> want(in.size());
-        ASSERT_TRUE(sorter.sort_batch_flat(in, served).ok());
-        elaborated.run_flat(in, want);
-        ASSERT_EQ(served, want) << shape << ", " << rounds << " rounds";
-      }
+  for (const auto& [channels, bits] : kEngineShapes) {
+    const McSorter sorter(channels, bits);
+    expect_engine_matches_netlist(sorter.engine(), sorter.netlist(),
+                                  shape_name(channels, bits), rng);
+  }
+}
+
+// The same engine over the cells make_sort2 builds besides the served
+// one: AOI cells, the depth-minimal sklansky cell and the paper's
+// ladner_fischer cell.
+TEST(CellNetworkEvaluator, OtherCellsMatchElaboratedNetlist) {
+  const std::pair<const char*, Sort2Options> cells[] = {
+      {"aoi_cells", {PpcTopology::serial, OpStyle::aoi_cells}},
+      {"sklansky", {PpcTopology::sklansky, OpStyle::simple_gates}},
+      {"ladner_fischer", {PpcTopology::ladner_fischer, OpStyle::simple_gates}},
+  };
+  Xoshiro256 rng(22);
+  for (const auto& [name, cell] : cells) {
+    for (const auto& [channels, bits] : kEngineShapes) {
+      const ComparatorNetwork net = NetworkBuilder().build(channels)->network;
+      const CellNetworkEvaluator engine(make_sort2(bits, cell), net);
+      expect_engine_matches_netlist(
+          engine, elaborate_network(net, bits, sort2_builder(cell)),
+          shape_name(channels, bits) + " " + name, rng);
     }
   }
 }
 
-TEST(McSorter, AoiOptionPropagates) {
-  McSorterOptions opt;
-  opt.sort2.style = OpStyle::aoi_cells;
-  McSorter sorter(4, 4, opt);
-  EXPECT_FALSE(sorter.stats().mc_safe);  // AOI cells, still MC by tests
-  EXPECT_LT(sorter.stats().gates, 5 * 55u);
-  // Function unchanged.
-  EXPECT_EQ(sorter.sort_values({9, 3, 14, 0}),
+// AOI cells fuse each selection circuit into OA21/AO21/INV cells: not
+// MC-safe simple gates, fewer gates, and the same sorted values.
+TEST(CellNetworkEvaluator, AoiCellsSortValues) {
+  const Sort2Options aoi{PpcTopology::serial, OpStyle::aoi_cells};
+  const SortShape shape{4, 4};
+  const ComparatorNetwork net = NetworkBuilder().build(shape.channels)->network;
+  const CircuitStats stats =
+      compute_stats(elaborate_network(net, shape.bits, sort2_builder(aoi)));
+  EXPECT_FALSE(stats.mc_safe);  // AOI cells, still MC by tests
+  EXPECT_LT(stats.gates, 5 * 55u);
+
+  const CellNetworkEvaluator engine(make_sort2(shape.bits, aoi), net);
+  const std::uint64_t values[] = {9, 3, 14, 0};
+  const SortRequest request = SortRequest::from_values(shape, values).value();
+  std::vector<Trit> out(request.payload.size());
+  engine.run_flat(request.payload, out);
+  EXPECT_EQ(decode_flat_values(shape, out).value(),
             (std::vector<std::uint64_t>{0, 3, 9, 14}));
 }
 

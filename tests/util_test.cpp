@@ -50,18 +50,54 @@ TEST(TextTable, NumberFormatting) {
 TEST(Cli, ParsesFlagsAndPositionals) {
   // Note: "--flag value" always binds the value to the flag; a value-less
   // flag must be followed by another flag or end-of-line.
-  const char* argv[] = {"prog", "--bits", "16",  "pos1",
-                        "pos2", "--ppc=lf", "--quiet"};
-  const CliArgs args(7, argv);
+  const char* argv[] = {"prog",     "--bits",  "16",          "pos1",
+                        "pos2",     "--ppc=lf", "--rate=2.5", "--quiet",
+                        "--offset", "-3"};
+  const CliArgs args(10, argv, {"bits", "ppc", "rate", "quiet", "offset"});
   EXPECT_EQ(args.get_or("bits", ""), "16");
   EXPECT_EQ(args.get_long_or("bits", 0), 16);
   EXPECT_EQ(args.get_or("ppc", ""), "lf");
+  EXPECT_EQ(args.get_double_or("rate", 0.0), 2.5);
+  EXPECT_EQ(args.get_long_or("offset", 0), -3);
   EXPECT_TRUE(args.has("quiet"));
   EXPECT_FALSE(args.has("verbose"));
   EXPECT_EQ(args.get_long_or("missing", 7), 7);
+  EXPECT_EQ(args.get_double_or("missing", 0.25), 0.25);
   ASSERT_EQ(args.positional().size(), 2u);
   EXPECT_EQ(args.positional()[0], "pos1");
   EXPECT_EQ(args.positional()[1], "pos2");
+}
+
+TEST(Cli, ReportsAnUnknownFlag) {
+  const char* argv[] = {"prog", "--channels", "4", "--chanels", "9"};
+  try {
+    (void)CliArgs(5, argv, {"channels"});
+    FAIL() << "--chanels was accepted";
+  } catch (const CliError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag --chanels"),
+              std::string::npos)
+        << e.what();
+  }
+  const char* with_value[] = {"prog", "--bogus=1"};
+  EXPECT_THROW((void)CliArgs(2, with_value, {"channels"}), CliError);
+}
+
+TEST(Cli, RejectsNumbersWithTrailingCharacters) {
+  const char* argv[] = {"prog", "--channels", "4x", "--rate=1.5s",
+                        "--bits=", "--seed", "1.5"};
+  const CliArgs args(7, argv, {"channels", "rate", "bits", "seed"});
+  try {
+    (void)args.get_long_or("channels", 10);
+    FAIL() << "4x read as a number";
+  } catch (const CliError& e) {
+    EXPECT_NE(std::string(e.what()).find("--channels: '4x'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)args.get_double_or("rate", 1.0), CliError);
+  EXPECT_THROW((void)args.get_long_or("bits", 8), CliError);   // empty
+  EXPECT_THROW((void)args.get_long_or("seed", 1), CliError);   // not whole
+  EXPECT_EQ(args.get_double_or("seed", 0.0), 1.5);
 }
 
 TEST(Histogram, ExactBelowEightAndEmptySafe) {

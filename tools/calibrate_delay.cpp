@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdio>
+#include <iostream>
 #include <limits>
 
 #include "mcsn/ckt/sort2.hpp"
@@ -58,8 +59,8 @@ double max_rel_error(const CellLibrary& lib, bool print) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const CliArgs args(argc, argv, {"sweep"});
   if (!args.has("sweep")) {
     max_rel_error(CellLibrary::paper_calibrated(), true);
     return 0;
@@ -92,4 +93,8 @@ int main(int argc, char** argv) {
               100.0 * best, bp[0], bp[1], bp[2], bp[3], bp[4]);
   max_rel_error(make_lib(bp[0], bp[1], bp[2], bp[3], bp[4]), true);
   return 0;
+} catch (const CliError& e) {
+  std::cerr << "calibrate_delay: " << e.what()
+            << "\nusage: tool_calibrate_delay [--sweep]\n";
+  return 2;
 }

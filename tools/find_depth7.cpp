@@ -7,13 +7,15 @@
 // Usage: find_depth7 [--channels N] [--layers D] [--seeds K] [--iters I]
 
 #include <cstdio>
+#include <iostream>
 #include <optional>
 
 #include "mcsn/nets/search.hpp"
 #include "mcsn/util/cli.hpp"
 
-int main(int argc, char** argv) {
-  const mcsn::CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const mcsn::CliArgs args(argc, argv,
+                           {"channels", "layers", "seeds", "iters"});
   mcsn::AnnealConfig cfg;
   cfg.channels = static_cast<int>(args.get_long_or("channels", 10));
   cfg.layers = static_cast<int>(args.get_long_or("layers", 7));
@@ -50,4 +52,9 @@ int main(int argc, char** argv) {
     std::printf("},\n");
   }
   return 0;
+} catch (const mcsn::CliError& e) {
+  std::cerr << "find_depth7: " << e.what()
+            << "\nusage: tool_find_depth7 [--channels N] [--layers D]"
+               " [--seeds K] [--iters I]\n";
+  return 2;
 }

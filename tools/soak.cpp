@@ -661,22 +661,24 @@ int usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // Adversary sockets die at arbitrary moments; a write into one must
   // come back EPIPE, not kill the harness.
   std::signal(SIGPIPE, SIG_IGN);
 
-  CliArgs args(argc, argv);
+  const CliArgs args(
+      argc, argv,
+      {"duration", "all-faults", "fault-kill", "fault-halfclose",
+       "fault-neverread", "fault-malformed", "recv-cap", "send-cap", "rate",
+       "clients", "workers", "loops", "pool-capacity", "seed",
+       "idle-timeout-ms", "rss-slope-max-kib-s", "fd-slack", "min-completed",
+       "report"});
   SoakConfig cfg;
-  {
-    std::istringstream ds(args.get_or("duration", "60"));
-    ds.imbue(std::locale::classic());
-    if (!(ds >> cfg.duration_s) || cfg.duration_s <= 0) return usage();
-  }
-  {
-    std::istringstream rs(args.get_or("rate", "400"));
-    rs.imbue(std::locale::classic());
-    if (!(rs >> cfg.rate) || cfg.rate <= 0) return usage();
+  cfg.duration_s = args.get_double_or("duration", 60.0);
+  cfg.rate = args.get_double_or("rate", 400.0);
+  if (!std::isfinite(cfg.duration_s) || cfg.duration_s <= 0 ||
+      !std::isfinite(cfg.rate) || cfg.rate <= 0) {
+    return usage();
   }
   cfg.clients = static_cast<int>(args.get_long_or("clients", 4));
   cfg.workers = static_cast<int>(args.get_long_or("workers", 2));
@@ -694,11 +696,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_long_or("recv-cap", all ? 7 : 0));
   cfg.send_cap =
       static_cast<std::size_t>(args.get_long_or("send-cap", all ? 9 : 0));
-  {
-    std::istringstream ss(args.get_or("rss-slope-max-kib-s", "512"));
-    ss.imbue(std::locale::classic());
-    if (!(ss >> cfg.rss_slope_max_kib_s)) return usage();
-  }
+  cfg.rss_slope_max_kib_s = args.get_double_or("rss-slope-max-kib-s", 512.0);
   cfg.fd_slack = args.get_long_or("fd-slack", 0);
   cfg.min_completed = args.get_long_or("min-completed", -1);
   cfg.report_path = args.get_or("report", "");
@@ -996,4 +994,7 @@ int main(int argc, char** argv) {
   if (!ok) return 1;
   std::cerr << "soak: PASS (" << completed << " completed)\n";
   return 0;
+} catch (const CliError& e) {
+  std::cerr << "soak: " << e.what() << "\n";
+  return usage();
 }

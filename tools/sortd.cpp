@@ -425,13 +425,19 @@ int usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // JSON and sorted rounds must come out locale-independent even if a
   // linked component switches the global locale.
   std::cout.imbue(std::locale::classic());
   std::cerr.imbue(std::locale::classic());
 
-  const CliArgs args(argc, argv);
+  const CliArgs args(
+      argc, argv,
+      {"channels", "bits", "workers", "window-us", "max-lanes",
+       "max-inflight", "rate", "duration-s", "seed", "pool-capacity",
+       "warmup", "stdin", "framed", "encode-frames", "decode-frames",
+       "listen", "listen-unix", "host", "loops", "max-conns", "conn-inflight",
+       "idle-timeout-ms", "metrics-format", "stats-interval"});
   const int channels = static_cast<int>(args.get_long_or("channels", 10));
   const std::size_t bits =
       static_cast<std::size_t>(args.get_long_or("bits", 8));
@@ -439,14 +445,18 @@ int main(int argc, char** argv) {
   const long window_us = args.get_long_or("window-us", 200);
   const long max_lanes = args.get_long_or("max-lanes", 256);
   const long max_inflight = args.get_long_or("max-inflight", 4096);
-  double rate = 20000.0;
-  double duration_s = 1.0;
-  try {
-    rate = std::stod(args.get_or("rate", "20000"));
-    duration_s = std::stod(args.get_or("duration-s", "1"));
-  } catch (const std::exception&) {
-    rate = duration_s = 0.0;  // falls through to usage
-  }
+  const double rate = args.get_double_or("rate", 20000.0);
+  const double duration_s = args.get_double_or("duration-s", 1.0);
+  const auto seed = static_cast<std::uint64_t>(args.get_long_or("seed", 42));
+  // Every number is read here, before the mode dispatch, so a malformed one
+  // is refused in every mode, not only in the modes that use it.
+  const long stats_interval_s = args.get_long_or("stats-interval", 0);
+  const long pool_capacity = args.get_long_or("pool-capacity", 0);
+  const long port = args.get_long_or("listen", -1);
+  const long loops = args.get_long_or("loops", 1);
+  const long max_conns = args.get_long_or("max-conns", 256);
+  const long conn_inflight = args.get_long_or("conn-inflight", 64);
+  const long idle_ms = args.get_long_or("idle-timeout-ms", 30000);
   // Workload-shape knobs keep their domain checks here; a non-finite or
   // non-positive rate feeds PoissonClock inf/NaN deadlines.
   if (channels < 2 || bits < 1 || bits > 16 || !std::isfinite(rate) ||
@@ -464,7 +474,6 @@ int main(int argc, char** argv) {
     std::cerr << "sortd: --metrics-format must be json or prometheus\n";
     return usage();
   }
-  const long stats_interval_s = args.get_long_or("stats-interval", 0);
   if (stats_interval_s < 0) {
     std::cerr << "sortd: --stats-interval must be >= 0\n";
     return usage();
@@ -480,7 +489,6 @@ int main(int argc, char** argv) {
   opt.max_inflight =
       max_inflight < 0 ? 0 : static_cast<std::size_t>(max_inflight);
 
-  const long pool_capacity = args.get_long_or("pool-capacity", 0);
   if (pool_capacity < 0) {
     std::cerr << "sortd: --pool-capacity must be >= 0\n";
     return usage();
@@ -508,13 +516,8 @@ int main(int argc, char** argv) {
   net::SocketOptions sopt;
   const bool serve_sockets = args.has("listen") || args.has("listen-unix");
   if (serve_sockets) {
-    const long max_conns = args.get_long_or("max-conns", 256);
-    const long conn_inflight = args.get_long_or("conn-inflight", 64);
-    const long idle_ms = args.get_long_or("idle-timeout-ms", 30000);
-    const long loops = args.get_long_or("loops", 1);
     sopt.listen_tcp = args.has("listen");
     if (sopt.listen_tcp) {
-      const long port = args.get_long_or("listen", -1);
       if (port < 0 || port > 65535) {
         std::cerr << "sortd: --listen needs a port in 0..65535\n";
         return usage();
@@ -568,6 +571,8 @@ int main(int argc, char** argv) {
   if (serve_sockets) return run_listen(service, sopt);
   if (args.has("framed")) return run_framed(service);
   if (args.has("stdin")) return run_stdin(service, bits);
-  return run_load(service, channels, bits, rate, duration_s,
-                  static_cast<std::uint64_t>(args.get_long_or("seed", 42)));
+  return run_load(service, channels, bits, rate, duration_s, seed);
+} catch (const CliError& e) {
+  std::cerr << "sortd: " << e.what() << "\n";
+  return usage();
 }
