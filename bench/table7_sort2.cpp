@@ -46,7 +46,7 @@ int main() {
   std::cout
       << "\nNotes:\n"
       << " * 'This paper' gate counts match the publication exactly; areas\n"
-      << "   match by library calibration (see DESIGN.md); delays come from\n"
+      << "   match by library calibration (see src/mcsn/netlist/library.hpp); delays come from\n"
       << "   the linear-load STA model.\n"
       << " * The [2] netlists are not public: measured values are for our\n"
       << "   Theta(B log B) reconstruction; published values are authoritative.\n"

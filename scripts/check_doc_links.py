@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that the repo's docs point only at files that exist.
+"""Check that the repo's docs and code point only at docs that exist.
 
 Scans README.md, docs/*.md and the other top-level *.md files for two
 kinds of reference and verifies each one resolves:
@@ -15,6 +15,10 @@ kinds of reference and verifies each one resolves:
   ROADMAP.md and docs/*.md describe the current tree, so only their
   backticked paths are checked; the other top-level files record past
   trees or quote other work.
+
+It also scans the C++ sources under src/, tests/, bench/, tools/,
+examples/ and fuzz/ for every *.md name they cite (`docs/SOAK.md`,
+`ROADMAP.md`) and resolves each relative to the repo root.
 
 Exits non-zero listing every dangling reference, so docs
 cross-references cannot rot silently.
@@ -43,6 +47,9 @@ TOP_FILE = re.compile(r"[A-Z][A-Za-z_]*\.(md|json)")
 LINE_SUFFIX = re.compile(r":\d+(-\d+)?$")
 GLOB_CHARS = set("*?[]{}")
 CURRENT_TOP = {"README.md", "ROADMAP.md"}
+CODE_DIRS = ("src", "tests", "bench", "tools", "examples", "fuzz")
+CODE_SUFFIXES = {".cpp", ".hpp", ".h"}
+MD_NAME = re.compile(r"(?<![\w./-])[\w./-]*\w\.md\b")
 
 
 def doc_files(root: pathlib.Path):
@@ -61,6 +68,13 @@ def code_path(span: str):
     if token.startswith(TOP_DIRS) or TOP_FILE.fullmatch(token):
         return token
     return None
+
+
+def code_files(root: pathlib.Path):
+    for top in CODE_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix in CODE_SUFFIXES and path.is_file():
+                yield path
 
 
 def without_fences(text: str) -> str:
@@ -102,10 +116,19 @@ def main() -> int:
             if not (root / path).exists():
                 line = line_of(prose, match.start())
                 broken.append(f"dangling path: {name}:{line}: {path}")
+    cited = 0
+    for source in code_files(root):
+        name = source.relative_to(root)
+        text = source.read_text(encoding="utf-8")
+        for match in MD_NAME.finditer(text):
+            cited += 1
+            if not (root / match.group(0)).exists():
+                line = line_of(text, match.start())
+                broken.append(f"dangling doc: {name}:{line}: {match.group(0)}")
     for b in broken:
         print(b, file=sys.stderr)
-    print(f"checked {links} relative links and {paths} backticked paths, "
-          f"{len(broken)} dangling")
+    print(f"checked {links} relative links, {paths} backticked paths and "
+          f"{cited} docs cited in code, {len(broken)} dangling")
     return 1 if broken else 0
 
 

@@ -1,5 +1,6 @@
 #include "mcsn/api/sort_api.hpp"
 
+#include <atomic>
 #include <string>
 
 #include "mcsn/core/gray.hpp"
@@ -50,7 +51,7 @@ StatusOr<SortRequest> SortRequest::view_batch(SortShape shape,
 StatusOr<SortRequest> SortRequest::own_batch(SortShape shape,
                                              std::size_t rounds,
                                              std::vector<Trit> flat) {
-  auto storage = std::make_shared<const std::vector<Trit>>(std::move(flat));
+  auto storage = std::make_shared<std::vector<Trit>>(std::move(flat));
   StatusOr<SortRequest> req = view_batch(shape, rounds, *storage);
   if (req.ok()) req->storage = std::move(storage);
   return req;
@@ -108,6 +109,22 @@ StatusOr<SortRequest> SortRequest::from_words(const std::vector<Word>& round) {
     flat.insert(flat.end(), w.begin(), w.end());
   }
   return own(shape, std::move(flat));
+}
+
+std::vector<Trit> SortRequest::take_trits() && {
+  std::vector<Trit> trits;
+  if (storage && storage.use_count() == 1 &&
+      payload.data() == storage->data() && payload.size() == storage->size()) {
+    // use_count() reads the count relaxed: the fence orders this request's
+    // later writes after every released copy's reads of the buffer.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    trits = std::move(*storage);
+  } else {
+    trits.assign(payload.begin(), payload.end());
+  }
+  payload = {};
+  storage.reset();
+  return trits;
 }
 
 Status SortRequest::validate() const {

@@ -20,12 +20,13 @@
 // Status values; nothing on this path throws.
 //
 // Requests and responses are plain values with no internal locking:
-// confine each instance to one thread at a time (copies are independent —
-// a copied SortRequest shares only the immutable payload storage, which
-// is safe to read concurrently). Ownership contract: a request built with
-// `view` aliases caller memory and the caller must keep that buffer alive
-// until the request completes; every other factory makes the request
-// self-contained.
+// confine each instance to one thread at a time. Ownership contract: a
+// request built with `view` aliases caller memory and the caller must keep
+// that buffer alive until the request completes; every other factory makes
+// the request self-contained. Copies of a request share its buffer, and
+// only a sole owner may take it (take_trits): a service adopts a submitted
+// request's buffer as the engine's input and output, and answers a lone
+// request with that same buffer.
 //
 //   auto req = SortRequest::from_values({.channels = 4, .bits = 8},
 //                                       std::array{5u, 2u, 7u, 1u});
@@ -90,7 +91,7 @@ struct SortRequest {
   std::span<const Trit> payload;
 
   /// Optional backing buffer; shared so requests stay cheap to copy.
-  std::shared_ptr<const std::vector<Trit>> storage;
+  std::shared_ptr<std::vector<Trit>> storage;
 
   /// Caller-intent flag: true when the round was given as integers and the
   /// response should read back as integers (SortResponse::values(), wire
@@ -135,6 +136,12 @@ struct SortRequest {
   /// Re-checks the invariants the factories establish (payload length,
   /// shape bounds) — for requests decoded from the wire or hand-built.
   [[nodiscard]] Status validate() const;
+
+  /// The payload as a vector, leaving the request without one: the owned
+  /// buffer itself when this request is its only owner and `payload` spans
+  /// all of it, otherwise a copy of `payload` (a `view`, or storage that a
+  /// copy of this request still shares).
+  [[nodiscard]] std::vector<Trit> take_trits() &&;
 
   /// Convenience: deadline = now + budget.
   void set_deadline_after(std::chrono::nanoseconds budget) {

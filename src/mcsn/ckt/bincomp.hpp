@@ -4,7 +4,9 @@
 // with a tree comparator, and steers both outputs through standard
 // multiplexers. Uses the extended cell set (XNOR2 / AO21 / MUX2 counted as
 // one gate each, as in the paper's synthesis flow, which "disfavors" the MC
-// designs in gate-count comparisons).
+// designs in gate-count comparisons). It is emitted as written, without
+// synthesis optimization: 7B - 2 gates, 110 at B = 16, where the paper's
+// optimized Bin-comp has 81.
 //
 // This circuit does NOT contain metastability: a metastable select bit can
 // reach every output mux. The test suite demonstrates exactly that (it

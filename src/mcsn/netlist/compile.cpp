@@ -1,6 +1,7 @@
 #include "mcsn/netlist/compile.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -278,6 +279,17 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl) {
   return p;
 }
 
+bool partial_overlap(std::span<const Trit> in,
+                     std::span<const Trit> out) noexcept {
+  if (in.empty() || out.empty() ||
+      (in.data() == out.data() && in.size() == out.size())) {
+    return false;
+  }
+  const std::less<const Trit*> before;
+  return before(in.data(), out.data() + out.size()) &&
+         before(out.data(), in.data() + in.size());
+}
+
 namespace {
 
 using Backend = Packed256Backend;
@@ -288,7 +300,9 @@ using Backend = Packed256Backend;
 /// inputs() (the `width` values a group is packed into), run() and
 /// output_lane(o, lane). A one-group call runs on the caller. A call with
 /// G > 1 groups shards them over min(G, hardware_parallelism()) threads:
-/// the caller plus engine_pool(). Shards write disjoint rows.
+/// the caller plus engine_pool(). Shards write disjoint rows. `outputs`
+/// may be `inputs` itself: a group's rows are all packed before any of
+/// them is written, and each shard owns whole groups.
 template <class MakeEngine>
 void run_lane_groups(const char* who, std::span<const Trit> inputs,
                      std::span<Trit> outputs, std::size_t width,
@@ -307,6 +321,10 @@ void run_lane_groups(const char* who, std::span<const Trit> inputs,
         std::to_string(outputs.size()) + " trits, want " +
         std::to_string(n * outs) + " for " + std::to_string(n) +
         " vectors");
+  }
+  if (partial_overlap(inputs, outputs)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": output buffer partly overlaps the input");
   }
   if (n == 0) return;
   const std::size_t groups = (n + kLanes - 1) / kLanes;

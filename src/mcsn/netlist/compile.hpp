@@ -385,7 +385,9 @@ class BatchEvaluator {
   /// straight between the flat buffers and the wide lanes; a trailing
   /// partial lane group is handled transparently. Throws
   /// std::invalid_argument unless inputs.size() is a whole number N of
-  /// input vectors and outputs.size() is exactly N x output_width().
+  /// input vectors and outputs.size() is exactly N x output_width(), and
+  /// when the buffers overlap other than as one buffer (which needs equal
+  /// widths; see CellNetworkEvaluator::run_flat).
   void run_flat(std::span<const Trit> inputs, std::span<Trit> outputs) const;
 
   /// Word-level wrapper over run_flat(): each element of `inputs` is one
@@ -397,6 +399,11 @@ class BatchEvaluator {
  private:
   CompiledProgram prog_;
 };
+
+/// True when `out` overlaps `in` without being exactly `in` (same data and
+/// size): the aliasing both run_flat evaluators refuse.
+[[nodiscard]] bool partial_overlap(std::span<const Trit> in,
+                                   std::span<const Trit> out) noexcept;
 
 /// Evaluates a comparator network of one compiled 2-sort(B) cell. The cell
 /// netlist has inputs g[0, B) then h[0, B) and outputs max[0, B) then
@@ -428,9 +435,12 @@ class CellNetworkEvaluator {
   }
 
   /// `inputs` holds N rounds back to back (N x width() trits) and the
-  /// sorted rounds are written to `outputs` in the same layout. Throws
-  /// std::invalid_argument unless inputs.size() is a whole number of
-  /// rounds and outputs.size() equals it.
+  /// sorted rounds are written to `outputs` in the same layout. `outputs`
+  /// may be exactly `inputs` (same data and size) to sort in place: each
+  /// lane group is packed before any of its rounds is written, and each
+  /// shard owns whole groups. Throws std::invalid_argument unless
+  /// inputs.size() is a whole number of rounds and outputs.size() equals
+  /// it, and when the two buffers partly overlap.
   void run_flat(std::span<const Trit> inputs, std::span<Trit> outputs) const;
 
  private:

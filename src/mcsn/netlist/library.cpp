@@ -19,10 +19,10 @@ std::array<CellParams, kCellKindCount> make_paper_cells() {
                       double slope) {
     cells[static_cast<int>(k)] = CellParams{area, cap, intrinsic, slope};
   };
-  // MC subset: areas derived exactly from the paper's Table 7 (see DESIGN.md);
-  // delay parameters fitted by tools/calibrate_delay --sweep against the
-  // four published Table 7 delays (119/362/516/805 ps); the fit reproduces
-  // them within 2.9% maximum relative error.
+  // MC subset: areas derived exactly from the paper's Table 7 (see
+  // library.hpp); delay parameters fitted by tools/calibrate_delay.cpp
+  // (--sweep) against the four published Table 7 delays (119/362/516/805
+  // ps); the fit reproduces them within 2.9% maximum relative error.
   set(CellKind::inv, 0.8703, 1.0, 4.0, 2.0);
   set(CellKind::and2, 1.4875, 1.0, 36.0, 2.0);
   set(CellKind::or2, 1.4875, 1.0, 36.0, 2.0);

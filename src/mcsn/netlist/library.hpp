@@ -7,9 +7,9 @@
 // The default library ("paper-calibrated") reproduces the paper's NanGate
 // 45 nm post-layout areas exactly for the AND2/OR2/INV subset: the paper's
 // own four (gate count, area) points for 2-sort(B) determine
-// area(AND2)+area(OR2) = 2.975 um^2 and area(INV) = 0.8703 um^2 (see
-// DESIGN.md / EXPERIMENTS.md). Delay parameters are calibrated once against
-// the four pre-layout delay points of Table 7, row "This paper".
+// area(AND2)+area(OR2) = 2.975 um^2 and area(INV) = 0.8703 um^2. Delay
+// parameters are calibrated once against the four pre-layout delay points
+// of Table 7, row "This paper" (the fit: tools/calibrate_delay.cpp).
 
 #include <array>
 #include <string>

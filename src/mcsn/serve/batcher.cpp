@@ -33,27 +33,31 @@ MicroBatcher::AddResult MicroBatcher::add(
   AddResult result;
   std::lock_guard lock(mu_);
   Shard& shard = shards_[key];
-  if (shard.requests.empty()) {
-    shard.sorter = std::move(sorter);
-    shard.oldest = now;
-    // Reserve one engine lane group at most: a larger max_lanes grows the
-    // shard on demand instead of allocating its whole bound up front.
-    const std::size_t lanes = std::min<std::size_t>(
-        max_lanes_, static_cast<std::size_t>(PackedTrit256::kLanes));
-    shard.requests.reserve(lanes);
-    shard.flat.reserve(lanes * pending.request.shape.trits());
-    result.window_started = true;
-  }
   // Stage the payload contiguously; from here on the group owns the trits,
   // so a view request's backing buffer is released before the caller even
   // sees its future. A batched request stages all of its rounds at once
   // and counts as that many lanes toward the flush threshold.
   const std::size_t round_trits = pending.request.shape.trits();
   const std::size_t rounds = pending.request.rounds;
-  shard.flat.insert(shard.flat.end(), pending.request.payload.begin(),
-                    pending.request.payload.end());
-  pending.request.payload = {};
-  pending.request.storage.reset();
+  if (shard.requests.empty()) {
+    shard.sorter = std::move(sorter);
+    shard.oldest = now;
+    shard.flat = std::move(pending.request).take_trits();
+    result.window_started = true;
+  } else {
+    if (shard.requests.size() == 1) {
+      // Reserve one engine lane group at most: a larger max_lanes grows
+      // the shard on demand instead of allocating its whole bound up front.
+      const std::size_t lanes = std::min<std::size_t>(
+          max_lanes_, static_cast<std::size_t>(PackedTrit256::kLanes));
+      shard.requests.reserve(lanes);
+      shard.flat.reserve(lanes * round_trits);
+    }
+    shard.flat.insert(shard.flat.end(), pending.request.payload.begin(),
+                      pending.request.payload.end());
+    pending.request.payload = {};
+    pending.request.storage.reset();
+  }
   shard.requests.push_back(std::move(pending));
   if (pending_rounds_ != nullptr) {
     pending_rounds_->add(static_cast<std::int64_t>(rounds));

@@ -6,11 +6,14 @@
 // caller, zero added latency) or when its oldest request has waited one
 // flush window (collected by take_expired, driven from the worker loop).
 //
-// Payloads are gathered eagerly: add() copies each request's flat trits
-// into the shard's contiguous staging buffer, so a flushed BatchGroup is
-// already in the exact layout McSorter::sort_batch_flat consumes — the
-// executor never repacks rounds. That copy is the only one between the
-// submitter's buffer and the engine lanes.
+// Payloads are gathered eagerly into the shard's contiguous buffer, so a
+// flushed BatchGroup is already in the exact layout
+// McSorter::sort_batch_flat consumes — the executor never repacks rounds.
+// The request that opens a shard gives the shard its trits
+// (SortRequest::take_trits: its own buffer when it is the only owner);
+// each later request appends a copy of its rounds. A lone owned request,
+// such as a decoded wire frame, therefore reaches the engine in the buffer
+// it was decoded into, and the service sorts that buffer in place.
 //
 // Internally synchronized; time is always passed in, so tests can drive
 // the window deterministically with fake clocks.
@@ -83,8 +86,9 @@ class MicroBatcher {
   /// Adds a request to its shape's shard, staging its payload into the
   /// shard's flat buffer (the request's own payload/storage are released —
   /// a zero-copy view's backing buffer is no longer referenced after this
-  /// returns). `sorter` pins the compiled program the eventual group runs
-  /// on; its shape must match the request's.
+  /// returns; a first request that solely owns its buffer becomes the
+  /// shard's buffer). `sorter` pins the compiled program the eventual
+  /// group runs on; its shape must match the request's.
   [[nodiscard]] AddResult add(std::shared_ptr<const McSorter> sorter,
                               PendingSort pending,
                               std::chrono::steady_clock::time_point now);

@@ -238,12 +238,17 @@ void SortService::execute(BatchGroup group) {
   const auto rounds_of = [&group](std::size_t i) {
     return group.requests[i].request.rounds;
   };
+  const auto row = [&group](std::size_t offset) {
+    return group.flat.begin() + static_cast<std::ptrdiff_t>(offset);
+  };
 
   // Deadline policy: expiry is judged once, at flush time. A request whose
   // deadline passed while it waited for lane-mates is failed with
   // kDeadlineExceeded instead of being sorted late (a batched request
   // expires as a whole); the rest of the group is compacted and still
-  // sorted.
+  // sorted. The group's buffer is the only one: the live rows move forward
+  // over the expired ones, the sort runs in place, and a lone live request
+  // takes the whole sorted buffer as its response payload.
   const auto flushed_at = Clock::now();
   std::vector<char> expired(n, 0);
   std::size_t n_expired = 0;
@@ -262,27 +267,22 @@ void SortService::execute(BatchGroup group) {
   const std::size_t n_live = n - n_expired;
 
   Status run_status;
-  std::vector<Trit> out(live_rounds * round_trits);
   if (n_live > 0) {
-    std::span<const Trit> in(group.flat);
-    std::vector<Trit> compacted;
     if (n_expired > 0) {
-      compacted.reserve(live_rounds * round_trits);
       std::size_t offset = 0;
+      std::size_t live = 0;
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t width = rounds_of(i) * round_trits;
         if (!expired[i]) {
-          const auto row =
-              group.flat.begin() + static_cast<std::ptrdiff_t>(offset);
-          compacted.insert(compacted.end(), row,
-                           row + static_cast<std::ptrdiff_t>(width));
+          std::copy(row(offset), row(offset + width), row(live));
+          live += width;
         }
         offset += width;
       }
-      in = compacted;
+      group.flat.resize(live);
     }
     try {
-      run_status = group.sorter->sort_batch_flat(in, out);
+      run_status = group.sorter->sort_batch_flat(group.flat, group.flat);
     } catch (const std::exception& e) {
       run_status = Status::internal(e.what());
     } catch (...) {
@@ -342,11 +342,10 @@ void SortService::execute(BatchGroup group) {
           "request expired before its batch flushed");
     } else {
       response.status = run_status;
-      if (run_status.ok()) {
-        const auto row =
-            out.begin() + static_cast<std::ptrdiff_t>(live_offset);
-        response.payload.assign(row,
-                                row + static_cast<std::ptrdiff_t>(width));
+      if (run_status.ok() && n_live == 1) {
+        response.payload = std::move(group.flat);
+      } else if (run_status.ok()) {
+        response.payload.assign(row(live_offset), row(live_offset + width));
       }
       live_offset += width;
     }

@@ -72,9 +72,8 @@ std::vector<Trit> sort_rounds(const McSorter& sorter,
     }
     flat.insert(flat.end(), request->payload.begin(), request->payload.end());
   }
-  std::vector<Trit> sorted(flat.size());
-  throw_if_error(sorter.sort_batch_flat(flat, sorted), where);
-  return sorted;
+  throw_if_error(sorter.sort_batch_flat(flat, flat), where);
+  return flat;
 }
 
 std::vector<std::uint64_t> to_values(SortShape shape,
@@ -143,6 +142,11 @@ Status McSorter::sort_batch_flat(std::span<const Trit> in,
         "output buffer of " + std::to_string(out.size()) +
         " trits does not match input of " + std::to_string(in.size()));
   }
+  if (partial_overlap(in, out)) {
+    return Status::invalid_argument(
+        "output buffer partly overlaps the input; pass the input itself to "
+        "sort in place");
+  }
   engine_.run_flat(in, out);
   return Status();
 }
@@ -160,8 +164,8 @@ SortResponse McSorter::sort_request(const SortRequest& request) const {
     response.status = shape_mismatch(request.shape, shape());
     return response;
   }
-  response.payload.resize(request.payload.size());
-  response.status = sort_batch_flat(request.payload, response.payload);
+  response.payload.assign(request.payload.begin(), request.payload.end());
+  response.status = sort_batch_flat(response.payload, response.payload);
   if (!response.status.ok()) response.payload.clear();
   return response;
 }

@@ -92,8 +92,10 @@ class McSorter {
   /// N x channels() x bits() trits (round-major, channel-major within a
   /// round) and the sorted rounds are written to `out` in the same layout.
   /// This is the zero-copy path the compiled engine consumes directly — no
-  /// per-round repacking. Returns kInvalidArgument (and writes nothing) if
-  /// in.size() is not a multiple of the round size or out.size() differs.
+  /// per-round repacking. `out` may be exactly `in` (same data and size)
+  /// to sort in place (CellNetworkEvaluator::run_flat). Returns
+  /// kInvalidArgument (and writes nothing) if in.size() is not a multiple
+  /// of the round size, out.size() differs, or `out` partly overlaps `in`.
   ///
   /// Const and safe to call concurrently from multiple threads.
   [[nodiscard]] Status sort_batch_flat(std::span<const Trit> in,

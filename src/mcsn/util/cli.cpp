@@ -37,6 +37,7 @@ CliArgs::CliArgs(int argc, const char* const* argv,
     if (std::find(known.begin(), known.end(), key) == known.end()) {
       throw CliError("unknown flag --" + std::string(key));
     }
+    if (has(key)) throw CliError("flag --" + std::string(key) + " given twice");
     if (eq != std::string_view::npos) {
       flags_.emplace_back(std::string(key), std::string(body.substr(eq + 1)));
     } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) !=

@@ -1,9 +1,9 @@
 #pragma once
 // Minimal command-line flag parser for the tools and examples:
 // --key value / --key=value / --flag, plus positionals. Each binary names
-// the flags it reads, and answers a CliError (an unknown flag, or a
-// number with trailing characters such as "4x") with its usage line and
-// exit status 2.
+// the flags it reads, and answers a CliError (an unknown or repeated flag,
+// or a number with trailing characters such as "4x") with its usage line
+// and exit status 2.
 
 #include <initializer_list>
 #include <optional>
@@ -22,7 +22,8 @@ class CliError : public std::runtime_error {
 class CliArgs {
  public:
   /// Parses argv. `known` lists every flag the binary reads, without the
-  /// leading dashes; the first flag not among them throws CliError.
+  /// leading dashes; the first flag not among them, or given a second
+  /// time, throws CliError.
   CliArgs(int argc, const char* const* argv,
           std::initializer_list<std::string_view> known);
 

@@ -84,6 +84,35 @@ TEST(SortRequest, ViewAliasesCallerMemoryAndOwnCopies) {
   EXPECT_EQ(owned->payload.data(), owned->storage->data());
 }
 
+// take_trits moves the buffer out only when the request is its sole owner
+// and the payload spans all of it, and copies the payload otherwise;
+// either way the request is left without a payload.
+TEST(SortRequest, TakeTritsMovesOnlyASoleOwnersWholeBuffer) {
+  const SortShape shape{2, 4};
+  SortRequest sole = std::move(
+      SortRequest::own(shape, std::vector<Trit>(8, Trit::one)).value());
+  const Trit* const data = sole.payload.data();
+  const std::vector<Trit> moved = std::move(sole).take_trits();
+  EXPECT_EQ(moved.data(), data);
+  EXPECT_TRUE(sole.payload.empty());
+  EXPECT_EQ(sole.storage, nullptr);
+
+  SortRequest shared = std::move(
+      SortRequest::own(shape, std::vector<Trit>(8, Trit::meta)).value());
+  const SortRequest copy = shared;
+  const std::vector<Trit> copied = std::move(shared).take_trits();
+  EXPECT_NE(copied.data(), copy.payload.data());
+  EXPECT_TRUE(std::equal(copied.begin(), copied.end(), copy.payload.begin(),
+                         copy.payload.end()));
+
+  // A hand-built request whose payload is the first half of its storage.
+  SortRequest half;
+  half.shape = SortShape{1, 4};
+  half.storage = std::make_shared<std::vector<Trit>>(8, Trit::one);
+  half.payload = std::span<const Trit>(*half.storage).first(4);
+  EXPECT_EQ(std::move(half).take_trits(), std::vector<Trit>(4, Trit::one));
+}
+
 TEST(SortRequest, FactoriesRejectMismatchedPayloads) {
   const std::vector<Trit> flat(7, Trit::zero);  // 7 != 2*4
   EXPECT_EQ(SortRequest::view(SortShape{2, 4}, flat).status().code(),

@@ -41,7 +41,7 @@ TEST(Bincomp, GateCountFormula) {
     EXPECT_EQ(make_bincomp(bits).gate_count(), bincomp_gate_count(bits));
   }
   // Same order of magnitude as the paper's optimized Bin-comp (81 @ B=16);
-  // ours is unoptimized, see DESIGN.md.
+  // ours is unoptimized, see src/mcsn/ckt/bincomp.hpp.
   EXPECT_EQ(bincomp_gate_count(16), 7u * 16 - 2);
 }
 

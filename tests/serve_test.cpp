@@ -9,10 +9,12 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cstdlib>
 #include <functional>
 #include <future>
 #include <iterator>
 #include <locale>
+#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -26,6 +28,28 @@
 #include "mcsn/util/metrics_registry.hpp"
 #include "mcsn/util/rng.hpp"
 #include "mcsn/util/thread_pool.hpp"
+
+namespace {
+
+// Counts heap allocations of exactly `g_watched_bytes` bytes (none while it
+// is 0), so a test can show that no payload-sized buffer is made.
+std::atomic<std::size_t> g_watched_bytes{0};
+std::atomic<std::size_t> g_watched_allocs{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (n != 0 && n == g_watched_bytes.load(std::memory_order_relaxed)) {
+    g_watched_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so GCC does not pair an inlined free() with operator new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mcsn {
 
@@ -110,6 +134,19 @@ PendingSort make_pending(Xoshiro256& rng, int channels, std::size_t bits,
   pending.done = [](SortResponse) {};
   pending.enqueued = enqueued;
   return pending;
+}
+
+/// `rounds` random valid rounds of `shape`, flat.
+std::vector<Trit> random_rounds(Xoshiro256& rng, SortShape shape,
+                                std::size_t rounds) {
+  std::vector<Trit> flat;
+  flat.reserve(rounds * shape.trits());
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (const Word& w : random_round(rng, shape.channels, shape.bits)) {
+      flat.insert(flat.end(), w.begin(), w.end());
+    }
+  }
+  return flat;
 }
 
 // --- WorkQueue --------------------------------------------------------------
@@ -414,6 +451,53 @@ TEST(MicroBatcher, ShardsByShapeAndDrainsAll) {
     }
   }
   EXPECT_TRUE(batcher.empty());
+}
+
+// The request that opens a shard gives it its trits: a lone 256-round
+// request that solely owns its buffer is flushed in that very buffer. A
+// request whose buffer a copy still shares, or a view, is copied, and the
+// caller's buffer is left as it was.
+TEST(MicroBatcher, StagesALoneOwnedRequestWithoutCopying) {
+  SorterPool pool;
+  const SortShape shape{4, 4};
+  const auto sorter = *pool.acquire(shape.channels, shape.bits);
+  MicroBatcher batcher(256, 1ms);
+  Xoshiro256 rng(4);
+  const auto t0 = Clock::now();
+  const auto pending_for = [&](SortRequest request) {
+    PendingSort pending;
+    pending.request = std::move(request);
+    pending.done = [](SortResponse) {};
+    pending.enqueued = t0;
+    return pending;
+  };
+  const auto owned_batch = [&] {
+    return std::move(
+        SortRequest::own_batch(shape, 256, random_rounds(rng, shape, 256))
+            .value());
+  };
+
+  SortRequest owned = owned_batch();
+  const Trit* const data = owned.payload.data();
+  auto r = batcher.add(sorter, pending_for(std::move(owned)), t0);
+  ASSERT_TRUE(r.full.has_value());
+  EXPECT_EQ(r.full->flat.data(), data);
+  EXPECT_EQ(r.full->flat.size(), 256 * shape.trits());
+
+  const SortRequest shared = owned_batch();
+  r = batcher.add(sorter, pending_for(shared), t0);
+  ASSERT_TRUE(r.full.has_value());
+  EXPECT_NE(r.full->flat.data(), shared.payload.data());
+  EXPECT_TRUE(std::equal(shared.payload.begin(), shared.payload.end(),
+                         r.full->flat.begin(), r.full->flat.end()));
+
+  const std::vector<Trit> caller = random_rounds(rng, shape, 256);
+  SortRequest view =
+      std::move(SortRequest::view_batch(shape, 256, caller).value());
+  r = batcher.add(sorter, pending_for(std::move(view)), t0);
+  ASSERT_TRUE(r.full.has_value());
+  EXPECT_NE(r.full->flat.data(), caller.data());
+  EXPECT_EQ(r.full->flat, caller);
 }
 
 // --- SortService ------------------------------------------------------------
@@ -791,38 +875,80 @@ TEST(SortService, ShapeBeyondNodeIdFailsWithResourceExhausted) {
 
 // Deadline policy: judged at flush time. An expired request is failed with
 // kDeadlineExceeded while its fresh lane-mates in the same group still
-// sort correctly.
+// sort correctly: a fresh request after an expired one, and an expired
+// request between two fresh ones, whose rows move over the expired row.
 TEST(SortService, DeadlineExpiredRequestsFailAtFlushTime) {
+  const McSorter reference(4, 4);
+  Xoshiro256 rng(19);
+  const std::vector<std::vector<bool>> cases = {{true, false},
+                                                {false, true, false}};
+  for (const std::vector<bool>& expired : cases) {
+    ServeOptions opt;
+    opt.workers = 1;
+    opt.flush_window = std::chrono::microseconds(1h);  // only drain flushes
+    SortService service(opt);
+
+    std::vector<std::vector<Word>> rounds;
+    std::vector<std::future<SortResponse>> futures;
+    for (const bool past : expired) {
+      rounds.push_back(random_round(rng, 4, 4));
+      SortRequest request =
+          std::move(SortRequest::from_words(rounds.back()).value());
+      request.deadline = past ? Clock::now() - 1ms : Clock::now() + 1h;
+      futures.push_back(service.submit(std::move(request)));
+    }
+    service.stop();  // drain-flushes the shared partial group
+
+    std::size_t n_expired = 0;
+    for (std::size_t i = 0; i < expired.size(); ++i) {
+      const SortResponse rsp = futures[i].get();
+      if (expired[i]) {
+        ++n_expired;
+        EXPECT_EQ(rsp.status.code(), StatusCode::kDeadlineExceeded);
+        EXPECT_TRUE(rsp.payload.empty());
+      } else {
+        ASSERT_TRUE(rsp.status.ok()) << rsp.status.to_string();
+        EXPECT_EQ(rsp.words(), reference.sort(rounds[i])) << "request " << i;
+      }
+    }
+    EXPECT_EQ(registry_counter(service, "serve_submitted_total"),
+              expired.size());
+    EXPECT_EQ(registry_counter(service, "serve_expired_total"), n_expired);
+    EXPECT_EQ(registry_counter(service, "serve_completed_total"),
+              expired.size() - n_expired);
+    EXPECT_EQ(registry_counter(service, "serve_failed_total"), 0u);
+  }
+}
+
+// A lone request that owns its trits keeps one buffer from submit to
+// response: the batcher adopts it, the sort runs in place and the response
+// takes it back. No payload-sized buffer is allocated on the way.
+TEST(SortService, LoneOwnedRequestGetsItsOwnBufferBack) {
+  const SortShape shape{7, 5};
+  constexpr std::size_t kRounds = 256;  // fills max_lanes by itself
   ServeOptions opt;
   opt.workers = 1;
-  opt.flush_window = std::chrono::microseconds(1h);  // only drain flushes
+  opt.warmup_shapes = {shape};
   SortService service(opt);
-  Xoshiro256 rng(19);
+  Xoshiro256 rng(29);
+  std::vector<Trit> input = random_rounds(rng, shape, kRounds);
+  std::vector<Trit> want(input.size());
+  ASSERT_TRUE(McSorter(shape.channels, shape.bits)
+                  .sort_batch_flat(input, want)
+                  .ok());
+  SortRequest request = std::move(
+      SortRequest::own_batch(shape, kRounds, std::move(input)).value());
+  const Trit* const data = request.payload.data();
 
-  const std::vector<Word> round_a = random_round(rng, 4, 4);
-  const std::vector<Word> round_b = random_round(rng, 4, 4);
-  SortRequest expired = std::move(SortRequest::from_words(round_a).value());
-  expired.deadline = Clock::now() - 1ms;  // already past
-  SortRequest fresh = std::move(SortRequest::from_words(round_b).value());
-  fresh.deadline = Clock::now() + 1h;
+  g_watched_allocs = 0;
+  g_watched_bytes = kRounds * shape.trits() * sizeof(Trit);
+  const SortResponse rsp = service.submit(std::move(request)).get();
+  g_watched_bytes = 0;
 
-  std::future<SortResponse> f_expired = service.submit(std::move(expired));
-  std::future<SortResponse> f_fresh = service.submit(std::move(fresh));
-  service.stop();  // drain-flushes the shared partial group
-
-  const SortResponse r_expired = f_expired.get();
-  EXPECT_EQ(r_expired.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(r_expired.payload.empty());
-
-  const SortResponse r_fresh = f_fresh.get();
-  ASSERT_TRUE(r_fresh.status.ok()) << r_fresh.status.to_string();
-  const McSorter reference(4, 4);
-  EXPECT_EQ(r_fresh.words(), reference.sort_batch({round_b})[0]);
-
-  EXPECT_EQ(registry_counter(service, "serve_submitted_total"), 2u);
-  EXPECT_EQ(registry_counter(service, "serve_expired_total"), 1u);
-  EXPECT_EQ(registry_counter(service, "serve_completed_total"), 1u);
-  EXPECT_EQ(registry_counter(service, "serve_failed_total"), 0u);
+  ASSERT_TRUE(rsp.status.ok()) << rsp.status.to_string();
+  EXPECT_EQ(rsp.payload, want);
+  EXPECT_EQ(rsp.payload.data(), data);
+  EXPECT_EQ(g_watched_allocs.load(), 0u);
 }
 
 // serve_completed_total counts requests, not the rounds they carry, so
@@ -833,15 +959,10 @@ TEST(SortService, CompletedCountsRequestsNotRounds) {
   const SortShape shape{4, 4};
   Xoshiro256 rng(23);
   const auto batch_request = [&] {
-    std::vector<Trit> flat;
-    flat.reserve(kRounds * shape.trits());
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      for (const Word& w : random_round(rng, shape.channels, shape.bits)) {
-        flat.insert(flat.end(), w.begin(), w.end());
-      }
-    }
     return std::move(
-        SortRequest::own_batch(shape, kRounds, std::move(flat)).value());
+        SortRequest::own_batch(shape, kRounds,
+                               random_rounds(rng, shape, kRounds))
+            .value());
   };
   SortService service;
 

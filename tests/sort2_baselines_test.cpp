@@ -76,7 +76,8 @@ TEST(Sort2Baselines, Date17StyleIsBetweenLinearAndQuadratic) {
 }
 
 // Reconstruction quality vs the published DATE'17 numbers: within 35% at
-// every width (documented substitution, see DESIGN.md).
+// every width (documented substitution, see
+// src/mcsn/ckt/sort2_baselines.hpp).
 TEST(Sort2Baselines, Date17StyleTracksPublishedCounts) {
   const std::pair<std::size_t, std::size_t> published[] = {
       {2, 34}, {4, 160}, {8, 504}, {16, 1344}};

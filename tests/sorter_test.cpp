@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "mcsn/core/gray.hpp"
 #include "mcsn/core/valid.hpp"
@@ -257,6 +259,41 @@ TEST(McSorter, ServedEngineMatchesElaboratedNetlist) {
     const McSorter sorter(channels, bits);
     expect_engine_matches_netlist(sorter.engine(), sorter.netlist(),
                                   shape_name(channels, bits), rng);
+  }
+}
+
+// sort_batch_flat(buf, buf) sorts in place: the result equals the
+// out-of-place call's on one round, a partial group, exactly one group,
+// one more round and three sharded groups. A buffer that partly overlaps
+// the input is refused, and nothing is written.
+TEST(McSorter, SortBatchFlatInPlaceMatchesOutOfPlace) {
+  Xoshiro256 rng(23);
+  for (const auto& [channels, bits] : kEngineShapes) {
+    const McSorter sorter(channels, bits);
+    const std::size_t width = sorter.shape().trits();
+    for (const std::size_t rounds : {1u, 255u, 256u, 257u, 600u}) {
+      std::vector<Trit> buf(rounds * width);
+      for (Trit& t : buf) t = static_cast<Trit>(rng.below(3));
+      std::vector<Trit> want(buf.size());
+      ASSERT_TRUE(sorter.sort_batch_flat(buf, want).ok());
+      ASSERT_TRUE(sorter.sort_batch_flat(buf, buf).ok());
+      ASSERT_EQ(buf, want) << shape_name(channels, bits) << ", " << rounds
+                           << " rounds";
+    }
+
+    // Rounds [0, 2) sorted into rounds [1, 3) of the same buffer.
+    std::vector<Trit> buf(3 * width);
+    for (Trit& t : buf) t = static_cast<Trit>(rng.below(3));
+    const std::vector<Trit> before = buf;
+    const std::span<Trit> all(buf);
+    EXPECT_EQ(sorter.sort_batch_flat(all.first(2 * width),
+                                     all.subspan(width))
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_THROW(sorter.engine().run_flat(all.first(2 * width),
+                                          all.subspan(width)),
+                 std::invalid_argument);
+    EXPECT_EQ(buf, before) << shape_name(channels, bits);
   }
 }
 

@@ -82,6 +82,24 @@ TEST(Cli, ReportsAnUnknownFlag) {
   EXPECT_THROW((void)CliArgs(2, with_value, {"channels"}), CliError);
 }
 
+// A repeated flag is refused, whatever its values: reading only its first
+// value would hide a malformed later one ("--channels 4 --channels 9x").
+TEST(Cli, RejectsARepeatedFlag) {
+  const char* argv[] = {"prog", "--channels", "4", "--channels", "9x"};
+  try {
+    (void)CliArgs(5, argv, {"channels"});
+    FAIL() << "a second --channels was accepted";
+  } catch (const CliError& e) {
+    EXPECT_NE(std::string(e.what()).find("--channels given twice"),
+              std::string::npos)
+        << e.what();
+  }
+  const char* same_value[] = {"prog", "--bits=4", "--bits", "4"};
+  EXPECT_THROW((void)CliArgs(4, same_value, {"bits"}), CliError);
+  const char* switches[] = {"prog", "--stdin", "--stdin"};
+  EXPECT_THROW((void)CliArgs(3, switches, {"stdin"}), CliError);
+}
+
 TEST(Cli, RejectsNumbersWithTrailingCharacters) {
   const char* argv[] = {"prog", "--channels", "4x", "--rate=1.5s",
                         "--bits=", "--seed", "1.5"};

@@ -77,6 +77,7 @@
 #include <locale>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -408,6 +409,18 @@ bool parse_warmup_shapes(const std::string& arg,
   return true;
 }
 
+/// --key as a count. A negative value is refused here, naming the value
+/// typed, instead of reaching the size_t options.
+std::size_t get_count_or(const CliArgs& args, std::string_view key,
+                         long fallback) {
+  const long value = args.get_long_or(key, fallback);
+  if (value < 0) {
+    throw CliError("--" + std::string(key) + " must not be negative (got " +
+                   std::to_string(value) + ")");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 int usage() {
   std::cerr << "usage: tool_sortd [--channels C>=2] [--bits 1..16]"
                " [--workers W>=1] [--window-us U>=0] [--max-lanes 1..1048576]"
@@ -443,19 +456,19 @@ int main(int argc, char** argv) try {
       static_cast<std::size_t>(args.get_long_or("bits", 8));
   const long workers = args.get_long_or("workers", 1);
   const long window_us = args.get_long_or("window-us", 200);
-  const long max_lanes = args.get_long_or("max-lanes", 256);
-  const long max_inflight = args.get_long_or("max-inflight", 4096);
+  const std::size_t max_lanes = get_count_or(args, "max-lanes", 256);
+  const std::size_t max_inflight = get_count_or(args, "max-inflight", 4096);
   const double rate = args.get_double_or("rate", 20000.0);
   const double duration_s = args.get_double_or("duration-s", 1.0);
   const auto seed = static_cast<std::uint64_t>(args.get_long_or("seed", 42));
   // Every number is read here, before the mode dispatch, so a malformed one
   // is refused in every mode, not only in the modes that use it.
   const long stats_interval_s = args.get_long_or("stats-interval", 0);
-  const long pool_capacity = args.get_long_or("pool-capacity", 0);
+  const std::size_t pool_capacity = get_count_or(args, "pool-capacity", 0);
   const long port = args.get_long_or("listen", -1);
   const long loops = args.get_long_or("loops", 1);
-  const long max_conns = args.get_long_or("max-conns", 256);
-  const long conn_inflight = args.get_long_or("conn-inflight", 64);
+  const std::size_t max_conns = get_count_or(args, "max-conns", 256);
+  const std::size_t conn_inflight = get_count_or(args, "conn-inflight", 64);
   const long idle_ms = args.get_long_or("idle-timeout-ms", 30000);
   // Workload-shape knobs keep their domain checks here; a non-finite or
   // non-positive rate feeds PoissonClock inf/NaN deadlines.
@@ -482,18 +495,9 @@ int main(int argc, char** argv) try {
   ServeOptions opt;
   opt.workers = static_cast<int>(workers);
   opt.flush_window = std::chrono::microseconds(window_us);
-  // Negative values must reach validate() as out-of-range, not wrap
-  // through the size_t casts into huge "valid" bounds.
-  opt.max_lanes =
-      max_lanes < 0 ? 0 : static_cast<std::size_t>(max_lanes);
-  opt.max_inflight =
-      max_inflight < 0 ? 0 : static_cast<std::size_t>(max_inflight);
-
-  if (pool_capacity < 0) {
-    std::cerr << "sortd: --pool-capacity must be >= 0\n";
-    return usage();
-  }
-  opt.pool_capacity = static_cast<std::size_t>(pool_capacity);
+  opt.max_lanes = max_lanes;
+  opt.max_inflight = max_inflight;
+  opt.pool_capacity = pool_capacity;
   if (args.has("warmup")) {
     if (!parse_warmup_shapes(args.get_or("warmup", ""), opt.warmup_shapes)) {
       return usage();
@@ -527,11 +531,9 @@ int main(int argc, char** argv) try {
     sopt.unix_path = args.get_or("listen-unix", "");
     sopt.host = args.get_or("host", "127.0.0.1");
     sopt.loops = static_cast<int>(loops);
-    sopt.max_connections =
-        max_conns < 0 ? 0 : static_cast<std::size_t>(max_conns);
-    sopt.max_inflight =
-        conn_inflight < 0 ? 0 : static_cast<std::size_t>(conn_inflight);
-    sopt.idle_timeout = std::chrono::milliseconds(idle_ms < 0 ? -1 : idle_ms);
+    sopt.max_connections = max_conns;
+    sopt.max_inflight = conn_inflight;
+    sopt.idle_timeout = std::chrono::milliseconds(idle_ms);
     if (Status s = sopt.validate(); !s.ok()) {
       std::cerr << "sortd: " << s.to_string() << "\n";
       return usage();
