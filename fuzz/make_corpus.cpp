@@ -5,10 +5,12 @@
 //
 // Writes fuzz/corpus/wire_decode/*.bin and fuzz/corpus/wire_stream/*.bin:
 // one well-formed frame of every wire type in both payload encodings,
-// plus the canonical malformations (truncations, bad magic/version/type,
-// oversized length prefix, invalid and non-canonically-padded trits, the
-// saturating deadline regression) and, for the stream target, multi-frame
-// streams with and without corrupt or truncated tails. The fuzzers start
+// trit payloads ending 1-7 trits past a multiple of eight, plus the
+// canonical malformations (truncations, bad magic/version/type, oversized
+// length prefix, invalid trits at and around a word boundary,
+// non-canonically-padded trits, the saturating deadline regression) and,
+// for the stream target, multi-frame streams with and without corrupt or
+// truncated tails. The fuzzers start
 // from full branch coverage of the frame vocabulary instead of having to
 // invent an 8-byte header by mutation; the same files replay as a
 // regression suite under the standalone driver (see standalone_main.cpp).
@@ -216,6 +218,35 @@ int main(int argc, char** argv) {
     frame.back() |= 0x03 << 4;
     write(decode_dir, "bad_padding.bin", frame);
   }
+  // Payload tails: the codec moves eight trits per 64-bit step, so
+  // payloads ending 1-7 trits past a multiple of eight (one channel of
+  // 8 + r bits) reach its partial final word, as requests and responses.
+  std::vector<Bytes> tails;
+  for (std::size_t r = 1; r <= 7; ++r) {
+    std::vector<Trit> trits(8 + r);
+    for (std::size_t i = 0; i < trits.size(); ++i) {
+      trits[i] = trit_from_index(static_cast<int>((i * 7 + r) % 3));
+    }
+    const SortRequest request = std::move(
+        SortRequest::own(SortShape{1, 8 + r}, std::move(trits)).value());
+    tails.push_back(wire::encode_request(request, now));
+    write(decode_dir, "req_tail_" + std::to_string(r) + ".bin", tails.back());
+    write(decode_dir, "rsp_tail_" + std::to_string(r) + ".bin",
+          wire::encode_response(ok_response(request)));
+  }
+  {
+    // A code 3 at index 7 (the end of the first word), 8 (the start of the
+    // second) and 12 (the last trit of the 13-trit tail): kDataLoss naming
+    // that index.
+    const Bytes& tail = tails[4];
+    for (const std::size_t at : {std::size_t{7}, std::size_t{8},
+                                 std::size_t{12}}) {
+      Bytes bad = tail;
+      bad[wire::kHeaderSize + 20 + at / 4] |=
+          static_cast<std::uint8_t>(0x03 << (2 * (at % 4)));
+      write(decode_dir, "invalid_trit_at_" + std::to_string(at) + ".bin", bad);
+    }
+  }
   {
     // Unknown flag bit set (bit 1) on an otherwise valid request.
     Bytes frame = req_trits;
@@ -278,6 +309,9 @@ int main(int argc, char** argv) {
   write(stream_dir, "truncated_tail.bin",
         stream_seed(13, concat({batch_req, truncated(req_trits, 11)})));
   write(stream_dir, "empty.bin", stream_seed(3, {}));
+  write(stream_dir, "tails.bin",
+        stream_seed(17, concat({tails[0], tails[1], tails[2], tails[3],
+                                tails[4], tails[5], tails[6]})));
 
   std::printf("make_corpus: wrote seeds under %s\n", root.c_str());
   return 0;

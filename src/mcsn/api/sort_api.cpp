@@ -147,6 +147,16 @@ Status SortRequest::validate() const {
         shape_str(shape) + " (" + std::to_string(rounds * shape.trits()) +
         ")");
   }
+  // A Trit is a byte, so a cast can carry any value. The wire encoders
+  // would keep its low two bits and the engine would read it as M, so the
+  // socket and in-process paths would sort different rounds.
+  if (const std::size_t bad = first_invalid_trit(payload);
+      bad != payload.size()) {
+    return Status::invalid_argument(
+        "payload trit " + std::to_string(bad) + " is " +
+        std::to_string(static_cast<unsigned>(payload[bad])) +
+        ", not 0, 1 or M (2)");
+  }
   return Status();
 }
 

@@ -134,7 +134,9 @@ struct SortRequest {
                                                        std::vector<Trit> flat);
 
   /// Re-checks the invariants the factories establish (payload length,
-  /// shape bounds) — for requests decoded from the wire or hand-built.
+  /// shape bounds, every payload byte a Trit value: 0, 1 or 2) — for
+  /// requests decoded from the wire or hand-built. kInvalidArgument names
+  /// the first bad trit's index.
   [[nodiscard]] Status validate() const;
 
   /// The payload as a vector, leaving the request without one: the owned

@@ -7,9 +7,13 @@
 // Kleene's strong three-valued logic: M behaves as "could be 0 or 1, possibly
 // a time-varying voltage in between".
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 
 namespace mcsn {
@@ -101,6 +105,49 @@ inline constexpr Trit kAllTrits[kTritCount] = {Trit::zero, Trit::one,
 [[nodiscard]] constexpr Trit trit_star(Trit a, Trit b) noexcept {
   return a == b ? a : Trit::meta;
 }
+
+// --- Eight trits per 64-bit word -------------------------------------------
+//
+// A Trit array holds one byte per trit, so eight consecutive trits load as
+// one 64-bit word with trit j in byte j (bits [8j, 8j + 8)) on either byte
+// order. The engine's unpack and the wire codec move trits this way.
+
+/// The low bit of every byte of a trit word, and the two bits a Trit uses.
+inline constexpr std::uint64_t kTritWordLsb = 0x0101010101010101u;
+inline constexpr std::uint64_t kTritWordMask = 0x0303030303030303u;
+
+/// Trits p[0, n), n <= 8, as one word: trit j in byte j, bytes n..7 zero.
+[[nodiscard]] inline std::uint64_t load_trit_word(const Trit* p,
+                                                  std::size_t n = 8) noexcept {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, n);
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  return w;
+}
+
+/// Stores bytes [0, n) of `w`, n <= 8, to p[0, n): byte j to p[j].
+inline void store_trit_word(Trit* p, std::uint64_t w,
+                            std::size_t n = 8) noexcept {
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  std::memcpy(p, &w, n);
+}
+
+/// Nonzero exactly in the bytes of the trit word `w` that hold no Trit
+/// value: a bit above the two a trit uses, or both of them (code 3). Its
+/// lowest set bit lies in the first bad byte.
+[[nodiscard]] constexpr std::uint64_t invalid_trit_bytes(
+    std::uint64_t w) noexcept {
+  return (w & ~kTritWordMask) | (w & (w >> 1) & kTritWordLsb);
+}
+
+/// Index of the first element of `trits` whose byte is not 0, 1 or 2 (a
+/// Trit cast from any other value), or trits.size() when there is none.
+[[nodiscard]] std::size_t first_invalid_trit(
+    std::span<const Trit> trits) noexcept;
 
 /// '0', '1', or 'M'.
 [[nodiscard]] char to_char(Trit t) noexcept;

@@ -294,15 +294,80 @@ namespace {
 
 using Backend = Packed256Backend;
 
+/// Transposes `m` as an 8x8 byte matrix (byte k of m[j] trades places with
+/// byte j of m[k]) in three rounds of 2x2 block swaps: 4-byte, 2-byte and
+/// 1-byte blocks.
+void transpose_bytes(std::array<std::uint64_t, 8>& m) noexcept {
+  const auto swap = [&m](std::size_t a, std::size_t b, int shift,
+                         std::uint64_t low) {
+    const std::uint64_t t = ((m[a] >> shift) ^ m[b]) & low;
+    m[b] ^= t;
+    m[a] ^= t << shift;
+  };
+  for (const std::size_t a : {0, 1, 2, 3}) {
+    swap(a, a + 4, 32, 0x00000000ffffffffu);
+  }
+  for (const std::size_t a : {0, 1, 4, 5}) {
+    swap(a, a + 2, 16, 0x0000ffff0000ffffu);
+  }
+  for (const std::size_t a : {0, 2, 4, 6}) {
+    swap(a, a + 1, 8, 0x00ff00ff00ff00ffu);
+  }
+}
+
+/// Writes lanes [0, active) of the engine's `outs` output values to
+/// `rows`, lane L to rows[L * outs, (L + 1) * outs); engine.output(o) is
+/// output o's value. It steps over eight values at a time and 64 lanes per
+/// rail word. The byte transpose turns eight values' rail words into eight
+/// words that each hold eight lanes, value j in byte j with lane i in bit i,
+/// so one shift and mask gives a lane's eight bits as bytes: a row's eight
+/// trits, can1 + (can0 & can1), in one store. Writes no other bytes, so
+/// `rows` may alias the rows the group was packed from.
+template <class Engine>
+void unpack_lanes(const Engine& engine, std::size_t outs, int active,
+                  Trit* rows) {
+  for (std::size_t o = 0; o < outs; o += 8) {
+    const std::size_t n = std::min<std::size_t>(8, outs - o);
+    for (int w = 0; 64 * w < active; ++w) {
+      const auto word = static_cast<std::size_t>(w);
+      std::array<std::uint64_t, 8> one{};   // lanes where value o + j can be 1
+      std::array<std::uint64_t, 8> meta{};  // and where it is M
+      for (std::size_t j = 0; j < n; ++j) {
+        const Backend::Value& v = engine.output(o + j);
+        one[j] = v.can1.word[word];
+        meta[j] = v.can0.word[word] & v.can1.word[word];
+      }
+      transpose_bytes(one);
+      transpose_bytes(meta);
+      for (int k = 0; k < 8; ++k) {
+        const int first = 64 * w + 8 * k;
+        const int lanes = std::min(8, active - first);
+        for (int i = 0; i < lanes; ++i) {
+          Trit* const row =
+              rows + static_cast<std::size_t>(first + i) * outs + o;
+          const std::uint64_t trits =
+              ((one[k] >> i) & kTritWordLsb) + ((meta[k] >> i) & kTritWordLsb);
+          if (n == 8) {  // a constant size: one 8-byte store
+            store_trit_word(row, trits);
+          } else {
+            store_trit_word(row, trits, n);
+          }
+        }
+      }
+    }
+  }
+}
+
 /// The lane-group loop behind both evaluators' run_flat. `inputs` holds
 /// N vectors of `width` trits and `outputs` receives N vectors of `outs`
 /// trits. Each shard builds one engine with make_engine(), which exposes
 /// inputs() (the `width` values a group is packed into), run() and
-/// output_lane(o, lane). A one-group call runs on the caller. A call with
-/// G > 1 groups shards them over min(G, hardware_parallelism()) threads:
-/// the caller plus engine_pool(). Shards write disjoint rows. `outputs`
-/// may be `inputs` itself: a group's rows are all packed before any of
-/// them is written, and each shard owns whole groups.
+/// output(o) (read by unpack_lanes). A one-group call runs on the caller.
+/// A call with G > 1 groups shards them over min(G,
+/// hardware_parallelism()) threads: the caller plus engine_pool(). Shards
+/// write disjoint rows. `outputs` may be `inputs` itself: a group's rows
+/// are all packed before any of them is written, and each shard owns whole
+/// groups.
 template <class MakeEngine>
 void run_lane_groups(const char* who, std::span<const Trit> inputs,
                      std::span<Trit> outputs, std::size_t width,
@@ -345,13 +410,7 @@ void run_lane_groups(const char* who, std::span<const Trit> inputs,
         }
       }
       engine.run();
-      for (int lane = 0; lane < active; ++lane) {
-        Trit* const row =
-            outputs.data() + (base + static_cast<std::size_t>(lane)) * outs;
-        for (std::size_t o = 0; o < outs; ++o) {
-          row[o] = engine.output_lane(o, lane);
-        }
-      }
+      unpack_lanes(engine, outs, active, outputs.data() + base * outs);
     }
   };
 
@@ -372,8 +431,9 @@ class ProgramEngine {
 
   std::span<Backend::Value> inputs() noexcept { return packed_; }
   void run() { exec_.run(packed_); }
-  [[nodiscard]] Trit output_lane(std::size_t o, int lane) const {
-    return exec_.output_lane(o, lane);
+  /// Output o: its pair of rails in the executor.
+  [[nodiscard]] Backend::Value output(std::size_t o) const {
+    return exec_.output(o);
   }
 
  private:
@@ -424,8 +484,9 @@ class CellNetworkEngine {
     }
   }
 
-  [[nodiscard]] Trit output_lane(std::size_t o, int lane) const noexcept {
-    return state_[o].lane(lane);
+  /// Output o: state value o, since the network sorts in place.
+  [[nodiscard]] const Backend::Value& output(std::size_t o) const noexcept {
+    return state_[o];
   }
 
  private:

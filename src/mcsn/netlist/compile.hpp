@@ -336,11 +336,16 @@ class CompiledExecutor {
                          prog_->form_runs());
   }
 
+  /// Output o from the last run, every lane: its can0 rail, then its can1
+  /// rail (the other rail of its slot).
+  [[nodiscard]] Value output(std::size_t o) const {
+    const std::uint32_t rail = prog_->output_rails()[o];
+    return {rails_[rail], rails_[rail ^ 1u]};
+  }
+
   /// Lane `lane` of output o from the last run.
   [[nodiscard]] Trit output_lane(std::size_t o, int lane) const {
-    const std::uint32_t rail = prog_->output_rails()[o];
-    return trit_from_rails(rail_bit(rails_[rail], lane),
-                           rail_bit(rails_[rail ^ 1u], lane));
+    return output(o).lane(lane);
   }
 
   [[nodiscard]] const CompiledProgram& program() const noexcept {
@@ -382,8 +387,9 @@ class BatchEvaluator {
   /// `inputs` holds N input vectors back to back (N x input_width()
   /// trits, vector-major) and results are written into `outputs`
   /// (N x output_width() trits). Packing reads and unpacking writes go
-  /// straight between the flat buffers and the wide lanes; a trailing
-  /// partial lane group is handled transparently. Throws
+  /// straight between the flat buffers and the wide lanes, the unpack
+  /// eight lanes by eight outputs per 64-bit step; a trailing partial lane
+  /// group is handled transparently. Throws
   /// std::invalid_argument unless inputs.size() is a whole number N of
   /// input vectors and outputs.size() is exactly N x output_width(), and
   /// when the buffers overlap other than as one buffer (which needs equal
@@ -413,8 +419,10 @@ class BatchEvaluator {
 /// values, then runs the cell once per comparator, layer by layer: it
 /// reads channel `lo` as g and `hi` as h and writes min back to `lo` and
 /// max to `hi`. That is the netlist elaborate_network stamps, one cell
-/// copy per comparator, and the same function bit for bit. Memory per call is the
-/// state array plus the cell's slots, 64 B per value each. Thread-safe.
+/// copy per comparator, and the same function bit for bit. The state array
+/// is unpacked into the output rows eight lanes by eight values per 64-bit
+/// step. Memory per call is the state array plus the cell's slots, 64 B per
+/// value each. Thread-safe.
 class CellNetworkEvaluator {
  public:
   /// Compiles `cell` once and keeps `network`. Throws

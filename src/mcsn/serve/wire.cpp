@@ -1,6 +1,7 @@
 #include "mcsn/serve/wire.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -48,25 +49,74 @@ std::string hex32(std::uint32_t v) {
   return buf;
 }
 
+// Packed trits move eight per step: a trit word (core/trit.hpp, trit j in
+// byte j) holds the same eight codes as two payload bytes (trit j in bits
+// [2j, 2j + 2) of lo | hi << 8). Two shift-or-mask steps gather the codes
+// of each four bytes into the low byte of their 32-bit half, and the same
+// two steps in reverse spread them back.
+
+/// The two payload bytes of trit word `w`, low byte first. Only each
+/// byte's low two bits count, so a byte that is no Trit cannot reach its
+/// neighbours' codes.
+std::array<std::uint8_t, 2> pack_trit_word(std::uint64_t w) {
+  w &= kTritWordMask;
+  w = (w | (w >> 6)) & 0x000f000f000f000fu;
+  w = (w | (w >> 12)) & 0x000000ff000000ffu;
+  return {static_cast<std::uint8_t>(w), static_cast<std::uint8_t>(w >> 32)};
+}
+
+/// The trit word of payload bytes `lo` and `hi`, code j in byte j: a
+/// code 3 stays 3 for invalid_trit_bytes to find.
+std::uint64_t unpack_trit_word(std::uint8_t lo, std::uint8_t hi) {
+  std::uint64_t w = lo | (std::uint64_t{hi} << 32);
+  w = (w | (w << 12)) & 0x000f000f000f000fu;
+  return (w | (w << 6)) & kTritWordMask;
+}
+
+/// Appends `trits` as packed 2-bit codes. The trits must be Trit values;
+/// SortRequest::validate() refuses any other byte.
 void pack_trits(std::vector<std::uint8_t>& out, std::span<const Trit> trits) {
   const std::size_t base = out.size();
-  out.resize(base + packed_trit_bytes(trits.size()), 0);
-  for (std::size_t i = 0; i < trits.size(); ++i) {
-    out[base + i / 4] |= static_cast<std::uint8_t>(
-        static_cast<unsigned>(trits[i]) << (2 * (i % 4)));
+  out.resize(base + packed_trit_bytes(trits.size()));
+  std::uint8_t* const bytes = out.data() + base;
+  const std::size_t words = trits.size() / 8;
+  for (std::size_t i = 0; i < words; ++i) {
+    const auto [lo, hi] = pack_trit_word(load_trit_word(trits.data() + 8 * i));
+    bytes[2 * i] = lo;
+    bytes[2 * i + 1] = hi;
+  }
+  if (const std::size_t n = trits.size() % 8; n != 0) {
+    const auto [lo, hi] =
+        pack_trit_word(load_trit_word(trits.data() + 8 * words, n));
+    bytes[2 * words] = lo;
+    if (n > 4) bytes[2 * words + 1] = hi;
   }
 }
 
+/// Decodes `count` packed trits from `bytes` (exactly
+/// packed_trit_bytes(count) of them) into `out`. kDataLoss on a code 3,
+/// naming the first bad index, and on nonzero padding bits.
 Status unpack_trits(std::span<const std::uint8_t> bytes, std::size_t count,
                     std::vector<Trit>& out) {
   out.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const unsigned v = (bytes[i / 4] >> (2 * (i % 4))) & 3u;
-    if (v > 2u) {
-      return Status::data_loss("invalid packed trit at index " +
-                               std::to_string(i));
-    }
-    out[i] = static_cast<Trit>(v);
+  const std::size_t words = count / 8;
+  std::uint64_t bad = 0;
+  for (std::size_t i = 0; i < words; ++i) {
+    const std::uint64_t w = unpack_trit_word(bytes[2 * i], bytes[2 * i + 1]);
+    bad |= invalid_trit_bytes(w);
+    store_trit_word(out.data() + 8 * i, w);
+  }
+  if (const std::size_t n = count % 8; n != 0) {
+    const std::uint64_t w =
+        unpack_trit_word(bytes[2 * words], n > 4 ? bytes[2 * words + 1] : 0);
+    // Codes past the last trit are padding, checked below.
+    bad |= invalid_trit_bytes(w) & ((std::uint64_t{1} << (8 * n)) - 1);
+    store_trit_word(out.data() + 8 * words, w, n);
+  }
+  if (bad != 0) {
+    // A code 3 decodes to the byte 3, the only byte that is no Trit.
+    return Status::data_loss("invalid packed trit at index " +
+                             std::to_string(first_invalid_trit(out)));
   }
   // Canonical form: padding bits of the final byte must be zero, so every
   // payload has exactly one byte representation (and flipped garbage in
@@ -109,17 +159,26 @@ std::uint8_t version_for(FrameType type) {
   return kVersionMin;
 }
 
-std::vector<std::uint8_t> finish_frame(FrameType type,
-                                       std::vector<std::uint8_t> body) {
+/// A frame's one buffer: room for the header and a `body_size`-byte body,
+/// holding the header with a zero body size. The encoder appends the body
+/// and finish_frame writes its size.
+std::vector<std::uint8_t> start_frame(FrameType type, std::size_t body_size) {
   std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderSize + body.size());
+  frame.reserve(kHeaderSize + body_size);
   frame.push_back(kMagic0);
   frame.push_back(kMagic1);
   frame.push_back(version_for(type));
   frame.push_back(static_cast<std::uint8_t>(type));
-  put_u32(frame, static_cast<std::uint32_t>(body.size()));
-  frame.insert(frame.end(), body.begin(), body.end());
+  put_u32(frame, 0);
   return frame;
+}
+
+/// Writes the size of the body appended since start_frame into the header.
+void finish_frame(std::vector<std::uint8_t>& frame) {
+  const auto body_size = static_cast<std::uint32_t>(frame.size() - kHeaderSize);
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[4 + i] = static_cast<std::uint8_t>(body_size >> (8 * i));
+  }
 }
 
 struct Header {
@@ -246,6 +305,13 @@ bool is_batch(FrameType type) {
          type == FrameType::batch_response;
 }
 
+/// Bytes put_payload writes for the same arguments.
+std::size_t payload_size(
+    const std::optional<std::vector<std::uint64_t>>& values,
+    std::span<const Trit> trits) {
+  return values ? values->size() * 8 : packed_trit_bytes(trits.size());
+}
+
 /// The payload writer: u64 values when `values` holds them, else packed
 /// trits.
 void put_payload(std::vector<std::uint8_t>& body,
@@ -283,12 +349,14 @@ Status read_payload(SortShape shape, std::uint32_t rounds, bool values,
 std::vector<std::uint8_t> encode_sort_request(FrameType type,
                                               const SortRequest& request,
                                               Clock::time_point now) {
-  std::vector<std::uint8_t> body;
   const std::optional<std::vector<std::uint64_t>> values = values_if_decodable(
       request.shape, request.payload, request.values_requested);
-  put_u32(body, static_cast<std::uint32_t>(request.shape.channels));
-  put_u32(body, static_cast<std::uint32_t>(request.shape.bits));
-  put_u32(body, values ? kFlagValues : 0u);
+  std::vector<std::uint8_t> frame = start_frame(
+      type, kRequestFixed + (is_batch(type) ? kRoundCount : 0) +
+                payload_size(values, request.payload));
+  put_u32(frame, static_cast<std::uint32_t>(request.shape.channels));
+  put_u32(frame, static_cast<std::uint32_t>(request.shape.bits));
+  put_u32(frame, values ? kFlagValues : 0u);
   std::uint64_t deadline_ns = 0;
   if (request.deadline) {
     const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -299,35 +367,40 @@ std::vector<std::uint8_t> encode_sort_request(FrameType type,
                       ? static_cast<std::uint64_t>(budget.count())
                       : 1;
   }
-  put_u64(body, deadline_ns);
+  put_u64(frame, deadline_ns);
   if (is_batch(type)) {
-    put_u32(body, static_cast<std::uint32_t>(request.rounds));
+    put_u32(frame, static_cast<std::uint32_t>(request.rounds));
   }
-  put_payload(body, values, request.payload);
-  return finish_frame(type, std::move(body));
+  put_payload(frame, values, request.payload);
+  finish_frame(frame);
+  return frame;
 }
 
 std::vector<std::uint8_t> encode_sort_response(FrameType type,
                                                const SortResponse& response) {
-  std::vector<std::uint8_t> body;
   const bool has_payload = response.status.ok();
   const std::optional<std::vector<std::uint64_t>> values =
       has_payload ? values_if_decodable(response.shape, response.payload,
                                         response.values_requested)
                   : std::nullopt;
-  put_u32(body, static_cast<std::uint32_t>(response.status.code()));
-  put_u32(body, values ? kFlagValues : 0u);
-  put_u32(body, static_cast<std::uint32_t>(response.shape.channels));
-  put_u32(body, static_cast<std::uint32_t>(response.shape.bits));
-  put_u64(body, static_cast<std::uint64_t>(response.latency.count()));
-  if (is_batch(type)) {
-    put_u32(body, static_cast<std::uint32_t>(response.rounds));
-  }
   const std::string& message = response.status.message();
-  put_u32(body, static_cast<std::uint32_t>(message.size()));
-  body.insert(body.end(), message.begin(), message.end());
-  if (has_payload) put_payload(body, values, response.payload);
-  return finish_frame(type, std::move(body));
+  std::vector<std::uint8_t> frame = start_frame(
+      type, kResponseFixed + (is_batch(type) ? kRoundCount : 0) +
+                message.size() +
+                (has_payload ? payload_size(values, response.payload) : 0));
+  put_u32(frame, static_cast<std::uint32_t>(response.status.code()));
+  put_u32(frame, values ? kFlagValues : 0u);
+  put_u32(frame, static_cast<std::uint32_t>(response.shape.channels));
+  put_u32(frame, static_cast<std::uint32_t>(response.shape.bits));
+  put_u64(frame, static_cast<std::uint64_t>(response.latency.count()));
+  if (is_batch(type)) {
+    put_u32(frame, static_cast<std::uint32_t>(response.rounds));
+  }
+  put_u32(frame, static_cast<std::uint32_t>(message.size()));
+  frame.insert(frame.end(), message.begin(), message.end());
+  if (has_payload) put_payload(frame, values, response.payload);
+  finish_frame(frame);
+  return frame;
 }
 
 StatusOr<SortRequest> decode_sort_request(FrameType type,
@@ -451,22 +524,28 @@ std::vector<std::uint8_t> encode_batch_response(const SortResponse& response) {
 }
 
 std::vector<std::uint8_t> encode_stats_request(StatsFormat format) {
-  std::vector<std::uint8_t> body;
-  put_u32(body, static_cast<std::uint32_t>(format));
-  return finish_frame(FrameType::stats_request, std::move(body));
+  std::vector<std::uint8_t> frame =
+      start_frame(FrameType::stats_request, kStatsRequestSize);
+  put_u32(frame, static_cast<std::uint32_t>(format));
+  finish_frame(frame);
+  return frame;
 }
 
 std::vector<std::uint8_t> encode_stats_response(const StatsReply& reply) {
-  std::vector<std::uint8_t> body;
-  put_u32(body, static_cast<std::uint32_t>(reply.status.code()));
-  put_u32(body, static_cast<std::uint32_t>(reply.format));
   const std::string& message = reply.status.message();
-  put_u32(body, static_cast<std::uint32_t>(message.size()));
-  body.insert(body.end(), message.begin(), message.end());
+  std::vector<std::uint8_t> frame = start_frame(
+      FrameType::stats_response,
+      kStatsResponseFixed + message.size() +
+          (reply.status.ok() ? reply.text.size() : 0));
+  put_u32(frame, static_cast<std::uint32_t>(reply.status.code()));
+  put_u32(frame, static_cast<std::uint32_t>(reply.format));
+  put_u32(frame, static_cast<std::uint32_t>(message.size()));
+  frame.insert(frame.end(), message.begin(), message.end());
   if (reply.status.ok()) {
-    body.insert(body.end(), reply.text.begin(), reply.text.end());
+    frame.insert(frame.end(), reply.text.begin(), reply.text.end());
   }
-  return finish_frame(FrameType::stats_response, std::move(body));
+  finish_frame(frame);
+  return frame;
 }
 
 StatusOr<StatsFormat> decode_stats_request(std::span<const std::uint8_t> body) {

@@ -145,6 +145,11 @@ enum class StatsFormat : std::uint32_t {
 inline constexpr std::uint32_t kFlagValues = 1u << 0;
 
 // --- encoding ---------------------------------------------------------------
+//
+// Encoders need valid trits: every payload byte 0, 1 or 2, which
+// SortRequest::validate() checks and the engine always produces. Each
+// payload byte keeps only its low two bits, so another byte cannot reach
+// its neighbours' codes, but it does not encode what it meant.
 
 /// One self-delimiting request frame. A deadline is carried as the budget
 /// remaining relative to `now` (floored at 1 ns so an already-expired

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "mcsn/api/sort_api.hpp"
@@ -125,6 +126,48 @@ TEST(SortRequest, FactoriesRejectMismatchedPayloads) {
             StatusCode::kInvalidArgument);  // ragged
   EXPECT_EQ(SortRequest::from_words({Word(0), Word(0)}).status().code(),
             StatusCode::kInvalidArgument);  // zero-width words
+}
+
+// A Trit is a byte, so a cast can carry a value that is no trit. A
+// request holding one is refused, naming the first bad index, by every
+// factory and by validate() on a hand-built request, so the wire encoders
+// and the engine never see it (they would read a 5 as 1 and as M). Trit
+// bytes 3 and above are refused at every offset around an eight-trit word.
+TEST(SortRequest, ValidateRefusesTritBytesOutsideZeroOneTwo) {
+  const std::vector<Trit> bad = {static_cast<Trit>(5), Trit::zero, Trit::one,
+                                 Trit::one};
+  const StatusOr<SortRequest> owned = SortRequest::own(SortShape{2, 2}, bad);
+  EXPECT_EQ(owned.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(owned.status().message().find("trit 0 is 5"), std::string::npos)
+      << owned.status().to_string();
+  EXPECT_EQ(SortRequest::view(SortShape{2, 2}, bad).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Passing through the factory, then broken by hand.
+  std::vector<Trit> flat(17, Trit::meta);
+  SortRequest request =
+      std::move(SortRequest::view(SortShape{1, 17}, flat).value());
+  for (const std::size_t at : {0u, 6u, 7u, 8u, 9u, 15u, 16u}) {
+    for (const unsigned value : {3u, 4u, 128u, 255u}) {
+      flat[at] = static_cast<Trit>(value);
+      const Status s = request.validate();
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(s.message().find("trit " + std::to_string(at) + " is " +
+                                 std::to_string(value)),
+                std::string::npos)
+          << s.to_string();
+      flat[at] = Trit::one;
+    }
+  }
+  EXPECT_TRUE(request.validate().ok());
+
+  // McSorter's in-process path refuses it too, instead of sorting a 5 as M.
+  const McSorter sorter(2, 2);
+  SortRequest hand;
+  hand.shape = SortShape{2, 2};
+  hand.payload = bad;
+  EXPECT_EQ(sorter.sort_request(hand).status.code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SortRequest, FromValuesGrayEncodesAndFlagsIntent) {

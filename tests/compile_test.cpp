@@ -10,12 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "mcsn/core/valid.hpp"
 #include "mcsn/netlist/eval.hpp"
 #include "mcsn/nets/catalog.hpp"
 #include "mcsn/nets/elaborate.hpp"
@@ -409,28 +410,52 @@ TEST(Compile, ExecutorRejectsInputCountMismatch) {
   EXPECT_NO_THROW(exec.run(exact));
 }
 
-// sort_batch must agree with per-round sort() for every batch size around
-// the 64- and 256-lane group boundaries (partial final groups included).
+// sort_batch_flat must agree, round by round, with the node walker on the
+// elaborated netlist, which shares no pack, unpack or lane code with the
+// engine. Shapes: the served-engine shapes of sorter_test plus four more,
+// so that the round width hits every residue mod 8 (the unpack writes
+// eight trits per step); round counts around every 64-lane word and the
+// 256-lane group; random trits, so 0, 1 and M all appear. Every round is
+// checked up to 24x8; on 64x16, the rounds at lanes 0, 63, 64, 127, 128,
+// 191, 192 and 255 of each group.
 TEST(Compile, SortBatchMatchesPerRoundSortAcrossLaneBoundaries) {
-  const std::size_t bits = 5;
-  const int channels = 7;
-  McSorter sorter(channels, bits);
+  constexpr std::pair<int, std::size_t> kShapes[] = {
+      {1, 3},  {2, 1},  {3, 2}, {7, 5}, {10, 8}, {10, 16},
+      {24, 8}, {64, 16}, {1, 1}, {4, 1}, {5, 1}, {7, 1}};
+  constexpr std::size_t kRounds[] = {1,   63,  64,  65,  127, 128, 129,
+                                     191, 192, 193, 255, 256, 257};
+  constexpr std::size_t kBoundaryLanes[] = {0,   63,  64,  127,
+                                            128, 191, 192, 255};
   Xoshiro256 rng(99);
-
-  for (const std::size_t rounds : {1u, 63u, 64u, 65u, 256u, 300u}) {
-    std::vector<std::vector<Word>> batch(rounds);
-    for (auto& round : batch) {
-      round.reserve(static_cast<std::size_t>(channels));
-      for (int c = 0; c < channels; ++c) {
-        round.push_back(valid_from_rank(rng.below(valid_count(bits)), bits));
+  std::vector<bool> width_residues(8, false);
+  for (const auto& [channels, bits] : kShapes) {
+    const McSorter sorter(channels, bits);
+    const Netlist nl = sorter.netlist();
+    NodeWalkEvaluator reference(nl);
+    const std::size_t width = sorter.shape().trits();
+    width_residues[width % 8] = true;
+    const bool every_round = width <= 24 * 8;
+    Word want;
+    for (const std::size_t rounds : kRounds) {
+      std::vector<Trit> in(rounds * width);
+      for (Trit& t : in) t = trit_from_index(static_cast<int>(rng.below(3)));
+      std::vector<Trit> got(in.size());
+      ASSERT_TRUE(sorter.sort_batch_flat(in, got).ok());
+      for (std::size_t r = 0; r < rounds; ++r) {
+        if (!every_round &&
+            std::find(std::begin(kBoundaryLanes), std::end(kBoundaryLanes),
+                      r % 256) == std::end(kBoundaryLanes)) {
+          continue;
+        }
+        const std::span<const Trit> row(got.data() + r * width, width);
+        reference.run_outputs(std::span(in).subspan(r * width, width), want);
+        ASSERT_TRUE(std::equal(row.begin(), row.end(), want.begin(),
+                               want.end()))
+            << channels << "x" << bits << ", " << rounds << " rounds, r=" << r;
       }
     }
-    const std::vector<std::vector<Word>> got = sorter.sort_batch(batch);
-    ASSERT_EQ(got.size(), rounds);
-    for (std::size_t r = 0; r < rounds; ++r) {
-      ASSERT_EQ(got[r], sorter.sort(batch[r])) << rounds << " rounds, r=" << r;
-    }
   }
+  EXPECT_EQ(std::count(width_residues.begin(), width_residues.end(), true), 8);
 }
 
 // One 600-vector call spans three lane groups and shards them over the

@@ -854,6 +854,31 @@ TEST(SortService, RequestApiFailsViaStatusNotExceptions) {
   EXPECT_EQ(registry_counter(service, "serve_rejected_total"), 2u);
 }
 
+// A hand-built request whose payload holds a byte that is no trit fails
+// admission with kInvalidArgument naming it, and the service keeps serving.
+TEST(SortService, SubmitRefusesTritBytesOutsideZeroOneTwo) {
+  SortService service;
+  const std::vector<Trit> bad = {static_cast<Trit>(5), Trit::zero, Trit::one,
+                                 Trit::one};
+  SortRequest request;
+  request.shape = SortShape{2, 2};
+  request.payload = bad;
+  const SortResponse refused = service.submit(std::move(request)).get();
+  EXPECT_EQ(refused.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status.message().find("trit 0 is 5"), std::string::npos)
+      << refused.status.to_string();
+  EXPECT_EQ(registry_counter(service, "serve_rejected_total"), 1u);
+
+  const std::vector<Trit> good = {Trit::one, Trit::zero, Trit::one,
+                                  Trit::one};
+  const SortRequest request_good =
+      std::move(SortRequest::view(SortShape{2, 2}, good).value());
+  const SortResponse served = service.submit(request_good).get();
+  ASSERT_TRUE(served.status.ok()) << served.status.to_string();
+  EXPECT_EQ(served.payload,
+            McSorter(2, 2).sort_request(request_good).payload);
+}
+
 // A request for a shape whose netlist NodeId cannot index completes with
 // kResourceExhausted from admission, and the service keeps serving.
 TEST(SortService, ShapeBeyondNodeIdFailsWithResourceExhausted) {

@@ -224,7 +224,9 @@ TEST(McSorter, RefusesNetlistsNodeIdCannotIndex) {
 // and M all appear, not only valid strings: on one round, a partial group,
 // a group and one more round, and three sharded groups. They must agree
 // bit for bit, and the engine's op count is the elaborated program's:
-// nothing crosses cells, so cell ops x comparators.
+// nothing crosses cells, so cell ops x comparators. Both evaluators pack
+// and unpack through one lane-group loop, so that loop is checked against
+// the node walker in compile_test (SortBatchMatchesPerRoundSort...).
 void expect_engine_matches_netlist(const CellNetworkEvaluator& engine,
                                    const Netlist& nl, const std::string& what,
                                    Xoshiro256& rng) {

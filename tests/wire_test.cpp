@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -371,6 +373,75 @@ TEST(Wire, RequestBodyShapeAndSizeMismatchesAreRejected) {
                 .status()
                 .code(),
             StatusCode::kDataLoss);
+}
+
+// The codec moves packed trits eight per 64-bit step, so its edges are the
+// payload tails. Trit payloads of every length from 1 to 17 (one channel
+// of that many bits) carry each trit's code where the format puts it and
+// round-trip byte-exactly as requests and responses. A code 3 at any index
+// is kDataLoss naming that index, also when a later code 3 follows, and a
+// nonzero code in any padding slot of a partial final byte is kDataLoss.
+TEST(Wire, TritPayloadsOfEveryLengthRoundTripAndRefuseBadCodes) {
+  constexpr std::size_t kPayload = wire::kHeaderSize + 20;
+  const auto decode_status = [](std::span<const std::uint8_t> frame) {
+    return wire::decode_request(frame.subspan(wire::kHeaderSize)).status();
+  };
+  Xoshiro256 rng(41);
+  for (std::size_t len = 1; len <= 17; ++len) {
+    const SortShape shape{1, len};
+    std::vector<Trit> flat(len);
+    for (Trit& t : flat) t = trit_from_index(static_cast<int>(rng.below(3)));
+    const std::vector<std::uint8_t> frame =
+        wire::encode_request(std::move(SortRequest::own(shape, flat).value()));
+    ASSERT_EQ(frame.size(), kPayload + (len + 3) / 4) << len << " trits";
+    // Trit i's code sits in bits [2(i % 4), 2(i % 4) + 2) of byte i / 4.
+    for (std::size_t i = 0; i < len; ++i) {
+      ASSERT_EQ((frame[kPayload + i / 4] >> (2 * (i % 4))) & 3u,
+                static_cast<unsigned>(flat[i]))
+          << len << " trits, i=" << i;
+    }
+    const SortRequest decoded = decode_request_frame(frame);
+    EXPECT_TRUE(std::equal(decoded.payload.begin(), decoded.payload.end(),
+                           flat.begin(), flat.end()))
+        << len << " trits";
+    EXPECT_EQ(wire::encode_request(decoded), frame) << len << " trits";
+
+    SortResponse response;
+    response.shape = shape;
+    response.payload = flat;
+    const std::vector<std::uint8_t> rsp_frame = wire::encode_response(response);
+    const StatusOr<wire::FrameView> rsp_view = wire::parse_frame(rsp_frame);
+    ASSERT_TRUE(rsp_view.ok());
+    const StatusOr<SortResponse> rsp_back =
+        wire::decode_response(rsp_view->body);
+    ASSERT_TRUE(rsp_back.ok()) << rsp_back.status().to_string();
+    EXPECT_EQ(rsp_back->payload, flat) << len << " trits";
+    EXPECT_EQ(wire::encode_response(*rsp_back), rsp_frame);
+
+    for (std::size_t bad = 0; bad < len; ++bad) {
+      std::vector<std::uint8_t> broken = frame;
+      broken[kPayload + bad / 4] |=
+          static_cast<std::uint8_t>(3u << (2 * (bad % 4)));
+      broken[kPayload + (len - 1) / 4] |=
+          static_cast<std::uint8_t>(3u << (2 * ((len - 1) % 4)));
+      const Status s = decode_status(broken);
+      EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+      EXPECT_EQ(s.message(),
+                "invalid packed trit at index " + std::to_string(bad))
+          << len << " trits";
+    }
+    for (std::size_t pad = len; pad % 4 != 0; ++pad) {
+      for (unsigned code = 1; code <= 3; ++code) {
+        std::vector<std::uint8_t> broken = frame;
+        broken[kPayload + pad / 4] |=
+            static_cast<std::uint8_t>(code << (2 * (pad % 4)));
+        const Status s = decode_status(broken);
+        EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+        EXPECT_EQ(s.message(), "nonzero padding in packed trit payload")
+            << len << " trits, padding slot " << pad << ", code " << code;
+      }
+    }
+  }
 }
 
 // --- batch frames (wire v2) ---------------------------------------------------
