@@ -14,8 +14,8 @@
 // whole corpus in one call, whose lane groups shard over the process-wide
 // engine pool ("engine_parallelism" threads, the caller included).
 // served_sorter passes it in one McSorter::sort_batch_flat call on the same
-// network: the engine the serving stack runs, one compiled 2-sort cell per
-// comparator instead of the elaborated program.
+// network: the engine the serving stack runs, the serial 2-sort scan per
+// comparator instead of the elaborated (Ladner–Fischer) program.
 //
 // Every engine runs the same input corpus and must produce the same output
 // checksum ("engines_agree": true) — a built-in differential smoke test.

@@ -13,6 +13,8 @@
 // Whenever a decode succeeds, the harness checks the codec's round-trip
 // properties instead of just "didn't crash":
 //
+//   * a decoded request satisfies SortRequest::validate(), which the
+//     decoders do not call (admission runs it once per request);
 //   * re-encoding the decoded value yields a parseable, decodable frame;
 //   * the second decode agrees with the first on every semantic field
 //     (shape, rounds, payload trits, status, deadline budget, format);
@@ -40,6 +42,7 @@ using namespace mcsn;
 using fuzz::require;
 
 void check_request_roundtrip(const SortRequest& r1, bool batch) {
+  require(r1.validate().ok(), "a decoded request must pass validate()");
   const auto now = fuzz::fixed_now();
   const std::vector<std::uint8_t> f1 =
       batch ? wire::encode_batch_request(r1, now) : wire::encode_request(r1, now);

@@ -11,6 +11,24 @@ BusPair build_sort2(Netlist& nl, const Bus& g, const Bus& h,
   assert(!g.empty());
   const std::size_t bits = g.size();
 
+  if (opt.topology == PpcTopology::serial) {
+    // The scan's algebra on a netlist: each operation emits its gates.
+    struct GateAlgebra {
+      Netlist& nl;
+      OpStyle style;
+      NodeId and_(NodeId a, NodeId b) const { return nl.and2(a, b); }
+      NodeId or_(NodeId a, NodeId b) const { return nl.or2(a, b); }
+      NodeId not_(NodeId a) const { return nl.inv(a); }
+      NodeId select(NodeId a, NodeId b, NodeId s1, NodeId s2) const {
+        return selection_circuit(nl, a, b, s1, s2, style);
+      }
+    };
+    BusPair out{h, g};  // sorted in place: max over h, min over g
+    sort2_serial_scan(GateAlgebra{nl, opt.style}, out.min.data(),
+                      out.max.data(), bits);
+    return out;
+  }
+
   BusPair out;
   out.max.resize(bits);
   out.min.resize(bits);

@@ -67,21 +67,23 @@ struct PackedTrit {
 
 // An AND output can be 1 only if both inputs can be 1; it can be 0 if either
 // input can be 0. OR dually; NOT swaps rails. These are exactly the closure
-// (Kleene) semantics of Table 3, lane-parallel. They are each cell's
-// dual-rail formula: the IR verifier's netlist replay (verify_ir.hpp)
-// rebuilds every netlist cell from them.
+// (Kleene) semantics of Table 3, lane-parallel, for PackedTrit and
+// PackedTrit256 alike. They are each cell's dual-rail formula: the IR
+// verifier's netlist replay (verify_ir.hpp) rebuilds every netlist cell
+// from them, and the served engine's serial scan runs on them.
 
-[[nodiscard]] constexpr PackedTrit packed_and(PackedTrit a,
-                                              PackedTrit b) noexcept {
+template <class P>
+[[nodiscard]] constexpr P packed_and(const P& a, const P& b) noexcept {
   return {a.can0 | b.can0, a.can1 & b.can1};
 }
 
-[[nodiscard]] constexpr PackedTrit packed_or(PackedTrit a,
-                                             PackedTrit b) noexcept {
+template <class P>
+[[nodiscard]] constexpr P packed_or(const P& a, const P& b) noexcept {
   return {a.can0 & b.can0, a.can1 | b.can1};
 }
 
-[[nodiscard]] constexpr PackedTrit packed_not(PackedTrit a) noexcept {
+template <class P>
+[[nodiscard]] constexpr P packed_not(const P& a) noexcept {
   return {a.can1, a.can0};
 }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "mcsn/ckt/sort2.hpp"
 #include "mcsn/util/thread_pool.hpp"
 
 #if !defined(NDEBUG) || defined(MCSN_VERIFY)
@@ -441,45 +442,36 @@ class ProgramEngine {
   std::vector<Backend::Value> packed_;
 };
 
+/// sort2_serial_scan's algebra on 256 lanes: Kleene gates on the rails.
+struct RailAlgebra {
+  using V = Backend::Value;
+  static V and_(const V& a, const V& b) noexcept { return packed_and(a, b); }
+  static V or_(const V& a, const V& b) noexcept { return packed_or(a, b); }
+  static V not_(const V& a) noexcept { return packed_not(a); }
+  static V select(const V& a, const V& b, const V& s1,
+                  const V& s2) noexcept {
+    return or_(and_(or_(s1, a), b), and_(not_(s2), a));
+  }
+};
+
 /// CellNetworkEvaluator's engine: the channel-major state array, one value
-/// per channel bit, and the rails of one cell.
+/// per channel bit, sorted in place by the serial scan per comparator.
 class CellNetworkEngine {
  public:
-  CellNetworkEngine(const CompiledProgram& cell, std::size_t bits,
-                    const ComparatorNetwork& network)
-      : cell_(cell),
-        bits_(bits),
+  CellNetworkEngine(std::size_t bits, const ComparatorNetwork& network)
+      : bits_(bits),
         network_(network),
-        rails_(2 * cell.slot_count()),
-        state_(static_cast<std::size_t>(network.channels()) * bits) {
-    for (const CompiledProgram::ConstInit& c : cell.const_inits()) {
-      load(c.slot, Backend::splat(c.value));
-    }
-  }
+        state_(static_cast<std::size_t>(network.channels()) * bits) {}
 
   std::span<Backend::Value> inputs() noexcept { return state_; }
 
   void run() noexcept {
-    const std::span<const std::uint32_t> in_slots = cell_.input_slots();
-    const std::span<const std::uint32_t> out_rails = cell_.output_rails();
     for (const std::vector<Comparator>& layer : network_.layers()) {
       for (const Comparator& cmp : layer) {
-        Backend::Value* const lo =
-            state_.data() + static_cast<std::size_t>(cmp.lo) * bits_;
-        Backend::Value* const hi =
-            state_.data() + static_cast<std::size_t>(cmp.hi) * bits_;
-        // Cell inputs: g[0, B) is channel lo, h[0, B) channel hi.
-        for (std::size_t k = 0; k < bits_; ++k) {
-          load(in_slots[k], lo[k]);
-          load(in_slots[bits_ + k], hi[k]);
-        }
-        rail_kernel::run_ops(rails_.data(), cell_.ops().data(),
-                             cell_.form_runs());
-        // Cell outputs: max[0, B) goes to channel hi, min[0, B) to lo.
-        for (std::size_t k = 0; k < bits_; ++k) {
-          hi[k] = read(out_rails[k]);
-          lo[k] = read(out_rails[bits_ + k]);
-        }
+        sort2_serial_scan(
+            RailAlgebra{},
+            state_.data() + static_cast<std::size_t>(cmp.lo) * bits_,
+            state_.data() + static_cast<std::size_t>(cmp.hi) * bits_, bits_);
       }
     }
   }
@@ -490,22 +482,8 @@ class CellNetworkEngine {
   }
 
  private:
-  void load(std::uint32_t slot, const Backend::Value& v) noexcept {
-    if (slot == CompiledProgram::kNoSlot) return;
-    rails_[2 * slot] = v.can0;
-    rails_[2 * slot + 1] = v.can1;
-  }
-
-  /// The value on rail r: r is its can0 rail and r ^ 1 its can1 rail, so
-  /// an odd (complemented) output rail swaps its slot's two rails.
-  [[nodiscard]] Backend::Value read(std::uint32_t r) const noexcept {
-    return {rails_[r], rails_[r ^ 1u]};
-  }
-
-  const CompiledProgram& cell_;
   std::size_t bits_;
   const ComparatorNetwork& network_;
-  std::vector<Backend::Rail> rails_;
   std::vector<Backend::Value> state_;
 };
 
@@ -518,17 +496,11 @@ void BatchEvaluator::run_flat(std::span<const Trit> inputs,
                   [this] { return ProgramEngine(prog_); });
 }
 
-CellNetworkEvaluator::CellNetworkEvaluator(const Netlist& cell,
+CellNetworkEvaluator::CellNetworkEvaluator(std::size_t bits,
                                            ComparatorNetwork network)
-    : cell_(CompiledProgram::compile(cell)),
-      bits_(cell_.input_count() / 2),
-      network_(std::move(network)) {
-  if (bits_ == 0 || cell_.input_count() != 2 * bits_ ||
-      cell_.output_count() != 2 * bits_) {
-    throw std::invalid_argument(
-        "CellNetworkEvaluator: a 2-sort cell has 2B inputs and 2B outputs, "
-        "got " + std::to_string(cell_.input_count()) + " and " +
-        std::to_string(cell_.output_count()));
+    : bits_(bits), network_(std::move(network)) {
+  if (bits_ == 0) {
+    throw std::invalid_argument("CellNetworkEvaluator: bits must be >= 1");
   }
   if (!network_.well_formed()) {
     throw std::invalid_argument("CellNetworkEvaluator: network '" +
@@ -540,7 +512,7 @@ void CellNetworkEvaluator::run_flat(std::span<const Trit> inputs,
                                     std::span<Trit> outputs) const {
   run_lane_groups("CellNetworkEvaluator::run_flat", inputs, outputs,
                   width(), width(), [this] {
-                    return CellNetworkEngine(cell_, bits_, network_);
+                    return CellNetworkEngine(bits_, network_);
                   });
 }
 

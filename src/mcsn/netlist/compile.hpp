@@ -67,10 +67,9 @@
 //     arbitrary netlists: benches, equivalence and containment checks, and
 //     the replay of a sorter's elaborated netlist.
 //   * CellNetworkEvaluator runs a comparator network whose comparators are
-//     all one 2-sort(B) cell: it owns the cell's program and the network,
-//     and runs the cell once per comparator over a channel-major state
-//     array. McSorter serves every shape through it, so a shape build
-//     compiles one cell, not the elaborated network.
+//     all the serial 2-sort(B): no program, but the paper's FSM scan run in
+//     place on a channel-major state array, once per comparator. McSorter
+//     serves every shape through it, so a shape build compiles nothing.
 
 #include <array>
 #include <cassert>
@@ -204,33 +203,20 @@ class CompiledProgram {
 
 // --- Lane backends ----------------------------------------------------------
 //
-// A backend names the value type of one executor lane group and its rail
-// type (one value is its can0 rail then its can1 rail), plus splat and a
-// lane writer for packing. kLanes is the number of independent input
-// vectors one run evaluates.
+// A backend names the value type of one executor lane group (with its
+// splat and set_lane, core/packed.hpp), its rail type (a value is its can0
+// rail, then its can1 rail) and kLanes, the input vectors one run reads.
 
 struct Packed64Backend {
   using Value = PackedTrit;
   using Rail = std::uint64_t;
   static constexpr int kLanes = 64;
-  [[nodiscard]] static constexpr Value splat(Trit t) noexcept {
-    return PackedTrit::splat(t);
-  }
-  static constexpr void set_lane(Value& v, int lane, Trit t) noexcept {
-    v.set_lane(lane, t);
-  }
 };
 
 struct Packed256Backend {
   using Value = PackedTrit256;
   using Rail = Rail256;
   static constexpr int kLanes = PackedTrit256::kLanes;
-  [[nodiscard]] static constexpr Value splat(Trit t) noexcept {
-    return PackedTrit256::splat(t);
-  }
-  static constexpr void set_lane(Value& v, int lane, Trit t) noexcept {
-    v.set_lane(lane, t);
-  }
 };
 
 // --- Rail kernels -----------------------------------------------------------
@@ -312,7 +298,7 @@ class CompiledExecutor {
   explicit CompiledExecutor(const CompiledProgram& prog)
       : prog_(&prog), rails_(2 * prog.slot_count()) {
     for (const CompiledProgram::ConstInit& c : prog_->const_inits()) {
-      store(c.slot, Backend::splat(c.value));
+      store(c.slot, Value::splat(c.value));
     }
   }
 
@@ -411,33 +397,24 @@ class BatchEvaluator {
 [[nodiscard]] bool partial_overlap(std::span<const Trit> in,
                                    std::span<const Trit> out) noexcept;
 
-/// Evaluates a comparator network of one compiled 2-sort(B) cell. The cell
-/// netlist has inputs g[0, B) then h[0, B) and outputs max[0, B) then
-/// min[0, B), the port order of make_sort2 (ckt/sort2.hpp). An input
-/// vector is one round: channels x B trits, channel-major. Per 256-lane
-/// group, run_flat packs the round into a state array of channels x B
-/// values, then runs the cell once per comparator, layer by layer: it
-/// reads channel `lo` as g and `hi` as h and writes min back to `lo` and
-/// max to `hi`. That is the netlist elaborate_network stamps, one cell
-/// copy per comparator, and the same function bit for bit. The state array
-/// is unpacked into the output rows eight lanes by eight values per 64-bit
-/// step. Memory per call is the state array plus the cell's slots, 64 B per
-/// value each. Thread-safe.
+/// Evaluates a comparator network of serial 2-sort(B) cells on rounds of
+/// channels x B trits, channel-major. Per 256-lane group, run_flat packs a
+/// state array of channels x B values (64 B each), runs sort2_serial_scan
+/// (ckt/sort2.hpp) in place per comparator, layer by layer (channel `lo`
+/// is g and takes min, `hi` is h and takes max), and unpacks the state
+/// eight lanes by eight values per 64-bit step: bit for bit what
+/// elaborate_network stamps with the serial cell. Thread-safe.
 class CellNetworkEvaluator {
  public:
-  /// Compiles `cell` once and keeps `network`. Throws
-  /// std::invalid_argument unless the cell has 2B inputs and 2B outputs
-  /// for some B >= 1 and the network is well formed
-  /// (ComparatorNetwork::well_formed).
-  CellNetworkEvaluator(const Netlist& cell, ComparatorNetwork network);
+  /// Keeps `network`. Throws std::invalid_argument unless bits >= 1 and
+  /// the network is well formed (ComparatorNetwork::well_formed).
+  CellNetworkEvaluator(std::size_t bits, ComparatorNetwork network);
 
   /// Trits per round: channels x B.
   [[nodiscard]] std::size_t width() const noexcept {
     return static_cast<std::size_t>(network_.channels()) * bits_;
   }
-  /// The compiled 2-sort(B) cell every comparator runs.
-  [[nodiscard]] const CompiledProgram& cell() const noexcept { return cell_; }
-  /// The network whose comparators the cell runs.
+  /// The network whose comparators the scan runs.
   [[nodiscard]] const ComparatorNetwork& network() const noexcept {
     return network_;
   }
@@ -452,7 +429,6 @@ class CellNetworkEvaluator {
   void run_flat(std::span<const Trit> inputs, std::span<Trit> outputs) const;
 
  private:
-  CompiledProgram cell_;
   std::size_t bits_ = 0;
   ComparatorNetwork network_;
 };

@@ -57,8 +57,8 @@ struct ServeOptions {
   int workers = 1;
   /// Lane-group target per batch; 256 fills one wide engine pass. Larger
   /// values span several lane groups per flush, sharded over the engine
-  /// pool (see CellNetworkEvaluator); smaller trade throughput for latency. At
-  /// most kMaxBatchRounds, the bound on one batch.
+  /// pool (CellNetworkEvaluator::run_flat); smaller ones flush sooner, but
+  /// each group runs all 256 lanes. At most kMaxBatchRounds.
   std::size_t max_lanes = 256;
   /// Max time a request waits for lane-mates before a partial flush.
   std::chrono::microseconds flush_window{200};

@@ -1,13 +1,12 @@
 #pragma once
-// Bounded LRU cache of compiled sorters keyed by request shape
-// (channels, bits). Building a sorter (its network plus one compiled
-// 2-sort(B) cell) costs up to a few milliseconds — done once per shape,
-// then every micro-batch of that shape reuses the same sorter. With
-// arbitrary-shape serving (nets/compose/) the shape space is unbounded, so
-// the pool is a cache, not a registry: `capacity` bounds the number of
-// sorters kept resident and the least-recently-used *idle* shape is
-// evicted when a new shape would exceed it (capacity 0 = unbounded, the
-// historical behavior).
+// Bounded LRU cache of sorters keyed by request shape (channels, bits).
+// Building a sorter (its comparator network) costs up to a few
+// milliseconds — done once per shape, then every micro-batch of that
+// shape reuses the same sorter. With arbitrary-shape serving
+// (nets/compose/) the shape space is unbounded, so the pool is a cache,
+// not a registry: `capacity` bounds the number of sorters kept resident
+// and the least-recently-used *idle* shape is evicted when a new shape
+// would exceed it (capacity 0 = unbounded, the historical behavior).
 //
 // Idle means built and referenced by nobody outside the cache: an entry
 // whose sorter is held by an in-flight batch group or a queued shard is

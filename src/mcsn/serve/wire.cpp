@@ -431,12 +431,15 @@ StatusOr<SortRequest> decode_sort_request(FrameType type,
       !s.ok()) {
     return s;
   }
-  StatusOr<SortRequest> request =
-      SortRequest::own_batch(*shape, rounds, std::move(trits));
-  if (!request.ok()) return request;
-  request->values_requested = values;
+  // All validate() checks passed above; try_admit runs the one full scan.
+  SortRequest request;
+  request.shape = *shape;
+  request.rounds = rounds;
+  request.values_requested = values;
+  request.storage = std::make_shared<std::vector<Trit>>(std::move(trits));
+  request.payload = *request.storage;
   if (deadline_ns != 0) {
-    request->deadline =
+    request.deadline =
         now + std::chrono::nanoseconds(std::min(deadline_ns, kMaxDeadlineNs));
   }
   return request;

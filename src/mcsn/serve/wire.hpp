@@ -232,7 +232,8 @@ struct FrameView {
     std::span<const std::uint8_t> bytes);
 
 /// Decodes a request body (one round; no batch bound applies). Deadline
-/// budgets are re-anchored at `now`.
+/// budgets are re-anchored at `now`. Like decode_batch_request, it returns
+/// only requests that satisfy SortRequest::validate(), without running it.
 [[nodiscard]] StatusOr<SortRequest> decode_request(
     std::span<const std::uint8_t> body,
     std::chrono::steady_clock::time_point now =

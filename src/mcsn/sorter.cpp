@@ -25,14 +25,12 @@ BuiltNetwork build_or_throw(int channels, std::size_t bits,
   return std::move(*built);
 }
 
-// The served engine: `net` run through the kServedSort2 cell. Refuses,
-// with std::length_error, a shape whose elaborated netlist NodeId could
-// not index, so netlist() and stats() work on every sorter that exists.
-// The budget is checked here, before the network moves into the engine.
+// The served engine over `net`. Refuses first, with std::length_error, a
+// shape whose netlist() NodeId could not index (elaborated_node_count).
 CellNetworkEvaluator served_engine(ComparatorNetwork net, std::size_t bits) {
-  const Netlist cell = make_sort2(bits, kServedSort2);
-  elaborated_node_count(net, bits, cell.node_count() - cell.inputs().size());
-  return CellNetworkEvaluator(cell, std::move(net));
+  elaborated_node_count(net, bits,
+                        sort2_gate_count(bits, kServedSort2.topology));
+  return CellNetworkEvaluator(bits, std::move(net));
 }
 
 std::string shape_str(SortShape s) {

@@ -1,7 +1,7 @@
 #pragma once
 // High-level facade: an n-channel, B-bit metastability-containing sorter.
 //
-// Wraps network selection, the compiled 2-sort(B) cell every comparator
+// Wraps network selection, the serial 2-sort(B) scan every comparator
 // runs, evaluation and containment accounting behind a value-semantic
 // class, so downstream users can sort vectors of (possibly marginal) Gray
 // code measurements in two lines:
@@ -21,11 +21,11 @@
 
 namespace mcsn {
 
-/// The 2-sort(B) cell every served comparator runs. The engine pays per
-/// op, not per level, so serving uses the serial prefix (B - 2 ⋄M blocks,
-/// the fewest) instead of Sort2Options' default Ladner–Fischer: the same
-/// ternary function (bdd_test proves it for B <= 16) with 25% fewer ops
-/// at B = 16.
+/// The 2-sort(B) cell every served comparator runs, as sort2_serial_scan.
+/// The engine pays per gate, not per level, so serving uses the serial
+/// prefix (B - 2 ⋄M blocks, the fewest) instead of Sort2Options' default
+/// Ladner–Fischer: the same ternary function (bdd_test proves it for
+/// B <= 16) with 25% fewer gates at B = 16.
 inline constexpr Sort2Options kServedSort2{PpcTopology::serial,
                                            OpStyle::simple_gates};
 
@@ -45,10 +45,10 @@ struct McSorterOptions {
 
 class McSorter {
  public:
-  /// Builds the network and compiles one kServedSort2 cell; it elaborates
-  /// no netlist. Throws std::invalid_argument for a degenerate or unbuildable
-  /// shape, and std::length_error when netlist() would have more nodes
-  /// than NodeId can index (see elaborated_node_count).
+  /// Builds the network; it compiles and elaborates nothing. Throws
+  /// std::invalid_argument for a degenerate or unbuildable shape, and
+  /// std::length_error when netlist() would have more nodes than NodeId
+  /// can index (see elaborated_node_count).
   McSorter(int channels, std::size_t bits, const McSorterOptions& opt = {});
 
   /// Constructs from an already-built network (see NetworkBuilder) —
@@ -63,9 +63,8 @@ class McSorter {
 
   /// The gate-level netlist of the network: one 2-sort(B) cell per
   /// comparator. It computes what the sorter serves, bit for bit, but is
-  /// elaborated afresh on every call: a sorter keeps only its network and
-  /// its compiled cell. Bind the result to a local before iterating over
-  /// it.
+  /// elaborated afresh on every call: a sorter keeps only its network.
+  /// Bind the result to a local before iterating over it.
   [[nodiscard]] Netlist netlist() const;
 
   /// The comparator network, as the served engine holds it.
@@ -73,7 +72,7 @@ class McSorter {
     return engine_.network();
   }
 
-  /// The served engine: the compiled cell and the network.
+  /// The served engine: the serial scan over the network.
   [[nodiscard]] const CellNetworkEvaluator& engine() const noexcept {
     return engine_;
   }

@@ -105,7 +105,7 @@ TEST(Compile, AllBackendsMatchLegacyOnCatalogNetworks) {
           const int active = std::min(Backend::kLanes, kVectors - base);
           for (std::size_t i = 0; i < width; ++i) {
             for (int lane = 0; lane < active; ++lane) {
-              Backend::set_lane(pin[i], lane, corpus[base + lane][i]);
+              pin[i].set_lane(lane, corpus[base + lane][i]);
             }
           }
           exec.run(pin);
@@ -310,7 +310,7 @@ TEST(Compile, EveryCellKindLoweringMatchesNodeWalkOnAllTernaryInputs) {
         std::vector<typename Backend::Value> packed(width);
         for (std::size_t v = 0; v < vectors; ++v) {
           for (std::size_t i = 0; i < width; ++i) {
-            Backend::set_lane(packed[i], static_cast<int>(v), corpus[v][i]);
+            packed[i].set_lane(static_cast<int>(v), corpus[v][i]);
           }
         }
         exec.run(packed);
@@ -508,63 +508,23 @@ TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
       << "BatchEvaluator::run must not construct threads per call";
 }
 
-// The cell engine copies each cell output back from its rail r as the
-// pair (r, r ^ 1), so an output read through an inverter (an odd rail)
-// swaps can0 and can1, and it materializes the cell's constants once per
-// shard. No 2-sort(B) construction has either, so this cell is built by
-// hand: each bit's max and min read their gates through inverters, and
-// min also reads a tie-high cell. Its network must match the elaborated
-// one on two lane groups of arbitrary trits.
-TEST(Compile, CellNetworkEvaluatorMatchesElaborationWithInvertedOutputs) {
-  const Sort2Builder inverted = [](Netlist& nl, const Bus& g, const Bus& h) {
-    const NodeId one = nl.constant(true);
-    BusPair out;
-    for (std::size_t k = 0; k < g.size(); ++k) {
-      out.max.push_back(nl.inv(nl.nor2(g[k], h[k])));
-      out.min.push_back(nl.inv(nl.nand2(nl.and2(g[k], one), h[k])));
-    }
-    return out;
-  };
-  constexpr std::size_t kBits = 2;
-  Netlist cell("inverted_cell");
-  const Bus g = cell.add_input_bus("g", kBits);
-  const Bus h = cell.add_input_bus("h", kBits);
-  const BusPair out = inverted(cell, g, h);
-  cell.mark_output_bus(out.max, "max");
-  cell.mark_output_bus(out.min, "min");
-
-  const ComparatorNetwork net = optimal_7();
-  const CellNetworkEvaluator engine(cell, net);
-  ASSERT_EQ(engine.network().layers(), net.layers());
-  const std::span<const std::uint32_t> rails = engine.cell().output_rails();
-  ASSERT_TRUE(std::all_of(rails.begin(), rails.end(),
-                          [](std::uint32_t r) { return (r & 1u) == 1u; }));
-  ASSERT_FALSE(engine.cell().const_inits().empty());
-
-  const BatchEvaluator elaborated(elaborate_network(net, kBits, inverted));
-  Xoshiro256 rng(77);
-  std::vector<Trit> in(300 * engine.width());
-  for (Trit& t : in) t = trit_from_index(static_cast<int>(rng.below(3)));
-  std::vector<Trit> served(in.size());
-  std::vector<Trit> want(in.size());
-  engine.run_flat(in, served);
-  elaborated.run_flat(in, want);
-  EXPECT_EQ(served, want);
-
-  // A cell must have 2B inputs and 2B outputs, and the network must be
-  // well formed: every comparator two distinct channels of the network.
-  EXPECT_THROW(CellNetworkEvaluator(cell, ComparatorNetwork("", 1, {{{0, 0}}})),
+// The served engine needs B >= 1 and a well-formed network: every
+// comparator two distinct channels of the network. Its run_flat refuses
+// an output buffer of the wrong size.
+TEST(Compile, CellNetworkEvaluatorRefusesMalformedInput) {
+  EXPECT_THROW(CellNetworkEvaluator(2, ComparatorNetwork("", 1, {{{0, 0}}})),
                std::invalid_argument);
-  EXPECT_THROW(CellNetworkEvaluator(cell, ComparatorNetwork("", 7, {{{3, 7}}})),
+  EXPECT_THROW(CellNetworkEvaluator(2, ComparatorNetwork("", 7, {{{3, 7}}})),
                std::invalid_argument);
-  EXPECT_THROW(
-      CellNetworkEvaluator(cell, ComparatorNetwork("", 7, {{{-1, 3}}})),
-      std::invalid_argument);
-  EXPECT_THROW(CellNetworkEvaluator(elaborate_network(net, 1, inverted), net),
+  EXPECT_THROW(CellNetworkEvaluator(2, ComparatorNetwork("", 7, {{{-1, 3}}})),
                std::invalid_argument);
+  EXPECT_THROW(CellNetworkEvaluator(0, optimal_7()), std::invalid_argument);
+
+  const CellNetworkEvaluator engine(2, optimal_7());
+  ASSERT_EQ(engine.network().layers(), optimal_7().layers());
+  const std::vector<Trit> in(engine.width(), Trit::meta);
   std::vector<Trit> short_out(engine.width() - 1);
-  EXPECT_THROW(engine.run_flat(std::span(in).first(engine.width()), short_out),
-               std::invalid_argument);
+  EXPECT_THROW(engine.run_flat(in, short_out), std::invalid_argument);
 }
 
 TEST(Compile, SortValuesBatchRoundTrips) {

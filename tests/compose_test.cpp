@@ -311,12 +311,14 @@ TEST(Compose, ComparatorDifferentialAgainstStdSortTo32) {
 // --- gate-level differential: random + metastable inputs to 32 -------------
 
 // Random measurement ranks — spanning fully-valid codewords and the
-// marginal (metastability-containing) strings between them — sorted by a
-// compiled cell-network engine and checked against rank order.
-void check_engine_differential(const CellNetworkEvaluator& engine,
+// marginal (metastability-containing) strings between them — sorted by
+// `engine` (the served engine, or BatchEvaluator over an elaborated
+// netlist) over `net` at `bits` and checked against rank order.
+template <class Engine>
+void check_engine_differential(const Engine& engine,
+                               const ComparatorNetwork& net, std::size_t bits,
                                std::uint64_t seed, int rounds) {
-  const int n = engine.network().channels();
-  const std::size_t bits = engine.width() / static_cast<std::size_t>(n);
+  const int n = net.channels();
   Xoshiro256 rng(seed);
   for (int round = 0; round < rounds; ++round) {
     std::vector<Word> in;
@@ -336,29 +338,36 @@ void check_engine_differential(const CellNetworkEvaluator& engine,
     for (int c = 0; c < n; ++c) {
       ASSERT_EQ(out[static_cast<std::size_t>(c)],
                 valid_from_rank(ranks[static_cast<std::size_t>(c)], bits))
-          << engine.network().name() << " n=" << n << " round=" << round
-          << " c=" << c;
+          << net.name() << " n=" << n << " round=" << round << " c=" << c;
     }
   }
+}
+
+void check_sorter_differential(const McSorter& sorter, std::uint64_t seed,
+                               int rounds) {
+  check_engine_differential(sorter.engine(), sorter.network(), sorter.bits(),
+                            seed, rounds);
 }
 
 TEST(Compose, ComposedSorterDifferentialRandomAndMetastableTo32) {
   for (int n = 2; n <= 32; ++n) {
     const McSorter sorter(n, 4);  // catalog <= 10, composed beyond
-    check_engine_differential(sorter.engine(),
-                              9000u + static_cast<std::uint64_t>(n), 8);
+    check_sorter_differential(sorter, 9000u + static_cast<std::uint64_t>(n),
+                              8);
   }
 }
 
 TEST(Compose, OtherCellsEngineDifferentialTo32) {
   // The served cell is the serial prefix; the paper's ladner_fischer and
-  // the depth-minimal sklansky cone sort the same rounds end to end.
+  // the depth-minimal sklansky cone, elaborated over the same networks,
+  // sort the same rounds end to end.
   for (const PpcTopology topo :
        {PpcTopology::ladner_fischer, PpcTopology::sklansky}) {
     for (const int n : {6, 11, 13, 17, 24, 32}) {
-      const CellNetworkEvaluator engine(make_sort2(4, {topo}),
-                                        NetworkBuilder().build(n)->network);
-      check_engine_differential(engine,
+      const ComparatorNetwork net = NetworkBuilder().build(n)->network;
+      const BatchEvaluator engine(
+          elaborate_network(net, 4, sort2_builder({topo})));
+      check_engine_differential(engine, net, 4,
                                 9100u + static_cast<std::uint64_t>(n), 8);
     }
   }
@@ -369,8 +378,8 @@ TEST(Compose, PpcSorterDifferentialRandomAndMetastableTo32) {
        {PpcTopology::ladner_fischer, PpcTopology::sklansky}) {
     for (const int n : {5, 11, 17, 24, 32}) {
       const McSorter sorter(BuiltNetwork{ppc_sort_network(n, topo)}, 4);
-      check_engine_differential(sorter.engine(),
-                                9200u + static_cast<std::uint64_t>(n), 6);
+      check_sorter_differential(sorter, 9200u + static_cast<std::uint64_t>(n),
+                                6);
     }
   }
 }
@@ -435,7 +444,7 @@ void check_backends_against_node_walk(const Netlist& nl,
       const int active = std::min(Backend::kLanes, vectors - base);
       for (std::size_t i = 0; i < width; ++i) {
         for (int lane = 0; lane < active; ++lane) {
-          Backend::set_lane(pin[i], lane, corpus[base + lane][i]);
+          pin[i].set_lane(lane, corpus[base + lane][i]);
         }
       }
       exec.run(pin);
@@ -520,7 +529,7 @@ TEST(Compose, AllBackendsMatchLegacyOnComposed64x16) {
     corpus.push_back(std::move(round));
   }
   check_backends_against_node_walk(nl, corpus);
-  check_engine_differential(sorter.engine(), 9300u, 4);
+  check_sorter_differential(sorter, 9300u, 4);
 }
 
 // --- NetworkBuilder route / status surface ----------------------------------

@@ -223,17 +223,13 @@ TEST(McSorter, RefusesNetlistsNodeIdCannotIndex) {
 // Runs `engine` and the elaborated netlist `nl` on random trits, so 0, 1
 // and M all appear, not only valid strings: on one round, a partial group,
 // a group and one more round, and three sharded groups. They must agree
-// bit for bit, and the engine's op count is the elaborated program's:
-// nothing crosses cells, so cell ops x comparators. Both evaluators pack
-// and unpack through one lane-group loop, so that loop is checked against
-// the node walker in compile_test (SortBatchMatchesPerRoundSort...).
+// bit for bit. Both evaluators pack and unpack through one lane-group
+// loop, so that loop is checked against the node walker in compile_test
+// (SortBatchMatchesPerRoundSort...).
 void expect_engine_matches_netlist(const CellNetworkEvaluator& engine,
                                    const Netlist& nl, const std::string& what,
                                    Xoshiro256& rng) {
   const BatchEvaluator elaborated(nl);
-  EXPECT_EQ(engine.cell().live_gate_count() * engine.network().size(),
-            elaborated.program().live_gate_count())
-      << what;
   constexpr std::size_t kRounds[] = {1, 255, 257, 600};
   for (const std::size_t rounds : kRounds) {
     std::vector<Trit> in(rounds * engine.width());
@@ -247,20 +243,70 @@ void expect_engine_matches_netlist(const CellNetworkEvaluator& engine,
 }
 
 constexpr std::pair<int, std::size_t> kEngineShapes[] = {
-    {1, 3}, {2, 1}, {3, 2}, {7, 5}, {10, 8}, {10, 16}, {24, 8}, {64, 16}};
+    {1, 3},  {2, 1},  {3, 2},  {7, 5}, {10, 8},
+    {10, 16}, {24, 8}, {64, 16}, {5, 32}, {3, 64}};
 
 std::string shape_name(int channels, std::size_t bits) {
   return std::to_string(channels) + "x" + std::to_string(bits);
 }
 
-// The served engine runs one compiled kServedSort2 cell per comparator
-// over a channel-major state array, and must compute netlist() bit for bit.
+// The served engine runs the serial scan in place per comparator over a
+// channel-major state array, and must compute netlist() bit for bit. The
+// two share sort2_serial_scan, so this catches a wrong PackedTrit256 op,
+// not a wrong scan; ServedKernelMatchesLadnerFischerCell does that.
 TEST(McSorter, ServedEngineMatchesElaboratedNetlist) {
   Xoshiro256 rng(21);
   for (const auto& [channels, bits] : kEngineShapes) {
     const McSorter sorter(channels, bits);
     expect_engine_matches_netlist(sorter.engine(), sorter.netlist(),
                                   shape_name(channels, bits), rng);
+  }
+}
+
+// The served kernel against the paper's Ladner–Fischer cell, which the
+// PPC builds without the scan: on every ternary pair (g, h) for B <= 4
+// (3^8 = 6,561 pairs at B = 4), and on 1,024 random ternary pairs, every
+// lane of four lane groups, for B = 5..24, 31..33 and 63..65. A 2-channel
+// sorter runs one comparator and leaves min in channel 0 and max in
+// channel 1; the cell outputs max then min.
+TEST(McSorter, ServedKernelMatchesLadnerFischerCell) {
+  Xoshiro256 rng(24);
+  std::vector<std::size_t> widths;
+  for (std::size_t bits = 1; bits <= 24; ++bits) widths.push_back(bits);
+  for (const std::size_t bits : {31, 32, 33, 63, 64, 65}) {
+    widths.push_back(bits);
+  }
+  for (const std::size_t bits : widths) {
+    const McSorter sorter(2, bits);
+    const BatchEvaluator paper(make_sort2(bits));
+    const std::size_t width = 2 * bits;
+    std::vector<Trit> pairs;
+    if (bits <= 4) {
+      std::size_t count = 1;
+      for (std::size_t i = 0; i < width; ++i) count *= 3;
+      pairs.resize(count * width);
+      for (std::size_t v = 0; v < count; ++v) {
+        std::size_t digits = v;
+        for (std::size_t i = 0; i < width; ++i, digits /= 3) {
+          pairs[v * width + i] = static_cast<Trit>(digits % 3);
+        }
+      }
+    } else {
+      pairs.resize(1024 * width);
+      for (Trit& t : pairs) t = static_cast<Trit>(rng.below(3));
+    }
+    std::vector<Trit> served(pairs.size());
+    std::vector<Trit> want(pairs.size());
+    ASSERT_TRUE(sorter.sort_batch_flat(pairs, served).ok());
+    paper.run_flat(pairs, want);
+    for (std::size_t v = 0; v < pairs.size() / width; ++v) {
+      const auto min = served.begin() + static_cast<std::ptrdiff_t>(v * width);
+      const auto max = want.begin() + static_cast<std::ptrdiff_t>(v * width);
+      const auto b = static_cast<std::ptrdiff_t>(bits);
+      ASSERT_TRUE(std::equal(min, min + b, max + b) &&
+                  std::equal(min + b, min + 2 * b, max))
+          << "B=" << bits << ", pair " << v;
+    }
   }
 }
 
@@ -299,10 +345,10 @@ TEST(McSorter, SortBatchFlatInPlaceMatchesOutOfPlace) {
   }
 }
 
-// The same engine over the cells make_sort2 builds besides the served
-// one: AOI cells, the depth-minimal sklansky cell and the paper's
-// ladner_fischer cell.
-TEST(CellNetworkEvaluator, OtherCellsMatchElaboratedNetlist) {
+// The cells make_sort2 builds besides the served one, elaborated and run
+// by BatchEvaluator: AOI cells, the depth-minimal sklansky cell and the
+// paper's ladner_fischer cell sort every round as the served engine does.
+TEST(BatchEvaluator, OtherCellsMatchServedEngine) {
   const std::pair<const char*, Sort2Options> cells[] = {
       {"aoi_cells", {PpcTopology::serial, OpStyle::aoi_cells}},
       {"sklansky", {PpcTopology::sklansky, OpStyle::simple_gates}},
@@ -311,10 +357,10 @@ TEST(CellNetworkEvaluator, OtherCellsMatchElaboratedNetlist) {
   Xoshiro256 rng(22);
   for (const auto& [name, cell] : cells) {
     for (const auto& [channels, bits] : kEngineShapes) {
-      const ComparatorNetwork net = NetworkBuilder().build(channels)->network;
-      const CellNetworkEvaluator engine(make_sort2(bits, cell), net);
+      const McSorter sorter(channels, bits);
       expect_engine_matches_netlist(
-          engine, elaborate_network(net, bits, sort2_builder(cell)),
+          sorter.engine(),
+          elaborate_network(sorter.network(), bits, sort2_builder(cell)),
           shape_name(channels, bits) + " " + name, rng);
     }
   }
@@ -322,16 +368,16 @@ TEST(CellNetworkEvaluator, OtherCellsMatchElaboratedNetlist) {
 
 // AOI cells fuse each selection circuit into OA21/AO21/INV cells: not
 // MC-safe simple gates, fewer gates, and the same sorted values.
-TEST(CellNetworkEvaluator, AoiCellsSortValues) {
+TEST(BatchEvaluator, AoiCellsSortValues) {
   const Sort2Options aoi{PpcTopology::serial, OpStyle::aoi_cells};
   const SortShape shape{4, 4};
   const ComparatorNetwork net = NetworkBuilder().build(shape.channels)->network;
-  const CircuitStats stats =
-      compute_stats(elaborate_network(net, shape.bits, sort2_builder(aoi)));
+  const Netlist nl = elaborate_network(net, shape.bits, sort2_builder(aoi));
+  const CircuitStats stats = compute_stats(nl);
   EXPECT_FALSE(stats.mc_safe);  // AOI cells, still MC by tests
   EXPECT_LT(stats.gates, 5 * 55u);
 
-  const CellNetworkEvaluator engine(make_sort2(shape.bits, aoi), net);
+  const BatchEvaluator engine(nl);
   const std::uint64_t values[] = {9, 3, 14, 0};
   const SortRequest request = SortRequest::from_values(shape, values).value();
   std::vector<Trit> out(request.payload.size());

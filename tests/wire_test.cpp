@@ -693,6 +693,46 @@ TEST(WireBatch, OversizedBatchIsResourceExhaustedAtBothEnds) {
             StatusCode::kResourceExhausted);
 }
 
+// The decoders build requests without SortRequest::validate(), which
+// admission runs once per request, so every request they return must pass
+// it. Checked at the edges validate() checks: a value payload, a one-trit
+// round and a batch of exactly kMaxBatchTrits trits, each sent as a
+// version-1 and as a batch frame.
+TEST(WireBatch, DecodedRequestsPassValidate) {
+  const SortRequest values =
+      SortRequest::from_values({4, 10},
+                               std::vector<std::uint64_t>{1023, 0, 512, 7})
+          .value();
+  const std::vector<Trit> one{Trit::meta};
+  const SortRequest lone = SortRequest::view({1, 1}, one).value();
+  const SortShape shape{16, 16};
+  std::vector<Trit> big(kMaxBatchTrits);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<Trit>(i % 3);
+  }
+  const SortRequest batch =
+      SortRequest::view_batch(shape, kMaxBatchTrits / shape.trits(), big)
+          .value();
+  for (const SortRequest* request : {&values, &lone, &batch}) {
+    for (const bool as_batch : {false, true}) {
+      const std::vector<std::uint8_t> frame =
+          as_batch ? wire::encode_batch_request(*request)
+                   : wire::encode_request(*request);
+      const StatusOr<wire::FrameView> view = wire::parse_frame(frame);
+      ASSERT_TRUE(view.ok()) << view.status().to_string();
+      const StatusOr<SortRequest> decoded =
+          view->type == wire::FrameType::batch_request
+              ? wire::decode_batch_request(view->body)
+              : wire::decode_request(view->body);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+      EXPECT_TRUE(decoded->validate().ok())
+          << decoded->validate().to_string();
+      EXPECT_EQ(decoded->rounds, request->rounds);
+      EXPECT_TRUE(std::ranges::equal(decoded->payload, request->payload));
+    }
+  }
+}
+
 TEST(WireBatch, TryParseFrameClassifiesBatchTypesAndVersionMix) {
   Xoshiro256 rng(337);
   const SortShape shape{4, 4};

@@ -2,14 +2,15 @@
 // every network the repo can build: the paper catalog, the generator
 // families, and composed/PPC elaborations under every 2-sort builder and
 // PPC topology, each compiled once into the one program form compile()
-// produces. Next to them it compiles the served cells: make_sort2(B) at
+// produces. Next to them it compiles the 2-sort cells: make_sort2(B) at
 // every swept width under every MC Sort2Options (each PPC topology, with
-// simple gates and with AOI cells), the one program McSorter runs per
-// comparator. Every program gets both passes: the structural checks and
-// the exact replay against the netlist it was compiled from.
+// simple gates and with AOI cells). McSorter compiles none of them: it
+// runs the serial cell as a fixed scan (ckt/sort2.hpp), whose netlist is
+// the mc-serial cell here. Every program gets both passes: the structural
+// checks and the exact replay against the netlist it was compiled from.
 //
 //   tool_mcsverify                 full sweep (CI default)
-//   tool_mcsverify --quick         catalog networks and served cells at
+//   tool_mcsverify --quick         catalog networks and 2-sort cells at
 //                                  4 bits only
 //   tool_mcsverify --bits 1,8      override the bit widths swept
 //   tool_mcsverify --filter ppc    only configurations whose name matches
@@ -102,9 +103,9 @@ std::vector<NamedBuilder> sweep_builders(bool quick) {
   return builders;
 }
 
-/// Every 2-sort option McSorter can serve: each PPC topology, with simple
-/// gates and with AOI cells.
-std::vector<std::pair<std::string, Sort2Options>> served_cell_options() {
+/// Every MC 2-sort option: each PPC topology, with simple gates and with
+/// AOI cells.
+std::vector<std::pair<std::string, Sort2Options>> cell_options() {
   std::vector<std::pair<std::string, Sort2Options>> options;
   for (const PpcTopology topo : kAllPpcTopologies) {
     const std::string topo_name(ppc_topology_name(topo));
@@ -360,7 +361,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  for (const auto& [name, opt] : served_cell_options()) {
+  for (const auto& [name, opt] : cell_options()) {
     for (const std::size_t b : bits) {
       if (check("cell/" + name + "/b" + std::to_string(b),
                 [&] { return make_sort2(b, opt); })) {
@@ -370,7 +371,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "mcsverify: %zu compiled programs checked (%zu served cells), %zu "
+      "mcsverify: %zu compiled programs checked (%zu cells), %zu "
       "failed\n",
       checked, cells, failures);
   int rc = failures == 0 ? 0 : 1;
